@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p_exp.add_argument("--jobs", type=int, default=1)
+    p_exp.add_argument("--jobs", type=int, default=1, help="at least 1; does not change the work done")
     p_exp.add_argument("--principal", choices=["p1", "both"], default="p1")
     p_exp.add_argument(
         "--include-identity",

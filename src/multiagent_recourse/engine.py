@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, InvalidQueryError, ParseError
 from .scm import ENDOGENOUS, Assignment, Scm, scm_from_dict, load_scm
-from .values import as_value, format_value, value_to_json
+from .values import as_value, format_value, load_json_exact, value_to_json
 
 AgentId = Union[int, str]
 
@@ -245,14 +245,18 @@ class RecourseOutcome:
         )
 
 
-def classify(outcome: RecourseOutcome) -> OutcomeFlags:
-    """Recompute the outcome flags from the per-agent payoffs."""
-    deltas = {agent: d.delta for agent, d in outcome.per_agent.items()}
+def _flags(principal: AgentId, per_agent: Mapping[AgentId, AgentDelta]) -> OutcomeFlags:
+    deltas = {agent: d.delta for agent, d in per_agent.items()}
     return OutcomeFlags(
-        principal_improved=deltas[outcome.principal] > 0,
+        principal_improved=deltas[principal] > 0,
         pareto_violated=any(d < 0 for d in deltas.values()),
         welfare_delta=sum(deltas.values(), Fraction(0)),
     )
+
+
+def classify(outcome: RecourseOutcome) -> OutcomeFlags:
+    """Recompute the outcome flags from the per-agent payoffs."""
+    return _flags(outcome.principal, outcome.per_agent)
 
 
 @dataclass
@@ -360,19 +364,13 @@ def _assemble_outcome(query: RecourseQuery, before: dict[AgentId, Fraction], row
         agent: AgentDelta(before[agent], row.counterfactual[query.agents[agent]])
         for agent in ordered_agents
     }
-    deltas = {agent: d.delta for agent, d in per_agent.items()}
-    flags = OutcomeFlags(
-        principal_improved=deltas[query.principal] > 0,
-        pareto_violated=any(d < 0 for d in deltas.values()),
-        welfare_delta=sum(deltas.values(), Fraction(0)),
-    )
     return RecourseOutcome(
         action=row.action,
         counterfactual=row.counterfactual,
         cost=row.cost,
         principal=query.principal,
         per_agent=per_agent,
-        flags=flags,
+        flags=_flags(query.principal, per_agent),
     )
 
 
@@ -519,6 +517,14 @@ def _agent_id(raw: Any) -> AgentId:
     raise ParseError(f"agent ids must be integers or strings, got {raw!r}")
 
 
+def _json_bool(data: dict, key: str, default: bool, where: str) -> bool:
+    """A JSON true/false field; absent means ``default``, anything else is an error."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ParseError(f"{where} field {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _clause_from_dict(item: Any, index: int) -> Clause:
     if not isinstance(item, dict) or "kind" not in item:
         raise ParseError(f"constraints[{index}] must be an object with a 'kind'")
@@ -533,15 +539,15 @@ def _clause_from_dict(item: Any, index: int) -> Clause:
         raise ParseError(
             f"constraints[{index}] has unknown field(s): {', '.join(sorted(extras))}"
         )
-    strict = item.get("strict")
+    strict = _json_bool(item, "strict", kind != "threshold", f"constraints[{index}]")
     if kind == "threshold":
         if "agent" not in item or "t" not in item:
             raise ParseError(f"constraints[{index}] (threshold) needs 'agent' and 't'")
-        return Threshold(_agent_id(item["agent"]), as_value(item["t"]), bool(strict))
+        return Threshold(_agent_id(item["agent"]), as_value(item["t"]), strict)
     if kind == "principal_improvement":
-        return PrincipalImprovement(True if strict is None else bool(strict))
+        return PrincipalImprovement(strict)
     if kind == "social_welfare":
-        return SocialWelfare(True if strict is None else bool(strict))
+        return SocialWelfare(strict)
     if kind == "pareto":
         return Pareto()
     return Plausible()
@@ -611,7 +617,7 @@ def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuer
             constraints=constraints,
             cost=cost,
             plausible=plausible,
-            exclude_identity=bool(data.get("exclude_identity", False)),
+            exclude_identity=_json_bool(data, "exclude_identity", False, "query"),
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from None
@@ -620,13 +626,7 @@ def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuer
 
 def load_query(path: str | Path) -> tuple[RecourseQuery, str]:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(), parse_float=Fraction)
-    except OSError as exc:
-        raise ParseError(f"cannot read query file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return query_from_dict(data, path.parent)
+    return query_from_dict(load_json_exact(path, "query"), path.parent)
 
 
 def outcome_to_dict(outcome: RecourseOutcome) -> dict:

@@ -2,10 +2,11 @@
 
 A log is a list of two-player game records.  After filtering to the games
 that are equivalent to a single round (continuation probability 0, or a
-one-round control game), the harness builds one recourse query per game and
-principal, solves it, classifies the outcome, and folds everything into a
-report of counts.  The fold is a commutative sum, so the report does not
-depend on game order or on how solves are scheduled.
+one-round control game), a game's outcome depends only on its cell: the
+matrix and the first-round actions.  The harness counts the games per cell,
+solves one recourse query per cell and principal, and folds each outcome into
+a report of counts, weighted by the cell's game count.  The fold is a
+commutative sum, so the report does not depend on game order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import io
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -119,23 +120,18 @@ class OutcomeCounts:
     welfare_increased: int = 0
     welfare_decreased: int = 0
 
-    def tally(self, outcome: RecourseOutcome | None) -> None:
-        self.queries += 1
+    def tally(self, outcome: RecourseOutcome | None, n: int = 1) -> None:
+        """Count n queries that all led to ``outcome`` (None: no recommendation)."""
+        self.queries += n
         if outcome is None:
             return
-        self.recommendations += 1
-        if outcome.flags.principal_improved:
-            self.principal_improved += 1
-        if outcome.principal_worsened:
-            self.principal_worsened += 1
-        if outcome.opponent_improved:
-            self.opponent_improved += 1
-        if outcome.flags.pareto_violated:
-            self.pareto_violated += 1
-        if outcome.flags.welfare_delta > 0:
-            self.welfare_increased += 1
-        if outcome.flags.welfare_delta < 0:
-            self.welfare_decreased += 1
+        self.recommendations += n
+        self.principal_improved += n * outcome.flags.principal_improved
+        self.principal_worsened += n * outcome.principal_worsened
+        self.opponent_improved += n * outcome.opponent_improved
+        self.pareto_violated += n * outcome.flags.pareto_violated
+        self.welfare_increased += n * (outcome.flags.welfare_delta > 0)
+        self.welfare_decreased += n * (outcome.flags.welfare_delta < 0)
 
 
 @dataclass
@@ -316,36 +312,6 @@ def generate_synthetic_log(
 # ------------------------------------------------------------------ the runs
 
 
-def _resolve_scm(matrix_id: str, matrices: Mapping[str, PayoffMatrix] | None, cache: dict[str, Scm]) -> Scm:
-    if matrix_id not in cache:
-        if matrices and matrix_id in matrices:
-            matrix = matrices[matrix_id]
-        else:
-            matrix = builtin_matrix(matrix_id)
-        cache[matrix_id] = pd_scm(matrix)
-    return cache[matrix_id]
-
-
-def _solve_one(task: tuple[GameRecord, int, Scm, list[Clause], bool]) -> RecourseOutcome | None:
-    game, principal, scm, clauses, exclude_identity = task
-    p1, p2 = game.rounds[0]
-    own = f"x{principal}"
-    query = RecourseQuery(
-        scm=scm,
-        principal=principal,
-        agents={1: "h1", 2: "h2"},
-        factual={"x1": Fraction(p1), "x2": Fraction(p2)},
-        feasible=[{own: Fraction(SILENT)}, {own: Fraction(BETRAY)}],
-        constraints=clauses,
-        cost=CostModel(),
-        exclude_identity=exclude_identity,
-    )
-    try:
-        return solve(query)
-    except RecourseError as exc:
-        raise type(exc)(f"game {game.game_id!r}: {exc}") from exc
-
-
 def run_experiment(
     games: Sequence[GameRecord],
     config: ExperimentConfig,
@@ -353,38 +319,56 @@ def run_experiment(
     matrices: Mapping[str, PayoffMatrix] | None = None,
     jobs: int = 1,
 ) -> ExperimentReport:
-    """Solve every (game, principal) query and fold the outcomes into counts.
+    """Fold every (game, principal) outcome into counts.
 
-    The caller filters to single-round-equivalent games first.  With jobs > 1
-    the solves run on a thread pool; the report is identical either way.
+    The caller filters to single-round-equivalent games first.  Games in one
+    cell (matrix, p1 action, p2 action) share their outcome, so each cell is
+    solved once per principal.  ``jobs`` must be at least 1 and does not
+    change the work done; it is kept for compatibility.
     """
+    if jobs < 1:
+        raise InvalidParamsError("jobs must be at least 1")
     clauses = config.clauses()
     principals = config.principals()
-    cache: dict[str, Scm] = {}
-    tasks = []
+    scms: dict[str, Scm] = {}
+    cells: Counter[tuple[str, int, int]] = Counter()
+    first_game: dict[tuple[str, int, int], str] = {}
+    report = ExperimentReport()
+    seen_games: set[str] = set()
     for game in games:
         if not game.rounds:
             raise InvalidParamsError(f"game {game.game_id!r} has no rounds")
-        scm = _resolve_scm(game.matrix_id, matrices, cache)
-        for principal in principals:
-            tasks.append((game, principal, scm, clauses, config.exclude_identity))
-
-    if jobs > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_solve_one, tasks))
-    else:
-        outcomes = [_solve_one(task) for task in tasks]
-
-    report = ExperimentReport()
-    seen_games: set[str] = set()
-    for (game, _, _, _, _), outcome in zip(tasks, outcomes):
+        if game.matrix_id not in scms:
+            matrix = (matrices or {}).get(game.matrix_id) or builtin_matrix(game.matrix_id)
+            scms[game.matrix_id] = pd_scm(matrix)
         matrix_counts = report.per_matrix.setdefault(game.matrix_id, OutcomeCounts())
         if game.game_id not in seen_games:
             seen_games.add(game.game_id)
             report.overall.games += 1
             matrix_counts.games += 1
-        report.overall.tally(outcome)
-        matrix_counts.tally(outcome)
+        cell = (game.matrix_id, *game.rounds[0])
+        cells[cell] += 1
+        first_game.setdefault(cell, game.game_id)
+
+    for cell, n in cells.items():
+        matrix_id, p1, p2 = cell
+        for principal in principals:
+            query = RecourseQuery(
+                scm=scms[matrix_id],
+                principal=principal,
+                agents={1: "h1", 2: "h2"},
+                factual={"x1": Fraction(p1), "x2": Fraction(p2)},
+                feasible=[{f"x{principal}": Fraction(a)} for a in (SILENT, BETRAY)],
+                constraints=clauses,
+                cost=CostModel(),
+                exclude_identity=config.exclude_identity,
+            )
+            try:
+                outcome = solve(query)
+            except RecourseError as exc:
+                raise type(exc)(f"game {first_game[cell]!r}: {exc}") from exc
+            report.overall.tally(outcome, n)
+            report.per_matrix[matrix_id].tally(outcome, n)
     return report
 
 
@@ -442,26 +426,36 @@ def render_report(report: ExperimentReport, fmt: str = "table") -> str:
 
 
 def report_from_json(text: str) -> ExperimentReport:
-    data = json.loads(text)
-    return ExperimentReport(
-        overall=_counts_from_dict(data["overall"]),
-        per_matrix={mid: _counts_from_dict(c) for mid, c in data["per_matrix"].items()},
-    )
+    try:
+        data = json.loads(text)
+        return ExperimentReport(
+            overall=_counts_from_dict(data["overall"]),
+            per_matrix={mid: _counts_from_dict(c) for mid, c in data["per_matrix"].items()},
+        )
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"report JSON: line {exc.lineno}: {exc.msg}") from None
+    except KeyError as exc:
+        raise ParseError(f"report JSON is missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError):
+        raise ParseError("report JSON counts must be objects of integers") from None
 
 
 def report_from_csv(text: str) -> ExperimentReport:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["scope"] + _COUNT_FIELDS:
-        raise ParseError("unexpected report CSV header")
+    if next(reader, None) != ["scope"] + _COUNT_FIELDS:
+        raise ParseError(f"report CSV must start with the header 'scope,{','.join(_COUNT_FIELDS)}'")
     report = ExperimentReport()
     for row in reader:
         if not row:
             continue
-        scope, values = row[0], [int(v) for v in row[1:]]
-        counts = OutcomeCounts(**dict(zip(_COUNT_FIELDS, values)))
-        if scope == "overall":
+        try:
+            counts = OutcomeCounts(**dict(zip(_COUNT_FIELDS, map(int, row[1:]), strict=True)))
+        except ValueError:
+            raise ParseError(
+                f"line {reader.line_num}: expected {len(_COUNT_FIELDS)} integer counts"
+            ) from None
+        if row[0] == "overall":
             report.overall = counts
         else:
-            report.per_matrix[scope] = counts
+            report.per_matrix[row[0]] = counts
     return report

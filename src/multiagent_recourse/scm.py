@@ -14,7 +14,6 @@ construction and are safe to share across workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -31,7 +30,7 @@ from .errors import (
     ParseError,
     ScmValidationError,
 )
-from .values import as_value, value_to_json
+from .values import as_value, load_json_exact, value_to_json
 
 EXOGENOUS = "exogenous"
 ENDOGENOUS = "endogenous"
@@ -432,11 +431,4 @@ def scm_to_dict(scm: Scm) -> dict:
 
 
 def load_scm(path: str | Path) -> Scm:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(), parse_float=Fraction)
-    except OSError as exc:
-        raise ParseError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return scm_from_dict(data)
+    return scm_from_dict(load_json_exact(path, "model"))

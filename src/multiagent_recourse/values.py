@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
+
+from .errors import ParseError
 
 Value = Fraction
 
@@ -59,6 +62,12 @@ def value_to_json(v: Fraction) -> int | str:
     return v.numerator if v.denominator == 1 else format_value(v)
 
 
-def loads_exact(text: str) -> Any:
-    """json.loads with float literals parsed as exact Fractions."""
-    return json.loads(text, parse_float=Fraction)
+def load_json_exact(path: str | Path, noun: str) -> Any:
+    """Read a JSON file, float literals as exact Fractions; ``noun`` names it in errors."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(), parse_float=Fraction)
+    except OSError as exc:
+        raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc

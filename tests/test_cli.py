@@ -189,6 +189,19 @@ class TestExperiment:
         assert set(report.per_matrix) == {"table2", "table3"}
         assert report.overall.recommendations == 8
 
+    def test_jobs_zero_exit_1(self, capsys):
+        args = [
+            "experiment",
+            "--synthetic", "n=4", "silent=2",
+            "--matrix", "table2",
+            "--jobs", "0",
+        ]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: jobs must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_bad_synthetic_params(self, capsys):
         code = main(["experiment", "--synthetic", "n=10", "--matrix", "table2"])
         assert code == 1

@@ -550,6 +550,38 @@ class TestFileForms:
         with pytest.raises(mr.ParseError):
             mr.query_from_dict(data)
 
+    @pytest.mark.parametrize("raw", ["false", "no", 0, None])
+    def test_booleans_must_be_json_true_or_false(self, raw):
+        data = self.query_data()
+        data["exclude_identity"] = raw
+        with pytest.raises(mr.ParseError, match="'exclude_identity' must be true or false"):
+            mr.query_from_dict(data)
+        for clause in (
+            {"kind": "principal_improvement"},
+            {"kind": "social_welfare"},
+            {"kind": "threshold", "agent": 1, "t": 3},
+        ):
+            data = self.query_data()
+            data["constraints"] = [dict(clause, strict=raw)]
+            with pytest.raises(mr.ParseError, match=r"constraints\[0\] field 'strict'"):
+                mr.query_from_dict(data)
+
+    def test_absent_booleans_keep_their_defaults(self):
+        data = self.query_data()
+        del data["exclude_identity"]
+        data["constraints"] = [
+            {"kind": "threshold", "agent": 1, "t": 3},
+            {"kind": "principal_improvement"},
+            {"kind": "social_welfare"},
+        ]
+        query, _ = mr.query_from_dict(data)
+        assert query.exclude_identity is False
+        assert query.constraints == [
+            mr.Threshold(1, F(3), strict=False),
+            mr.PrincipalImprovement(strict=True),
+            mr.SocialWelfare(strict=True),
+        ]
+
     def test_scm_file_reference(self, tmp_path, pd1):
         (tmp_path / "model.json").write_text(json.dumps(mr.scm_to_dict(pd1)))
         data = self.query_data()

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import multiagent_recourse as mr
+from multiagent_recourse import experiment
 from multiagent_recourse.experiment import parse_game_log_text
 
 
@@ -250,12 +251,17 @@ class TestRunExperiment:
             one_round_game("g0", 0, 0, "table2"),
             one_round_game("g1", 0, 0, "table3"),
             one_round_game("g2", 1, 0, "table3"),
+            one_round_game("g3", 0, 0, "table3"),  # same cell as g1
         ]
         report = mr.run_experiment(games, mr.ExperimentConfig(mode="single_agent"))
         assert report.per_matrix["table2"].games == 1
-        assert report.per_matrix["table3"].games == 2
+        assert report.per_matrix["table3"].games == 3
+        assert report.per_matrix["table3"].queries == 3
         assert report.per_matrix["table2"].recommendations == 1
-        assert report.per_matrix["table3"].recommendations == 1
+        assert report.per_matrix["table3"].recommendations == 2
+        assert report.per_matrix["table3"].principal_improved == 2
+        assert report.per_matrix["table3"].welfare_decreased == 2
+        assert report.overall.recommendations == 3
 
     def test_custom_matrix_registry(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -268,6 +274,37 @@ class TestRunExperiment:
             matrices={"mine": custom},
         )
         assert report.overall.recommendations == 1
+
+    def test_each_cell_solved_once_per_principal(self, monkeypatch):
+        calls = []
+        real_solve = experiment.solve
+        monkeypatch.setattr(experiment, "solve", lambda q: calls.append(q) or real_solve(q))
+        games = mr.generate_synthetic_log(
+            200, 80, {"table2": F(1, 2), "table3": F(1, 2)}, seed=1
+        )
+        config = mr.ExperimentConfig(principal_policy="both_players")
+        report = mr.run_experiment(games, config)
+        assert report.overall.queries == 400
+        assert len(calls) == 2 * len({(g.matrix_id, *g.rounds[0]) for g in games})
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(mr.InvalidParamsError, match="jobs must be at least 1"):
+            mr.run_experiment(
+                self.four_profile_log(), mr.ExperimentConfig(mode="single_agent"), jobs=jobs
+            )
+
+    def test_solve_error_names_first_game_in_log_order(self):
+        games = [
+            one_round_game("g5", 1, 1),
+            one_round_game("g2", 0, 0),
+            one_round_game("g9", 1, 1),
+        ]
+        config = mr.ExperimentConfig(
+            mode="custom", custom_clauses=(mr.Threshold(agent=3, t=F(1)),)
+        )
+        with pytest.raises(mr.InvalidQueryError, match=r"^game 'g5': .*unknown agent 3"):
+            mr.run_experiment(games, config)
 
     def test_unknown_matrix_id(self):
         games = [one_round_game("g0", 0, 0, "tableX")]
@@ -385,6 +422,33 @@ class TestRendering:
     def test_unknown_format(self):
         with pytest.raises(mr.InvalidParamsError):
             mr.render_report(self.sample_report(), "xml")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not json", "report JSON: line 1"),
+            ("{}", "missing field 'overall'"),
+            ('{"overall": [], "per_matrix": {}}', "objects of integers"),
+        ],
+    )
+    def test_bad_json_report_is_a_parse_error(self, text, message):
+        with pytest.raises(mr.ParseError, match=message):
+            mr.report_from_json(text)
+
+    def test_empty_csv_report_is_a_parse_error(self):
+        with pytest.raises(mr.ParseError, match="must start with the header"):
+            mr.report_from_csv("")
+
+    def test_non_integer_csv_count_is_a_parse_error(self):
+        lines = mr.render_report(self.sample_report(), "csv").splitlines()
+        lines[1] = lines[1].replace(",", ",x", 1)
+        with pytest.raises(mr.ParseError, match="line 2: expected 9 integer counts"):
+            mr.report_from_csv("\n".join(lines) + "\n")
+
+    def test_short_csv_row_is_a_parse_error(self):
+        text = mr.render_report(self.sample_report(), "csv") + "table9,1,2\n"
+        with pytest.raises(mr.ParseError, match="line 4: expected 9 integer counts"):
+            mr.report_from_csv(text)
 
     def test_rendering_deterministic(self):
         report = self.sample_report()
