@@ -3,7 +3,9 @@
 Two solvers share the query type.  ``solve`` pushes every candidate action
 through the abduction/intervention/prediction pipeline and returns the
 cheapest action whose counterfactual state satisfies every constraint clause
-plus the plausibility predicate.  ``solve_cfe_baseline`` is the deliberately
+plus the plausibility predicate.  The factual world is abducted once per
+query, and each candidate is predicted as a pin overlay on the query's model,
+so no mutilated model is built.  ``solve_cfe_baseline`` is the deliberately
 naive additive variant: it shifts the named features in place, re-predicts
 only the agents' outcome models, and never touches the causal structure.
 
@@ -328,9 +330,8 @@ def _candidate_rows(query: RecourseQuery) -> tuple[Assignment, list[tuple[tuple,
     for action in query.feasible:
         if query.exclude_identity and _is_identity(action, factual_state):
             continue
-        mutated = query.scm.intervene(action)
-        free = {name: factual_state[name] for name in mutated.exogenous_names}
-        counterfactual = mutated.evaluate(free)
+        # _check_query has checked every action against the domains.
+        counterfactual = query.scm._evaluate_exact(factual_state, action)
         after = {agent: counterfactual[var] for agent, var in query.agents.items()}
         plausible_ok = query.plausible(counterfactual) if query.plausible else True
         verdicts = tuple(
@@ -543,7 +544,11 @@ def _clause_from_dict(item: Any, index: int) -> Clause:
     if kind == "threshold":
         if "agent" not in item or "t" not in item:
             raise ParseError(f"constraints[{index}] (threshold) needs 'agent' and 't'")
-        return Threshold(_agent_id(item["agent"]), as_value(item["t"]), strict)
+        try:
+            t = as_value(item["t"])
+        except ValueError as exc:
+            raise ParseError(f"constraints[{index}] (threshold) 't': {exc}") from None
+        return Threshold(_agent_id(item["agent"]), t, strict)
     if kind == "principal_improvement":
         return PrincipalImprovement(strict)
     if kind == "social_welfare":
@@ -554,9 +559,12 @@ def _clause_from_dict(item: Any, index: int) -> Clause:
 
 
 def _allowlist_predicate(entries: list[dict[str, Any]]) -> Callable[[Assignment], bool]:
-    normalized = [
-        {name: as_value(v) for name, v in entry.items()} for entry in entries
-    ]
+    try:
+        normalized = [
+            {name: as_value(v) for name, v in entry.items()} for entry in entries
+        ]
+    except ValueError as exc:
+        raise ParseError(f"query field 'plausible': {exc}") from None
 
     def admitted(state: Assignment) -> bool:
         return any(
@@ -586,6 +594,8 @@ def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuer
     if not isinstance(data["agents"], dict):
         raise ParseError("query field 'agents' must be an object")
     agents = {_agent_id(k): str(v) for k, v in data["agents"].items()}
+    if not isinstance(data["factual"], dict):
+        raise ParseError("query field 'factual' must be an object")
     if not isinstance(data["feasible"], list) or not all(
         isinstance(a, dict) for a in data["feasible"]
     ):
@@ -596,7 +606,13 @@ def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuer
     cost_data = data.get("cost", {})
     if not isinstance(cost_data, dict):
         raise ParseError("query field 'cost' must be an object")
-    cost = CostModel(cost_data.get("kind", COST_COMPOSITE), cost_data.get("weights"))
+    weights = cost_data.get("weights")
+    if weights is not None and not isinstance(weights, dict):
+        raise ParseError("query field 'cost.weights' must be an object")
+    try:
+        cost = CostModel(cost_data.get("kind", COST_COMPOSITE), weights)
+    except ValueError as exc:
+        raise ParseError(f"query field 'cost.weights': {exc}") from None
     plausible = None
     if "plausible" in data:
         if not isinstance(data["plausible"], list) or not all(

@@ -3,10 +3,13 @@
 A model is a list of variable declarations plus one exhaustive lookup-table
 equation per endogenous variable.  Three operations carry the rest of the
 package: forward evaluation of all endogenous variables from an exogenous
-assignment, abduction (inverting the equations by exhaustive search over the
-exogenous domains, with a uniqueness check), and mutilation via
-do-interventions that pin variables to constants.  Composing them yields
-counterfactual states: abduct the factual world, intervene, re-evaluate.
+assignment, abduction (inverting the equations by a depth-first search over
+the exogenous domains that cuts off every prefix already contradicting the
+observation, with a uniqueness check), and mutilation via do-interventions
+that pin variables to constants.  Composing them yields counterfactual
+states: abduct the factual world, then re-evaluate it with the action's pins
+laid over the equations.  A pin overlay gives the same state as evaluating
+the mutilated model that ``intervene`` builds, without building it.
 
 All values are exact rationals; models are treated as immutable after
 construction and are safe to share across workers.
@@ -236,35 +239,79 @@ class Scm:
             )
         return self._evaluate_exact(given)
 
-    def _evaluate_exact(self, exogenous: Assignment) -> Assignment:
-        state = dict(exogenous)
+    def _evaluate_exact(self, world: Assignment, pins: Assignment | None = None) -> Assignment:
+        """Complete state from the exogenous values in ``world``, under ``pins``.
+
+        Endogenous entries of ``world`` are ignored and recomputed.  Each pinned
+        variable takes its pin in place of its equation or exogenous value,
+        which is evaluating the model ``intervene(pins)`` would build: removing
+        the pinned variables' incoming edges keeps ``self._order`` topological.
+        Pins must already be checked against the domains.
+        """
+        pins = pins or {}
+        state = {**world, **pins}
         for target in self._order:
-            eq = self._by_target[target]
-            state[target] = eq.table[tuple(state[p] for p in eq.parents)]
+            if target not in pins:
+                eq = self._by_target[target]
+                state[target] = eq.table[tuple(state[p] for p in eq.parents)]
         return {decl.name: state[decl.name] for decl in self.variables}
 
     def abduct(self, observation: Mapping[str, Any]) -> Assignment:
         """The unique complete state consistent with a partial observation.
 
-        Searches exhaustively over the exogenous domains (observed exogenous
-        variables are held fixed).  Raises NonInvertibleError when zero or
-        several exogenous assignments reproduce the observation.
+        Searches depth first over the exogenous variables in declaration order
+        (observed exogenous variables are held fixed).  Each endogenous
+        variable is computed as soon as its last exogenous ancestor has a
+        value and compared with the observation there, so a prefix that
+        already contradicts it is never extended.  Assignments are visited in
+        the order of the full product of the domains, and the search stops at
+        the second match.  Raises NonInvertibleError when zero or several
+        exogenous assignments reproduce the observation.
         """
         observed = self.check_assignment(observation)
-        axes: list[tuple[Fraction, ...]] = []
-        for name in self.exogenous_names:
-            if name in observed:
-                axes.append((observed[name],))
-            else:
-                axes.append(self._decls[name].domain)
-        matches: list[Assignment] = []
         names = self.exogenous_names
-        for combo in product(*axes):
-            state = self._evaluate_exact(dict(zip(names, combo)))
-            if all(state[name] == value for name, value in observed.items()):
-                matches.append(state)
+        axes = [
+            (observed[name],) if name in observed else self._decls[name].domain
+            for name in names
+        ]
+        # stages[d]: the targets whose last exogenous ancestor is names[d - 1].
+        depth = {name: d for d, name in enumerate(names, 1)}
+        stages: list[list[str]] = [[] for _ in range(len(names) + 1)]
+        for target in self._order:
+            depth[target] = max(
+                (depth[p] for p in self._by_target[target].parents), default=0
+            )
+            stages[depth[target]].append(target)
+
+        state: Assignment = {}
+
+        def consistent(stage: int) -> bool:
+            for target in stages[stage]:
+                eq = self._by_target[target]
+                state[target] = eq.table[tuple(state[p] for p in eq.parents)]
+                if target in observed and state[target] != observed[target]:
+                    return False
+            return True
+
+        matches: list[Assignment] = []
+        next_index = [0] * len(names)
+        level = 0 if consistent(0) else -1
+        while level >= 0:
+            if level == len(names):
+                matches.append({decl.name: state[decl.name] for decl in self.variables})
                 if len(matches) > 1:
                     break
+                level -= 1
+                continue
+            index = next_index[level]
+            if index == len(axes[level]):
+                next_index[level] = 0
+                level -= 1
+                continue
+            next_index[level] = index + 1
+            state[names[level]] = axes[level][index]
+            if consistent(level + 1):
+                level += 1
         if not matches:
             raise NonInvertibleError(
                 "no exogenous assignment is consistent with the observation"
@@ -299,11 +346,13 @@ class Scm:
         return Scm(variables, tuple(equations))
 
     def counterfactual(self, factual: Mapping[str, Any], action: Mapping[str, Any]) -> Assignment:
-        """Abduct the factual world, apply the action, re-evaluate."""
+        """Abduct the factual world, apply the action, re-evaluate.
+
+        Equal to ``self.intervene(action).evaluate(...)`` on the abducted
+        exogenous values, computed as a pin overlay on this model.
+        """
         completed = self.abduct(factual)
-        mutated = self.intervene(action)
-        free = {name: completed[name] for name in mutated.exogenous_names}
-        return mutated.evaluate(free)
+        return self._evaluate_exact(completed, self.check_assignment(action))
 
     def graph(self) -> CausalGraph:
         edges: list[tuple[str, str]] = []

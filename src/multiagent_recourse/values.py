@@ -17,9 +17,40 @@ from .errors import ParseError
 
 Value = Fraction
 
+# Python's default limit on int/str conversion (sys.get_int_max_str_digits).
+MAX_LITERAL_DIGITS = 4300
+
+
+def bounded_literal(text: str) -> str:
+    """Return ``text`` unless its exact value could need more than MAX_LITERAL_DIGITS digits.
+
+    The check reads only the digit count and the exponent, so a literal such
+    as ``1e999999999`` is rejected before any big integer is built.  Digits
+    plus the exponent's size bound the digits of both numerator and
+    denominator.
+    """
+    if len(text) <= MAX_LITERAL_DIGITS and "e" not in text and "E" not in text:
+        return text  # at most MAX_LITERAL_DIGITS digits and no exponent
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
+    digits = sum(c.isdecimal() for c in mantissa)
+    # A malformed exponent is left for Fraction to reject.
+    if exponent.isdecimal() and (
+        len(exponent) > len(str(MAX_LITERAL_DIGITS))
+        or digits + int(exponent) > MAX_LITERAL_DIGITS
+    ):
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise ValueError(
+            f"numeric literal {shown!r} is out of range "
+            f"(more than {MAX_LITERAL_DIGITS} digits)"
+        )
+    return text
+
 
 def as_value(raw: Any) -> Fraction:
     """Coerce ints, floats, Fractions, and "3.5" / "7/2" strings to Fraction."""
+    if isinstance(raw, str):
+        bounded_literal(raw)
     try:
         if isinstance(raw, Fraction):
             return raw
@@ -66,8 +97,12 @@ def load_json_exact(path: str | Path, noun: str) -> Any:
     """Read a JSON file, float literals as exact Fractions; ``noun`` names it in errors."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(), parse_float=Fraction)
+        return json.loads(
+            path.read_text(), parse_float=lambda text: Fraction(bounded_literal(text))
+        )
     except OSError as exc:
         raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # a number literal beyond the digit limit
+        raise ParseError(f"{path}: {exc}") from exc

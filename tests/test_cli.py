@@ -60,6 +60,47 @@ class TestSolve:
         code = main(["solve", str(tmp_path / "nope.json")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("factual", [0, 1], "'factual' must be an object"),
+            ("cost", {"weights": [1, 2]}, "'cost.weights' must be an object"),
+            ("cost", {"weights": {"x1": "abc"}}, "cannot interpret 'abc'"),
+            ("constraints", [{"kind": "threshold", "agent": 1, "t": "abc"}], "cannot interpret 'abc'"),
+            ("plausible", [{"x1": "abc"}], "'plausible': cannot interpret 'abc'"),
+            ("factual", {"x1": "1e999999", "x2": 1}, "out of range"),
+            ("feasible", [{"x1": "1e999999"}], "out of range"),
+        ],
+        ids=[
+            "factual-list",
+            "weights-list",
+            "weight-text",
+            "threshold-text",
+            "plausible-text",
+            "factual-huge",
+            "feasible-huge",
+        ],
+    )
+    def test_malformed_query_field_exit_1(self, workdir, capsys, field, value, message):
+        data = dict(QUERY_CASE1, **{field: value})
+        (workdir / "bad.json").write_text(json.dumps(data))
+        code = main(["solve", str(workdir / "bad.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "literal", ["1e999999999", "1.5E-999999999", "1" * 5000], ids=["exp", "neg-exp", "int"]
+    )
+    def test_oversized_json_number_exit_1(self, workdir, capsys, literal):
+        text = json.dumps(dict(QUERY_CASE1, factual={"x1": "N", "x2": 1}))
+        (workdir / "bad.json").write_text(text.replace('"N"', literal))
+        code = main(["solve", str(workdir / "bad.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "digits" in err
+
     def test_baseline_solver_mode(self, workdir, capsys):
         data = dict(QUERY_CASE1)
         data["solver"] = "baseline"

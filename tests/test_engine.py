@@ -72,6 +72,27 @@ class TestSolveWorkedExamples:
         assert outcome.flags.welfare_delta == F(40)  # 70 -> 110
 
 
+def test_solve_builds_no_model(pd1, monkeypatch):
+    # Candidates are evaluated as pin overlays on the query's model.
+    built, intervened = [], []
+    construct, intervene = mr.Scm.__post_init__, mr.Scm.intervene
+    monkeypatch.setattr(mr.Scm, "__post_init__", lambda self: built.append(1) or construct(self))
+    monkeypatch.setattr(
+        mr.Scm, "intervene", lambda self, action: intervened.append(action) or intervene(self, action)
+    )
+    query = pd_query(
+        pd1,
+        principal=1,
+        factual={"h1": 1, "h2": 10},
+        feasible=[{"x1": 1}, {"h1": 5}, {"x1": 1, "x2": 0}, {}],
+        constraints=[mr.PrincipalImprovement(strict=True)],
+    )
+    assert mr.solve(query).action == {"x1": F(1)}
+    assert len(mr.enumerate_feasible(query)) == 4
+    assert pd1.counterfactual({"x1": 0, "x2": 1}, {"h1": 5})["h1"] == F(5)
+    assert intervened == [] and built == []
+
+
 class TestConstraintSemantics:
     def test_identity_in_feasible_can_win(self, pd1):
         query = pd_query(

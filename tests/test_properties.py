@@ -45,6 +45,36 @@ def test_evaluate_abduct_round_trip(seed):
         assert {n: recovered[n] for n in scm.exogenous_names} == u
 
 
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_abduction_matches_brute_force_in_any_declaration_order(seed):
+    rng = random.Random(seed)
+    variables, equations = oracle.random_plain_scm(rng, max_exo=5, max_endo=4)
+    rng.shuffle(variables)
+    scm = build_scm_from_plain(variables, equations)
+    names = [name for name, _, _ in variables]
+    domains = {name: domain for name, _, domain in variables}
+    world = scm.evaluate({n: rng.choice(domains[n]) for n in scm.exogenous_names})
+    # a random partial observation, sometimes contradicting the model
+    observation = {
+        n: world[n] if rng.random() < 0.8 else rng.choice(domains[n])
+        for n in rng.sample(names, rng.randint(0, len(names)))
+    }
+    expected = oracle.completions(variables, equations, observation)
+    if len(expected) != 1:
+        message = "several exogenous" if expected else "no exogenous"
+        with pytest.raises(mr.NonInvertibleError, match=message):
+            scm.abduct(observation)
+        return
+    state = scm.abduct(observation)
+    assert state == expected[0]
+    assert list(state) == names
+    action = {n: rng.choice(domains[n]) for n in rng.sample(names, rng.randint(0, min(3, len(names))))}
+    mutated = scm.intervene(action)
+    free = {n: state[n] for n in mutated.exogenous_names}
+    assert scm.counterfactual(observation, action) == mutated.evaluate(free)
+
+
 @settings(max_examples=80, deadline=None)
 @given(SEEDS)
 def test_counterfactual_consistency(seed):

@@ -210,12 +210,26 @@ class TestAbduct:
         assert state["h1"] == F(10) and state["h2"] == F(1)
 
     def test_constant_equation_not_invertible(self):
-        with pytest.raises(mr.NonInvertibleError):
+        with pytest.raises(mr.NonInvertibleError, match="several exogenous assignments"):
             constant_scm().abduct({"h1": 5})
 
     def test_impossible_observation(self, pd1):
-        with pytest.raises(mr.NonInvertibleError):
+        with pytest.raises(mr.NonInvertibleError, match="no exogenous assignment"):
             pd1.abduct({"h1": 1, "h2": 1})
+
+    def test_more_exogenous_variables_than_the_recursion_limit(self):
+        n = 1500
+        exogenous = [mr.VariableDecl(f"u{i}", mr.EXOGENOUS, (0, 1)) for i in range(n)]
+        scm = mr.Scm(
+            (*exogenous, mr.VariableDecl("y", mr.ENDOGENOUS, (0, 1))),
+            (mr.StructuralEquation("y", (f"u{n - 1}",), {(F(0),): F(1), (F(1),): F(0)}),),
+        )
+        world = {f"u{i}": F(i % 2) for i in range(n)}
+        expected = {**world, "y": F(0)}
+        assert scm.abduct(world) == expected
+        # the last exogenous value is recovered from y alone
+        partial = {name: v for name, v in expected.items() if name != f"u{n - 1}"}
+        assert scm.abduct(partial) == expected
 
 
 class TestIntervene:
