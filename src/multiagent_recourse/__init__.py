@@ -20,6 +20,7 @@ from .errors import (
     ScmError,
     ScmValidationError,
     UnknownMatrixError,
+    ValueRangeError,
 )
 from .values import Value, as_value, format_value, value_to_json
 from .scm import (

@@ -4,10 +4,13 @@ Two solvers share the query type.  ``solve`` pushes every candidate action
 through the abduction/intervention/prediction pipeline and returns the
 cheapest action whose counterfactual state satisfies every constraint clause
 plus the plausibility predicate.  The factual world is abducted once per
-query, and each candidate is predicted as a pin overlay on the query's model,
-so no mutilated model is built.  ``solve_cfe_baseline`` is the deliberately
-naive additive variant: it shifts the named features in place, re-predicts
-only the agents' outcome models, and never touches the causal structure.
+query and mapped once to positions in the variables' domains.  Each candidate
+maps only its pins to positions, is predicted as a pin overlay on the
+model's compiled index tables (no mutilated model is built), and turns the
+resulting positions back into values.  ``solve_cfe_baseline`` is the
+deliberately naive additive variant: it shifts the named features in place,
+re-predicts only the agents' outcome models, and never touches the causal
+structure.
 
 Ties between equal-cost actions break lexicographically over (sorted
 intervened variable names, then value positions in each variable's declared
@@ -24,7 +27,7 @@ from typing import Any, Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, InvalidQueryError, ParseError
 from .scm import ENDOGENOUS, Assignment, Scm, scm_from_dict, load_scm
-from .values import as_value, format_value, load_json_exact, value_to_json
+from .values import as_value, exact_value, format_value, load_json_exact, value_to_json
 
 AgentId = Union[int, str]
 
@@ -41,7 +44,7 @@ class Threshold:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", as_value(self.t))
+        object.__setattr__(self, "t", exact_value(self.t))
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,7 @@ def _clause_holds(
     before: dict[AgentId, Fraction],
     after: dict[AgentId, Fraction],
     plausible_ok: bool,
+    welfare_before: Fraction,
 ) -> bool:
     if isinstance(clause, Threshold):
         value = after[clause.agent]
@@ -102,8 +106,7 @@ def _clause_holds(
         return after[principal] >= before[principal]
     if isinstance(clause, SocialWelfare):
         total_after = sum(after.values(), Fraction(0))
-        total_before = sum(before.values(), Fraction(0))
-        return total_after > total_before if clause.strict else total_after >= total_before
+        return total_after > welfare_before if clause.strict else total_after >= welfare_before
     if isinstance(clause, Pareto):
         return all(after[agent] >= before[agent] for agent in after)
     if isinstance(clause, Plausible):
@@ -142,7 +145,7 @@ class CostModel:
         if self.weights is not None:
             normalized = {}
             for name, raw in self.weights.items():
-                w = as_value(raw)
+                w = exact_value(raw)
                 if w < 0:
                     raise InvalidQueryError(f"cost weight for {name!r} is negative")
                 normalized[name] = w
@@ -160,6 +163,7 @@ class CostModel:
         )
 
     def order_key(self, assigned: Mapping[str, Fraction], factual: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
+        """What actions are ranked by; its last entry is the reported cost (``scalar``)."""
         count = Fraction(len(assigned))
         if self.kind == COST_COUNT:
             return (count,)
@@ -170,9 +174,7 @@ class CostModel:
 
     def scalar(self, assigned: Mapping[str, Fraction], factual: Mapping[str, Fraction]) -> Fraction:
         """The reported cost: the count for the count model, the weighted change otherwise."""
-        if self.kind == COST_COUNT:
-            return Fraction(len(assigned))
-        return self.weighted_change(assigned, factual)
+        return self.order_key(assigned, factual)[-1]
 
 
 # ------------------------------------------------------------------- queries
@@ -202,9 +204,9 @@ class RecourseQuery:
     exclude_identity: bool = False
 
     def __post_init__(self) -> None:
-        self.factual = {name: as_value(v) for name, v in self.factual.items()}
+        self.factual = {name: exact_value(v) for name, v in self.factual.items()}
         self.feasible = [
-            {name: as_value(v) for name, v in action.items()} for action in self.feasible
+            {name: exact_value(v) for name, v in action.items()} for action in self.feasible
         ]
 
 
@@ -312,40 +314,41 @@ def _check_query(query: RecourseQuery) -> None:
         query.scm.check_assignment(action)
 
 
-def _action_key(scm: Scm, assigned: Mapping[str, Fraction]) -> tuple:
-    names = tuple(sorted(assigned))
-    positions = tuple(scm.domain(name).index(assigned[name]) for name in names)
-    return (names, positions)
-
-
-def _is_identity(action: Mapping[str, Fraction], current: Mapping[str, Fraction]) -> bool:
-    return all(current[name] == value for name, value in action.items())
+def _action_key(positions: Mapping[str, int]) -> tuple:
+    """Tie-break: sorted names, then each value's position in its declared domain."""
+    names = tuple(sorted(positions))
+    return (names, tuple(positions[name] for name in names))
 
 
 def _candidate_rows(query: RecourseQuery) -> tuple[Assignment, list[tuple[tuple, tuple, FeasibleRow]]]:
     _check_query(query)
-    factual_state = query.scm.abduct(query.factual)
+    scm = query.scm
+    factual_state = scm.abduct(query.factual)
+    world = scm._positions(factual_state)
     before = {agent: factual_state[var] for agent, var in query.agents.items()}
+    welfare_before = sum(before.values(), Fraction(0))
+    labels = [clause_label(c) for c in query.constraints]
     keyed: list[tuple[tuple, tuple, FeasibleRow]] = []
     for action in query.feasible:
-        if query.exclude_identity and _is_identity(action, factual_state):
+        pins = scm._positions(action)
+        if query.exclude_identity and all(world[name] == p for name, p in pins.items()):
             continue
-        # _check_query has checked every action against the domains.
-        counterfactual = query.scm._evaluate_exact(factual_state, action)
+        counterfactual = scm._values(scm._evaluate_exact(world, pins))
         after = {agent: counterfactual[var] for agent, var in query.agents.items()}
         plausible_ok = query.plausible(counterfactual) if query.plausible else True
         verdicts = tuple(
-            (clause_label(c), _clause_holds(c, query.principal, before, after, plausible_ok))
-            for c in query.constraints
+            (label, _clause_holds(c, query.principal, before, after, plausible_ok, welfare_before))
+            for label, c in zip(labels, query.constraints)
         )
+        order_key = query.cost.order_key(action, factual_state)
         row = FeasibleRow(
             action=dict(action),
             counterfactual=counterfactual,
-            cost=query.cost.scalar(action, factual_state),
+            cost=order_key[-1],
             plausible=plausible_ok,
             clauses=verdicts,
         )
-        keyed.append((query.cost.order_key(action, factual_state), _action_key(query.scm, action), row))
+        keyed.append((order_key, _action_key(pins), row))
     keyed.sort(key=lambda item: (item[0], item[1]))
     return factual_state, keyed
 
@@ -424,6 +427,7 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
             )
     if not thresholds:
         thresholds = [Threshold(query.principal, before[query.principal], strict=True)]
+    welfare_before = sum(before.values(), Fraction(0))
 
     best: tuple[tuple, tuple, dict, Assignment, Fraction] | None = None
     for delta in query.feasible:
@@ -453,15 +457,17 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
         if not plausible_ok:
             continue
         if not all(
-            _clause_holds(t, query.principal, before, after, plausible_ok) for t in thresholds
+            _clause_holds(t, query.principal, before, after, plausible_ok, welfare_before)
+            for t in thresholds
         ):
             continue
+        order_key = query.cost.order_key(assigned, factual_state)
         entry = (
-            query.cost.order_key(assigned, factual_state),
-            _action_key(query.scm, assigned),
+            order_key,
+            _action_key(query.scm._positions(assigned)),
             shift,
             shifted,
-            query.cost.scalar(assigned, factual_state),
+            order_key[-1],
         )
         if best is None or entry[:2] < best[:2]:
             best = entry

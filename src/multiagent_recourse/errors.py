@@ -57,6 +57,10 @@ class InvalidParamsError(RecourseError):
     """Generator or configuration parameters are out of range."""
 
 
+class ValueRangeError(RecourseError):
+    """An exact value has too many digits to be written as text."""
+
+
 __all__ = [
     "RecourseError",
     "ScmError",
@@ -72,4 +76,5 @@ __all__ = [
     "AsymmetricMatrixError",
     "ParseError",
     "InvalidParamsError",
+    "ValueRangeError",
 ]

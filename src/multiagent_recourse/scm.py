@@ -11,6 +11,14 @@ states: abduct the factual world, then re-evaluate it with the action's pins
 laid over the equations.  A pin overlay gives the same state as evaluating
 the mutilated model that ``intervene`` builds, without building it.
 
+Building a model compiles it, and compiling is validating: each variable
+gets a map from its domain values to their positions, and each equation
+becomes a flat tuple of the target's positions, one per parent row, rows
+numbered in mixed radix over the parent domains (the order of
+``itertools.product``).  Evaluation and abduction run on these positions,
+so they hash no values; values are converted to positions and back only
+where an operation takes or returns them.
+
 All values are exact rationals; models are treated as immutable after
 construction and are safe to share across workers.
 """
@@ -19,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NoReturn
 
 from .errors import (
     CycleError,
@@ -33,13 +41,15 @@ from .errors import (
     ParseError,
     ScmValidationError,
 )
-from .values import as_value, load_json_exact, value_to_json
+from .values import as_value, exact_value, load_json_exact, value_to_json
 
 EXOGENOUS = "exogenous"
 ENDOGENOUS = "endogenous"
 
 # A (possibly partial) assignment of values to variables.
 Assignment = dict[str, Fraction]
+# The same, as positions in each variable's declared domain.
+Positions = dict[str, int]
 
 
 @dataclass
@@ -51,7 +61,7 @@ class VariableDecl:
     domain: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        self.domain = tuple(as_value(v) for v in self.domain)
+        self.domain = tuple(map(exact_value, self.domain))
 
 
 @dataclass
@@ -64,9 +74,13 @@ class StructuralEquation:
 
     def __post_init__(self) -> None:
         self.parents = tuple(self.parents)
-        self.table = {
-            tuple(as_value(v) for v in key): as_value(out) for key, out in self.table.items()
-        }
+        entries = chain(chain.from_iterable(self.table), self.table.values())
+        if all(type(v) is Fraction for v in entries):
+            self.table = dict(self.table)  # a copy that hashes no key again
+        else:
+            self.table = {
+                tuple(map(exact_value, key)): exact_value(out) for key, out in self.table.items()
+            }
 
 
 @dataclass
@@ -87,8 +101,14 @@ class Scm:
     variables: tuple[VariableDecl, ...]
     equations: tuple[StructuralEquation, ...]
     _decls: dict[str, VariableDecl] = field(init=False, repr=False, compare=False)
-    _by_target: dict[str, StructuralEquation] = field(init=False, repr=False, compare=False)
     _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # Per variable: domain value -> its position in the declared domain.
+    _index: dict[str, dict[Fraction, int]] = field(init=False, repr=False, compare=False)
+    # Per equation target: ((parent, its domain size), ...) and the target's
+    # position for each parent row.
+    _compiled: dict[str, tuple[tuple[tuple[str, int], ...], tuple[int, ...]]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.variables = tuple(self.variables)
@@ -99,6 +119,7 @@ class Scm:
 
     def _validate(self) -> None:
         decls: dict[str, VariableDecl] = {}
+        index: dict[str, dict[Fraction, int]] = {}
         for decl in self.variables:
             if decl.name in decls:
                 raise ScmValidationError(f"variable {decl.name!r} declared twice")
@@ -108,12 +129,15 @@ class Scm:
                 )
             if not decl.domain:
                 raise ScmValidationError(f"variable {decl.name!r} has an empty domain")
-            if len(set(decl.domain)) != len(decl.domain):
+            positions = {value: i for i, value in enumerate(decl.domain)}
+            if len(positions) != len(decl.domain):
                 raise ScmValidationError(f"variable {decl.name!r} repeats a domain value")
             decls[decl.name] = decl
+            index[decl.name] = positions
         self._decls = decls
+        self._index = index
 
-        by_target: dict[str, StructuralEquation] = {}
+        compiled = {}
         for eq in self.equations:
             decl = decls.get(eq.target)
             if decl is None:
@@ -122,24 +146,43 @@ class Scm:
                 raise ScmValidationError(
                     f"exogenous variable {eq.target!r} cannot have an equation"
                 )
-            if eq.target in by_target:
+            if eq.target in compiled:
                 raise DuplicateEquationError(f"two equations assign {eq.target!r}")
             for parent in eq.parents:
                 if parent not in decls:
                     raise DomainError(
                         f"equation for {eq.target!r} uses undeclared parent {parent!r}"
                     )
-            self._validate_table(eq, decl)
-            by_target[eq.target] = eq
-        self._by_target = by_target
+            compiled[eq.target] = self._compile(eq)
+        self._compiled = compiled
 
         for decl in self.variables:
-            if decl.kind == ENDOGENOUS and decl.name not in by_target:
+            if decl.kind == ENDOGENOUS and decl.name not in compiled:
                 raise ScmValidationError(f"endogenous variable {decl.name!r} has no equation")
 
         self._order = self._topological_order()
 
-    def _validate_table(self, eq: StructuralEquation, decl: VariableDecl) -> None:
+    def _compile(self, eq: StructuralEquation) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...]]:
+        """The equation as positions: each parent with its domain size, and the
+        target's position for each parent row in ``product`` order.
+
+        Looks each row up once.  A missing row, an output outside the target's
+        domain, or more rows than the product (stray rows) is reported by
+        ``_reject_table``.
+        """
+        domains = [self._decls[p].domain for p in eq.parents]
+        targets = self._index[eq.target]
+        try:
+            outputs = tuple(targets[eq.table[row]] for row in product(*domains))
+        except KeyError:
+            self._reject_table(eq)
+        if len(outputs) != len(eq.table):
+            self._reject_table(eq)
+        return tuple(zip(eq.parents, map(len, domains))), outputs
+
+    def _reject_table(self, eq: StructuralEquation) -> NoReturn:
+        """Raise the error for a table that does not compile: stray rows first,
+        then missing rows, then an output outside the declared domain."""
         expected = set(product(*(self._decls[p].domain for p in eq.parents)))
         seen = set(eq.table)
         stray = seen - expected
@@ -154,20 +197,20 @@ class Scm:
                 f"table for {eq.target!r} is missing {len(missing)} row(s), "
                 f"e.g. parents={sorted(missing)[0]}"
             )
-        allowed = set(decl.domain)
         for key, out in eq.table.items():
-            if out not in allowed:
+            if out not in self._index[eq.target]:
                 raise DomainError(
                     f"table for {eq.target!r} maps {key} to {out}, "
                     f"outside the declared domain"
                 )
+        raise AssertionError(f"table for {eq.target!r} compiles")  # unreachable
 
     def _topological_order(self) -> tuple[str, ...]:
         # Kahn's algorithm over the endogenous targets; exogenous parents are free.
         declared = {d.name: i for i, d in enumerate(self.variables)}
         pending = {
-            target: {p for p in eq.parents if p in self._by_target}
-            for target, eq in self._by_target.items()
+            target: {p for p, _ in radix if p in self._compiled}
+            for target, (radix, _) in self._compiled.items()
         }
         order: list[str] = []
         ready = sorted((t for t, deps in pending.items() if not deps), key=declared.get)
@@ -209,14 +252,26 @@ class Scm:
 
     def check_assignment(self, assignment: Mapping[str, Any]) -> Assignment:
         """Normalize a partial assignment, rejecting unknown names and off-domain values."""
-        out: Assignment = {}
+        return {
+            name: self._decls[name].domain[position]
+            for name, position in self._positions(assignment).items()
+        }
+
+    def _positions(self, assignment: Mapping[str, Any]) -> Positions:
+        """Domain positions of a partial assignment, checked as ``check_assignment`` does."""
+        out: Positions = {}
         for name, raw in assignment.items():
-            value = as_value(raw)
-            decl = self.decl(name)
-            if value not in decl.domain:
+            value = exact_value(raw)
+            self.decl(name)  # rejects an unknown name
+            position = self._index[name].get(value)
+            if position is None:
                 raise DomainError(f"value {value} is outside the domain of {name!r}")
-            out[name] = value
+            out[name] = position
         return out
+
+    def _values(self, positions: Mapping[str, int]) -> Assignment:
+        """The complete state, in declaration order, that ``positions`` encodes."""
+        return {d.name: d.domain[positions[d.name]] for d in self.variables}
 
     # ------------------------------------------------------------- operations
 
@@ -226,7 +281,7 @@ class Scm:
         The input must assign exactly the exogenous variables: endogenous
         values are derived, never supplied.
         """
-        given = self.check_assignment(exogenous)
+        given = self._positions(exogenous)
         for name in given:
             if self._decls[name].kind != EXOGENOUS:
                 raise DomainError(
@@ -237,24 +292,26 @@ class Scm:
             raise MissingExogenousError(
                 "missing exogenous assignment(s): " + ", ".join(missing)
             )
-        return self._evaluate_exact(given)
+        return self._values(self._evaluate_exact(given))
 
-    def _evaluate_exact(self, world: Assignment, pins: Assignment | None = None) -> Assignment:
-        """Complete state from the exogenous values in ``world``, under ``pins``.
+    def _evaluate_exact(self, world: Positions, pins: Positions | None = None) -> Positions:
+        """Complete state from the exogenous positions in ``world``, under ``pins``.
 
         Endogenous entries of ``world`` are ignored and recomputed.  Each pinned
         variable takes its pin in place of its equation or exogenous value,
         which is evaluating the model ``intervene(pins)`` would build: removing
         the pinned variables' incoming edges keeps ``self._order`` topological.
-        Pins must already be checked against the domains.
         """
         pins = pins or {}
         state = {**world, **pins}
         for target in self._order:
             if target not in pins:
-                eq = self._by_target[target]
-                state[target] = eq.table[tuple(state[p] for p in eq.parents)]
-        return {decl.name: state[decl.name] for decl in self.variables}
+                radix, outputs = self._compiled[target]
+                row = 0
+                for parent, size in radix:
+                    row = row * size + state[parent]
+                state[target] = outputs[row]
+        return state
 
     def abduct(self, observation: Mapping[str, Any]) -> Assignment:
         """The unique complete state consistent with a partial observation.
@@ -268,37 +325,39 @@ class Scm:
         the second match.  Raises NonInvertibleError when zero or several
         exogenous assignments reproduce the observation.
         """
-        observed = self.check_assignment(observation)
+        observed = self._positions(observation)
         names = self.exogenous_names
         axes = [
-            (observed[name],) if name in observed else self._decls[name].domain
+            (observed[name],) if name in observed else range(len(self._decls[name].domain))
             for name in names
         ]
-        # stages[d]: the targets whose last exogenous ancestor is names[d - 1].
+        # stages[d]: the targets whose last exogenous ancestor is names[d - 1],
+        # each with its compiled table and its observed position (or None).
         depth = {name: d for d, name in enumerate(names, 1)}
-        stages: list[list[str]] = [[] for _ in range(len(names) + 1)]
+        stages: list[list[tuple]] = [[] for _ in range(len(names) + 1)]
         for target in self._order:
-            depth[target] = max(
-                (depth[p] for p in self._by_target[target].parents), default=0
-            )
-            stages[depth[target]].append(target)
+            radix, outputs = self._compiled[target]
+            depth[target] = max((depth[p] for p, _ in radix), default=0)
+            stages[depth[target]].append((target, radix, outputs, observed.get(target)))
 
-        state: Assignment = {}
+        state: Positions = {}
 
         def consistent(stage: int) -> bool:
-            for target in stages[stage]:
-                eq = self._by_target[target]
-                state[target] = eq.table[tuple(state[p] for p in eq.parents)]
-                if target in observed and state[target] != observed[target]:
+            for target, radix, outputs, seen in stages[stage]:
+                row = 0
+                for parent, size in radix:
+                    row = row * size + state[parent]
+                state[target] = outputs[row]
+                if seen is not None and outputs[row] != seen:
                     return False
             return True
 
-        matches: list[Assignment] = []
+        matches: list[Positions] = []
         next_index = [0] * len(names)
         level = 0 if consistent(0) else -1
         while level >= 0:
             if level == len(names):
-                matches.append({decl.name: state[decl.name] for decl in self.variables})
+                matches.append(dict(state))
                 if len(matches) > 1:
                     break
                 level -= 1
@@ -320,7 +379,7 @@ class Scm:
             raise NonInvertibleError(
                 "several exogenous assignments are consistent with the observation"
             )
-        return matches[0]
+        return self._values(matches[0])
 
     def intervene(self, action: Mapping[str, Any]) -> "Scm":
         """The mutilated model with each action target pinned to a constant.
@@ -352,7 +411,9 @@ class Scm:
         exogenous values, computed as a pin overlay on this model.
         """
         completed = self.abduct(factual)
-        return self._evaluate_exact(completed, self.check_assignment(action))
+        return self._values(
+            self._evaluate_exact(self._positions(completed), self._positions(action))
+        )
 
     def graph(self) -> CausalGraph:
         edges: list[tuple[str, str]] = []
@@ -387,23 +448,44 @@ def scm_from_dict(data: Any) -> Scm:
     unknown = set(data) - {"variables", "equations"}
     if unknown:
         raise ParseError(f"unknown model field(s): {', '.join(sorted(unknown))}")
+    read = _literal_reader()
     variables = []
-    for i, item in enumerate(_require_list(data, "variables")):
-        variables.append(_variable_from_dict(item, i))
+    for i, item in enumerate(_require_list(data.get("variables"), "model field 'variables'")):
+        variables.append(_variable_from_dict(item, i, read))
     equations = []
     for i, item in enumerate(data.get("equations", []) or []):
-        equations.append(_equation_from_dict(item, i))
+        equations.append(_equation_from_dict(item, i, read))
     return Scm(tuple(variables), tuple(equations))
 
 
-def _require_list(data: dict, key: str) -> list:
-    value = data.get(key)
+def _literal_reader() -> Callable[[Any], Fraction]:
+    """``exact_value`` that converts each distinct int or string literal once.
+
+    Equal literals then share one Fraction, so table keys and domain values
+    compare by identity.  Only ints and strings (never equal to each other)
+    are cached; anything else, such as a bool or a list, goes to
+    ``exact_value`` every time and fails there if it is not a number.
+    """
+    memo: dict[int | str, Fraction] = {}
+
+    def read(raw: Any) -> Fraction:
+        if type(raw) is not int and type(raw) is not str:
+            return exact_value(raw)
+        value = memo.get(raw)
+        if value is None:
+            value = memo[raw] = as_value(raw)
+        return value
+
+    return read
+
+
+def _require_list(value: Any, what: str) -> list:
     if not isinstance(value, list):
-        raise ParseError(f"model field {key!r} must be a list")
+        raise ParseError(f"{what} must be a list")
     return value
 
 
-def _variable_from_dict(item: Any, index: int) -> VariableDecl:
+def _variable_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) -> VariableDecl:
     if not isinstance(item, dict):
         raise ParseError(f"variables[{index}] must be an object")
     unknown = set(item) - {"name", "kind", "domain"}
@@ -412,16 +494,17 @@ def _variable_from_dict(item: Any, index: int) -> VariableDecl:
             f"variables[{index}] has unknown field(s): {', '.join(sorted(unknown))}"
         )
     try:
-        return VariableDecl(
-            str(item["name"]), str(item["kind"]), tuple(as_value(v) for v in item["domain"])
-        )
+        name, kind = str(item["name"]), str(item["kind"])
+        domain = _require_list(item["domain"], f"variables[{index}] field 'domain'")
     except KeyError as exc:
         raise ParseError(f"variables[{index}] is missing field {exc.args[0]!r}") from None
+    try:
+        return VariableDecl(name, kind, tuple(map(read, domain)))
     except ValueError as exc:
         raise ParseError(f"variables[{index}]: {exc}") from None
 
 
-def _equation_from_dict(item: Any, index: int) -> StructuralEquation:
+def _equation_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) -> StructuralEquation:
     if not isinstance(item, dict):
         raise ParseError(f"equations[{index}] must be an object")
     unknown = set(item) - {"target", "parents", "table"}
@@ -431,10 +514,11 @@ def _equation_from_dict(item: Any, index: int) -> StructuralEquation:
         )
     try:
         target = str(item["target"])
-        parents = tuple(str(p) for p in item["parents"])
+        parents = _require_list(item["parents"], f"equations[{index}] field 'parents'")
         rows = item["table"]
     except KeyError as exc:
         raise ParseError(f"equations[{index}] is missing field {exc.args[0]!r}") from None
+    parents = tuple(str(p) for p in parents)
     table: dict[tuple[Fraction, ...], Fraction] = {}
     if not isinstance(rows, list):
         raise ParseError(f"equations[{index}].table must be a list of rows")
@@ -443,9 +527,10 @@ def _equation_from_dict(item: Any, index: int) -> StructuralEquation:
             raise ParseError(
                 f"equations[{index}].table[{j}] must be an object with 'in' and 'out'"
             )
+        inputs = _require_list(row["in"], f"equations[{index}].table[{j}] field 'in'")
         try:
-            key = tuple(as_value(v) for v in row["in"])
-            out = as_value(row["out"])
+            key = tuple(map(read, inputs))
+            out = read(row["out"])
         except ValueError as exc:
             raise ParseError(f"equations[{index}].table[{j}]: {exc}") from None
         if len(key) != len(parents):
@@ -453,9 +538,10 @@ def _equation_from_dict(item: Any, index: int) -> StructuralEquation:
                 f"equations[{index}].table[{j}] has {len(key)} inputs for "
                 f"{len(parents)} parent(s)"
             )
-        if key in table:
-            raise ParseError(f"equations[{index}].table[{j}] repeats inputs {list(row['in'])}")
+        size = len(table)
         table[key] = out
+        if len(table) == size:
+            raise ParseError(f"equations[{index}].table[{j}] repeats inputs {inputs}")
     return StructuralEquation(target, parents, table)
 
 

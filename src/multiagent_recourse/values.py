@@ -13,12 +13,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import ParseError
+from .errors import ParseError, ValueRangeError
 
 Value = Fraction
 
 # Python's default limit on int/str conversion (sys.get_int_max_str_digits).
 MAX_LITERAL_DIGITS = 4300
+# The least integer with more than MAX_LITERAL_DIGITS digits, and its bit length:
+# an integer with fewer bits is below it.
+_TOO_MANY_DIGITS = 10**MAX_LITERAL_DIGITS
+_TOO_MANY_DIGITS_BITS = _TOO_MANY_DIGITS.bit_length()
 
 
 def bounded_literal(text: str) -> str:
@@ -67,10 +71,29 @@ def as_value(raw: Any) -> Fraction:
     raise ValueError(f"cannot interpret {type(raw).__name__} value {raw!r} as a rational")
 
 
+def exact_value(raw: Any) -> Fraction:
+    """``raw`` itself when it is already a Fraction, else ``as_value(raw)``."""
+    return raw if type(raw) is Fraction else as_value(raw)
+
+
+def _writable(n: int) -> int:
+    """``n`` unless its decimal text would need more than MAX_LITERAL_DIGITS digits."""
+    if n.bit_length() >= _TOO_MANY_DIGITS_BITS and abs(n) >= _TOO_MANY_DIGITS:
+        raise ValueRangeError(
+            f"a result is out of range (more than {MAX_LITERAL_DIGITS} digits)"
+        )
+    return n
+
+
 def format_value(v: Fraction) -> str:
-    """Shortest exact text: "3" for integers, "3.5" when the decimal terminates, else "7/3"."""
+    """Shortest exact text: "3" for integers, "3.5" when the decimal terminates, else "7/3".
+
+    Raises ValueRangeError when an integer in the text (numerator,
+    denominator, or the digits of the decimal) would need more than
+    MAX_LITERAL_DIGITS digits, Python's limit on converting an int to text.
+    """
     if v.denominator == 1:
-        return str(v.numerator)
+        return str(_writable(v.numerator))
     den = v.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -80,9 +103,10 @@ def format_value(v: Fraction) -> str:
         den //= 5
         fives += 1
     if den != 1:
-        return f"{v.numerator}/{v.denominator}"
+        return f"{_writable(v.numerator)}/{_writable(v.denominator)}"
     digits = max(twos, fives)
-    scaled = abs(v.numerator) * 10**digits // v.denominator
+    # At least abs(v.numerator), since 10**digits is a multiple of the denominator.
+    scaled = _writable(abs(v.numerator) * 10**digits // v.denominator)
     text = str(scaled).rjust(digits + 1, "0")
     sign = "-" if v.numerator < 0 else ""
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
@@ -90,7 +114,7 @@ def format_value(v: Fraction) -> str:
 
 def value_to_json(v: Fraction) -> int | str:
     """JSON form that round-trips through as_value: int when integral, string otherwise."""
-    return v.numerator if v.denominator == 1 else format_value(v)
+    return _writable(v.numerator) if v.denominator == 1 else format_value(v)
 
 
 def load_json_exact(path: str | Path, noun: str) -> Any:

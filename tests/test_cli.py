@@ -1,6 +1,8 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,32 @@ QUERY_CASE1 = {
     "feasible": [{"x1": 1}, {}],
     "constraints": [{"kind": "principal_improvement", "strict": True}],
 }
+
+# h1 flips x1; replaces QUERY_CASE1's model file when a case sets "scm".
+SMALL_MODEL = {
+    "variables": [
+        {"name": "x1", "kind": "exogenous", "domain": [0, 1]},
+        {"name": "h1", "kind": "endogenous", "domain": [0, 1]},
+    ],
+    "equations": [
+        {"target": "h1", "parents": ["x1"], "table": [{"in": [0], "out": 1}, {"in": [1], "out": 0}]}
+    ],
+}
+
+
+# Query files with the exact stdout (and stderr, if any) the CLI gives for them.
+GOLDEN = Path(__file__).parent / "data" / "solve"
+
+
+def small_model_with(path, value):
+    """SMALL_MODEL with the field at ``path`` (keys and indices) set to ``value``."""
+    model = copy.deepcopy(SMALL_MODEL)
+    *parents, last = path
+    node = model
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return model
 
 
 @pytest.fixture()
@@ -70,6 +98,36 @@ class TestSolve:
             ("plausible", [{"x1": "abc"}], "'plausible': cannot interpret 'abc'"),
             ("factual", {"x1": "1e999999", "x2": 1}, "out of range"),
             ("feasible", [{"x1": "1e999999"}], "out of range"),
+            (
+                "scm",
+                small_model_with(("variables", 0, "domain"), 5),
+                "variables[0] field 'domain' must be a list",
+            ),
+            (
+                "scm",
+                small_model_with(("variables", 0, "domain"), "01"),
+                "variables[0] field 'domain' must be a list",
+            ),
+            (
+                "scm",
+                small_model_with(("equations", 0, "parents"), 5),
+                "equations[0] field 'parents' must be a list",
+            ),
+            (
+                "scm",
+                small_model_with(("equations", 0, "parents"), "x1"),
+                "equations[0] field 'parents' must be a list",
+            ),
+            (
+                "scm",
+                small_model_with(("equations", 0, "table", 1, "in"), 5),
+                "equations[0].table[1] field 'in' must be a list",
+            ),
+            (
+                "scm",
+                small_model_with(("equations", 0, "table", 1, "in"), "1"),
+                "equations[0].table[1] field 'in' must be a list",
+            ),
         ],
         ids=[
             "factual-list",
@@ -79,10 +137,18 @@ class TestSolve:
             "plausible-text",
             "factual-huge",
             "feasible-huge",
+            "domain-int",
+            "domain-text",
+            "parents-int",
+            "parents-text",
+            "in-int",
+            "in-text",
         ],
     )
     def test_malformed_query_field_exit_1(self, workdir, capsys, field, value, message):
         data = dict(QUERY_CASE1, **{field: value})
+        if field == "scm":
+            del data["scm_file"]
         (workdir / "bad.json").write_text(json.dumps(data))
         code = main(["solve", str(workdir / "bad.json")])
         err = capsys.readouterr().err
@@ -100,6 +166,55 @@ class TestSolve:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "digits" in err
+
+    def test_oversized_result_exit_1(self, tmp_path, capsys):
+        # Both literals are in range; the weighted cost, 10**6000, is not.
+        query = {
+            "scm": {
+                "variables": [
+                    {"name": "x1", "kind": "exogenous", "domain": [0, "1e3000"]},
+                    {"name": "h1", "kind": "endogenous", "domain": [0, 1]},
+                ],
+                "equations": [
+                    {
+                        "target": "h1",
+                        "parents": ["x1"],
+                        "table": [{"in": [0], "out": 0}, {"in": ["1e3000"], "out": 1}],
+                    }
+                ],
+            },
+            "principal": 1,
+            "agents": {"1": "h1"},
+            "factual": {"x1": 0},
+            "feasible": [{"x1": "1e3000"}],
+            "constraints": [{"kind": "principal_improvement"}],
+            "cost": {"kind": "weighted", "weights": {"x1": "1e3000"}},
+        }
+        (tmp_path / "huge.json").write_text(json.dumps(query))
+        code = main(["solve", str(tmp_path / "huge.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and "out of range" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "name, exit_code",
+        [
+            ("structural", 0),
+            ("baseline", 0),
+            ("weighted_fractional", 0),
+            ("scm_file", 0),
+            ("no_recommendation", 2),
+            ("non_invertible", 1),
+        ],
+    )
+    def test_golden_output(self, capsysbinary, name, exit_code):
+        code = main(["solve", str(GOLDEN / f"{name}.json")])
+        captured = capsysbinary.readouterr()
+        assert code == exit_code
+        assert captured.out == (GOLDEN / f"{name}.stdout").read_bytes()
+        stderr = GOLDEN / f"{name}.stderr"
+        assert captured.err == (stderr.read_bytes() if stderr.exists() else b"")
 
     def test_baseline_solver_mode(self, workdir, capsys):
         data = dict(QUERY_CASE1)

@@ -247,6 +247,89 @@ def test_solver_matches_brute_force(seed):
         assert outcome.counterfactual == expected[2]
 
 
+def respell(rng, value):
+    """One JSON spelling of an exact value, drawn at random: 1, "1", "2/2" or 1.0."""
+    spellings = [str(value), f"{value.numerator * 2}/{value.denominator * 2}"]
+    if value.denominator == 1:
+        spellings.append(value.numerator)
+    if F(repr(float(value))) == value:
+        spellings.append(float(value))
+    return rng.choice(spellings)
+
+
+def respelled_model(rng, scm):
+    doc = mr.scm_to_dict(scm)
+    for variable in doc["variables"]:
+        variable["domain"] = [respell(rng, F(v)) for v in variable["domain"]]
+    for equation in doc["equations"]:
+        for row in equation["table"]:
+            row["in"] = [respell(rng, F(v)) for v in row["in"]]
+            row["out"] = respell(rng, F(row["out"]))
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(SEEDS)
+def test_json_query_with_respelled_literals_matches_brute_force(seed):
+    # The same model and query as test_solver_matches_brute_force, but loaded
+    # from their JSON form with every literal spelled one of several ways.
+    rng = random.Random(seed)
+    variables, equations = oracle.random_plain_scm(rng)
+    scm = build_scm_from_plain(variables, equations)
+    parts = oracle.random_query_parts(rng, variables, equations)
+    clauses = []
+    for clause in parts["clauses"]:
+        if clause[0] == "threshold":
+            _, agent, t, strict = clause
+            clauses.append({"kind": "threshold", "agent": agent, "t": respell(rng, t), "strict": strict})
+        elif clause[0] == "pareto":
+            clauses.append({"kind": "pareto"})
+        else:
+            kind = "principal_improvement" if clause[0] == "pi" else "social_welfare"
+            clauses.append({"kind": kind, "strict": clause[1]})
+    kind, weights = parts["cost"]
+    cost = {"kind": kind}
+    if weights:
+        cost["weights"] = {name: respell(rng, w) for name, w in weights.items()}
+    document = {
+        "scm": respelled_model(rng, scm),
+        "principal": parts["principal"],
+        "agents": {str(agent): var for agent, var in parts["agents"].items()},
+        "factual": {name: respell(rng, v) for name, v in parts["factual"].items()},
+        "feasible": [
+            {name: respell(rng, v) for name, v in action.items()} for action in parts["feasible"]
+        ],
+        "constraints": clauses,
+        "cost": cost,
+        "exclude_identity": parts["exclude_identity"],
+    }
+    query, solver = mr.query_from_dict(document)
+    assert solver == "structural"
+    expected = oracle.brute_force_solve(
+        variables,
+        equations,
+        parts["principal"],
+        parts["agents"],
+        parts["factual"],
+        parts["feasible"],
+        parts["clauses"],
+        parts["cost"],
+        None,
+        parts["exclude_identity"],
+    )
+    if expected[0] == "non_invertible":
+        with pytest.raises(mr.NonInvertibleError):
+            mr.solve(query)
+        return
+    outcome = mr.solve(query)
+    if expected[0] == "none":
+        assert outcome is None
+    else:
+        assert outcome is not None
+        assert outcome.action == expected[1]
+        assert outcome.counterfactual == expected[2]
+
+
 @settings(max_examples=50, deadline=None)
 @given(SEEDS)
 def test_matrix_invertibility_iff_distinct_payoff_pairs(seed):

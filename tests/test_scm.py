@@ -1,5 +1,6 @@
 """Model construction, evaluation, abduction, intervention, counterfactuals."""
 
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -83,7 +84,8 @@ class TestBuild:
             )
 
     def test_missing_table_row(self):
-        with pytest.raises(mr.IncompleteTableError):
+        message = "table for 'h1' is missing 1 row(s), e.g. parents=(Fraction(1, 1), Fraction(1, 1))"
+        with pytest.raises(mr.IncompleteTableError, match=re.escape(message)):
             mr.Scm(
                 (
                     mr.VariableDecl("x1", mr.EXOGENOUS, (0, 1)),
@@ -109,14 +111,16 @@ class TestBuild:
             mr.Scm((mr.VariableDecl("h1", mr.ENDOGENOUS, (0, 1)),), (eq, eq))
 
     def test_out_of_domain_table_output(self):
-        with pytest.raises(mr.DomainError):
+        message = "table for 'h1' maps () to 7, outside the declared domain"
+        with pytest.raises(mr.DomainError, match=re.escape(message)):
             mr.Scm(
                 (mr.VariableDecl("h1", mr.ENDOGENOUS, (0, 1)),),
                 (mr.StructuralEquation("h1", (), {(): F(7)}),),
             )
 
     def test_stray_table_row(self):
-        with pytest.raises(mr.DomainError):
+        message = "table for 'h1' has a row outside the parent domains: (Fraction(2, 1),)"
+        with pytest.raises(mr.DomainError, match=re.escape(message)):
             mr.Scm(
                 (
                     mr.VariableDecl("x1", mr.EXOGENOUS, (0, 1)),
@@ -127,6 +131,34 @@ class TestBuild:
                         "h1", ("x1",), {(F(0),): F(0), (F(1),): F(1), (F(2),): F(0)}
                     ),
                 ),
+            )
+
+    @pytest.mark.parametrize(
+        "table, error, message",
+        [
+            # (1,) is missing, (3,) and (2,) are stray, and (0,) maps outside {0, 1}
+            (
+                {(F(0),): F(5), (F(3),): F(0), (F(2),): F(1)},
+                mr.DomainError,
+                "table for 'h1' has a row outside the parent domains: (Fraction(2, 1),)",
+            ),
+            # (1,) is missing and (0,) maps outside {0, 1}
+            (
+                {(F(0),): F(5)},
+                mr.IncompleteTableError,
+                "table for 'h1' is missing 1 row(s), e.g. parents=(Fraction(1, 1),)",
+            ),
+        ],
+        ids=["stray-first", "missing-before-output"],
+    )
+    def test_table_errors_reported_in_order(self, table, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            mr.Scm(
+                (
+                    mr.VariableDecl("x1", mr.EXOGENOUS, (0, 1)),
+                    mr.VariableDecl("h1", mr.ENDOGENOUS, (0, 1)),
+                ),
+                (mr.StructuralEquation("h1", ("x1",), table),),
             )
 
     def test_unknown_parent(self):
