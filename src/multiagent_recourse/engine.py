@@ -27,7 +27,8 @@ from typing import Any, Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, InvalidQueryError, ParseError
 from .scm import ENDOGENOUS, Assignment, Scm, scm_from_dict, load_scm
-from .values import as_value, exact_value, format_value, load_json_exact, value_to_json
+from .values import exact_value, format_value, load_json_exact, value_to_json
+from .values import read_agent, read_bool, read_list, read_object, read_str, read_value
 
 AgentId = Union[int, str]
 
@@ -310,8 +311,6 @@ def _check_query(query: RecourseQuery) -> None:
             raise InvalidQueryError(
                 f"threshold clause names unknown agent {clause.agent!r}"
             )
-    for action in query.feasible:
-        query.scm.check_assignment(action)
 
 
 def _action_key(positions: Mapping[str, int]) -> tuple:
@@ -323,14 +322,15 @@ def _action_key(positions: Mapping[str, int]) -> tuple:
 def _candidate_rows(query: RecourseQuery) -> tuple[Assignment, list[tuple[tuple, tuple, FeasibleRow]]]:
     _check_query(query)
     scm = query.scm
+    # Mapping each action to positions checks it against the domains.
+    actions = [(action, scm._positions(action)) for action in query.feasible]
     factual_state = scm.abduct(query.factual)
     world = scm._positions(factual_state)
     before = {agent: factual_state[var] for agent, var in query.agents.items()}
     welfare_before = sum(before.values(), Fraction(0))
     labels = [clause_label(c) for c in query.constraints]
     keyed: list[tuple[tuple, tuple, FeasibleRow]] = []
-    for action in query.feasible:
-        pins = scm._positions(action)
+    for action, pins in actions:
         if query.exclude_identity and all(world[name] == p for name, p in pins.items()):
             continue
         counterfactual = scm._values(scm._evaluate_exact(world, pins))
@@ -431,6 +431,8 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
 
     best: tuple[tuple, tuple, dict, Assignment, Fraction] | None = None
     for delta in query.feasible:
+        # Look every name up first: an unknown one is a DomainError, even unshifted.
+        domains = {name: query.scm.domain(name) for name in delta}
         shift = {name: value for name, value in delta.items() if value != 0}
         if outcome_vars & set(shift):
             raise InvalidQueryError("baseline shifts cannot target an agent's outcome variable")
@@ -440,7 +442,7 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
         shifted = dict(factual_state)
         for name, amount in shift.items():
             new_value = factual_state[name] + amount
-            if new_value not in query.scm.domain(name):
+            if new_value not in domains[name]:
                 raise DomainError(
                     f"shifting {name!r} by {format_value(amount)} leaves its domain"
                 )
@@ -506,71 +508,42 @@ _QUERY_FIELDS = {
     "exclude_identity",
     "solver",
 }
-
 _CLAUSE_KINDS = {
-    "threshold",
-    "principal_improvement",
-    "social_welfare",
-    "pareto",
-    "plausible",
+    "threshold": Threshold,
+    "principal_improvement": PrincipalImprovement,
+    "social_welfare": SocialWelfare,
+    "pareto": Pareto,
+    "plausible": Plausible,
 }
 
 
-def _agent_id(raw: Any) -> AgentId:
-    if isinstance(raw, str) and raw.lstrip("-").isdigit():
-        return int(raw)
-    if isinstance(raw, (int, str)):
-        return raw
-    raise ParseError(f"agent ids must be integers or strings, got {raw!r}")
-
-
-def _json_bool(data: dict, key: str, default: bool, where: str) -> bool:
-    """A JSON true/false field; absent means ``default``, anything else is an error."""
-    value = data.get(key, default)
-    if not isinstance(value, bool):
-        raise ParseError(f"{where} field {key!r} must be true or false, got {value!r}")
-    return value
+def _assignment(raw: Any, where: str, field: str | None = None) -> dict[str, Fraction]:
+    """A JSON object of exact values; a bad value is named by the object's place."""
+    return {name: read_value(v, where, field) for name, v in read_object(raw, where, field).items()}
 
 
 def _clause_from_dict(item: Any, index: int) -> Clause:
-    if not isinstance(item, dict) or "kind" not in item:
-        raise ParseError(f"constraints[{index}] must be an object with a 'kind'")
-    kind = item["kind"]
+    where = f"constraints[{index}]"
+    item = read_object(item, where, allowed={"kind", "strict", "agent", "t"}, required={"kind"})
+    kind = read_str(item["kind"], where, "kind")
     if kind not in _CLAUSE_KINDS:
-        raise ParseError(
-            f"constraints[{index}] has unknown kind {kind!r}; expected one of "
-            + ", ".join(sorted(_CLAUSE_KINDS))
-        )
-    extras = set(item) - {"kind", "strict", "agent", "t"}
-    if extras:
-        raise ParseError(
-            f"constraints[{index}] has unknown field(s): {', '.join(sorted(extras))}"
-        )
-    strict = _json_bool(item, "strict", kind != "threshold", f"constraints[{index}]")
+        kinds = ", ".join(sorted(_CLAUSE_KINDS))
+        raise ParseError(f"{where} has unknown kind {kind!r}; expected one of {kinds}")
+    strict = read_bool(item.get("strict", kind != "threshold"), where, "strict")
     if kind == "threshold":
-        if "agent" not in item or "t" not in item:
-            raise ParseError(f"constraints[{index}] (threshold) needs 'agent' and 't'")
-        try:
-            t = as_value(item["t"])
-        except ValueError as exc:
-            raise ParseError(f"constraints[{index}] (threshold) 't': {exc}") from None
-        return Threshold(_agent_id(item["agent"]), t, strict)
-    if kind == "principal_improvement":
-        return PrincipalImprovement(strict)
-    if kind == "social_welfare":
-        return SocialWelfare(strict)
-    if kind == "pareto":
-        return Pareto()
-    return Plausible()
+        read_object(item, where, required={"agent", "t"})
+        agent = read_agent(item["agent"], where, "agent")
+        return Threshold(agent, read_value(item["t"], where, "t"), strict)
+    if kind in ("principal_improvement", "social_welfare"):
+        return _CLAUSE_KINDS[kind](strict)
+    return _CLAUSE_KINDS[kind]()
 
 
-def _allowlist_predicate(entries: list[dict[str, Any]]) -> Callable[[Assignment], bool]:
-    try:
-        normalized = [
-            {name: as_value(v) for name, v in entry.items()} for entry in entries
-        ]
-    except ValueError as exc:
-        raise ParseError(f"query field 'plausible': {exc}") from None
+def _allowlist_predicate(entries: list) -> Callable[[Assignment], bool]:
+    normalized = [
+        _assignment(read_object(entry, f"plausible[{j}]"), "query", "plausible")
+        for j, entry in enumerate(entries)
+    ]
 
     def admitted(state: Assignment) -> bool:
         return any(
@@ -583,67 +556,48 @@ def _allowlist_predicate(entries: list[dict[str, Any]]) -> Callable[[Assignment]
 
 def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuery, str]:
     """Build a query from its JSON form; returns (query, solver mode)."""
-    if not isinstance(data, dict):
-        raise ParseError("query document must be a JSON object")
-    unknown = set(data) - _QUERY_FIELDS
-    if unknown:
-        raise ParseError(f"unknown query field(s): {', '.join(sorted(unknown))}")
+    required = {"principal", "agents", "factual", "feasible"}
+    data = read_object(data, "query", allowed=_QUERY_FIELDS, required=required)
     if ("scm" in data) == ("scm_file" in data):
         raise ParseError("query must contain exactly one of 'scm' or 'scm_file'")
     if "scm" in data:
         scm = scm_from_dict(data["scm"])
     else:
-        scm = load_scm(Path(base_dir) / data["scm_file"])
-    for required in ("principal", "agents", "factual", "feasible"):
-        if required not in data:
-            raise ParseError(f"query is missing field {required!r}")
-    if not isinstance(data["agents"], dict):
-        raise ParseError("query field 'agents' must be an object")
-    agents = {_agent_id(k): str(v) for k, v in data["agents"].items()}
-    if not isinstance(data["factual"], dict):
-        raise ParseError("query field 'factual' must be an object")
-    if not isinstance(data["feasible"], list) or not all(
-        isinstance(a, dict) for a in data["feasible"]
-    ):
-        raise ParseError("query field 'feasible' must be a list of objects")
+        scm = load_scm(Path(base_dir) / read_str(data["scm_file"], "query", "scm_file"))
+    agents = {
+        read_agent(agent, "query", "agents"): read_str(variable, "agents", agent)
+        for agent, variable in read_object(data["agents"], "query", "agents").items()
+    }
     constraints = [
-        _clause_from_dict(item, i) for i, item in enumerate(data.get("constraints", []))
+        _clause_from_dict(item, i)
+        for i, item in enumerate(read_list(data.get("constraints", []), "query", "constraints"))
     ]
-    cost_data = data.get("cost", {})
-    if not isinstance(cost_data, dict):
-        raise ParseError("query field 'cost' must be an object")
+    cost_data = read_object(data.get("cost", {}), "query", "cost", allowed={"kind", "weights"})
     weights = cost_data.get("weights")
-    if weights is not None and not isinstance(weights, dict):
-        raise ParseError("query field 'cost.weights' must be an object")
-    try:
-        cost = CostModel(cost_data.get("kind", COST_COMPOSITE), weights)
-    except ValueError as exc:
-        raise ParseError(f"query field 'cost.weights': {exc}") from None
+    cost = CostModel(
+        read_str(cost_data.get("kind", COST_COMPOSITE), "cost", "kind"),
+        None if weights is None else _assignment(weights, "query", "cost.weights"),
+    )
     plausible = None
     if "plausible" in data:
-        if not isinstance(data["plausible"], list) or not all(
-            isinstance(e, dict) for e in data["plausible"]
-        ):
-            raise ParseError("query field 'plausible' must be a list of objects")
-        plausible = _allowlist_predicate(data["plausible"])
-    solver = data.get("solver", SOLVER_STRUCTURAL)
+        plausible = _allowlist_predicate(read_list(data["plausible"], "query", "plausible"))
+    solver = read_str(data.get("solver", SOLVER_STRUCTURAL), "query", "solver")
     if solver not in (SOLVER_STRUCTURAL, SOLVER_BASELINE):
-        raise ParseError(f"unknown solver {solver!r}")
-    try:
-        query = RecourseQuery(
-            scm=scm,
-            principal=_agent_id(data["principal"]),
-            agents=agents,
-            factual={str(k): as_value(v) for k, v in data["factual"].items()},
-            feasible=[{str(k): as_value(v) for k, v in a.items()} for a in data["feasible"]],
-            constraints=constraints,
-            cost=cost,
-            plausible=plausible,
-            exclude_identity=_json_bool(data, "exclude_identity", False, "query"),
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-    return query, solver
+        raise ParseError(f"query field 'solver' names unknown solver {solver!r}")
+    return RecourseQuery(
+        scm=scm,
+        principal=read_agent(data["principal"], "query", "principal"),
+        agents=agents,
+        factual=_assignment(data["factual"], "query", "factual"),
+        feasible=[
+            _assignment(action, f"feasible[{j}]")
+            for j, action in enumerate(read_list(data["feasible"], "query", "feasible"))
+        ],
+        constraints=constraints,
+        cost=cost,
+        plausible=plausible,
+        exclude_identity=read_bool(data.get("exclude_identity", False), "query", "exclude_identity"),
+    ), solver
 
 
 def load_query(path: str | Path) -> tuple[RecourseQuery, str]:

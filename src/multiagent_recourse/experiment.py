@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .engine import (
     Clause,
@@ -34,7 +34,7 @@ from .engine import (
 from .errors import DomainError, InvalidParamsError, ParseError, RecourseError
 from .games import BETRAY, SILENT, PayoffMatrix, builtin_matrix, pd_scm
 from .scm import Scm
-from .values import as_value, format_value
+from .values import as_value, format_value, read_int, read_object
 
 GROUP_TEST = "test"
 GROUP_CONTROL = "control"
@@ -72,24 +72,18 @@ class GameRecord:
 class ExperimentConfig:
     mode: str = MODE_SINGLE_AGENT
     principal_policy: str = PLAYER1_ONLY
-    improvement_strict: bool = True
-    welfare_strict: bool = True
     exclude_identity: bool = True
     custom_clauses: tuple[Clause, ...] = ()
 
     def clauses(self) -> list[Clause]:
         if self.mode == MODE_SINGLE_AGENT:
-            return [PrincipalImprovement(self.improvement_strict)]
+            return [PrincipalImprovement()]
         if self.mode == MODE_SOCIAL_WELFARE:
-            return [SocialWelfare(self.welfare_strict)]
+            return [SocialWelfare()]
         if self.mode == MODE_PARETO:
-            return [PrincipalImprovement(self.improvement_strict), Pareto()]
+            return [PrincipalImprovement(), Pareto()]
         if self.mode == MODE_PARETO_AND_WELFARE:
-            return [
-                PrincipalImprovement(self.improvement_strict),
-                Pareto(),
-                SocialWelfare(self.welfare_strict),
-            ]
+            return [PrincipalImprovement(), Pareto(), SocialWelfare()]
         if self.mode == MODE_CUSTOM:
             if not self.custom_clauses:
                 raise InvalidParamsError("custom mode needs custom_clauses")
@@ -381,8 +375,16 @@ def _counts_to_dict(counts: OutcomeCounts) -> dict:
     return {name: getattr(counts, name) for name in _COUNT_FIELDS}
 
 
-def _counts_from_dict(data: Mapping) -> OutcomeCounts:
-    return OutcomeCounts(**{name: int(data[name]) for name in _COUNT_FIELDS})
+_COUNT_SET = frozenset(_COUNT_FIELDS)
+_REPORT_FIELDS = frozenset({"overall", "per_matrix"})
+
+
+def _counts_from_dict(raw: Any, scope: str) -> OutcomeCounts:
+    where = f"report JSON counts {scope!r}"
+    data = read_object(
+        raw, where, allowed=_COUNT_SET, required=_COUNT_SET, expected="objects of integers"
+    )
+    return OutcomeCounts(**{name: read_int(data[name], where, name) for name in _COUNT_FIELDS})
 
 
 def render_report(report: ExperimentReport, fmt: str = "table") -> str:
@@ -428,16 +430,14 @@ def render_report(report: ExperimentReport, fmt: str = "table") -> str:
 def report_from_json(text: str) -> ExperimentReport:
     try:
         data = json.loads(text)
-        return ExperimentReport(
-            overall=_counts_from_dict(data["overall"]),
-            per_matrix={mid: _counts_from_dict(c) for mid, c in data["per_matrix"].items()},
-        )
     except json.JSONDecodeError as exc:
         raise ParseError(f"report JSON: line {exc.lineno}: {exc.msg}") from None
-    except KeyError as exc:
-        raise ParseError(f"report JSON is missing field {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError):
-        raise ParseError("report JSON counts must be objects of integers") from None
+    data = read_object(data, "report JSON", allowed=_REPORT_FIELDS, required=_REPORT_FIELDS)
+    per_matrix = read_object(data["per_matrix"], "report JSON", "per_matrix")
+    return ExperimentReport(
+        overall=_counts_from_dict(data["overall"], "overall"),
+        per_matrix={mid: _counts_from_dict(c, mid) for mid, c in per_matrix.items()},
+    )
 
 
 def report_from_csv(text: str) -> ExperimentReport:

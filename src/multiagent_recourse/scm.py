@@ -42,6 +42,7 @@ from .errors import (
     ScmValidationError,
 )
 from .values import as_value, exact_value, load_json_exact, value_to_json
+from .values import read_list, read_object, read_str, read_value, read_values
 
 EXOGENOUS = "exogenous"
 ENDOGENOUS = "endogenous"
@@ -75,7 +76,7 @@ class StructuralEquation:
     def __post_init__(self) -> None:
         self.parents = tuple(self.parents)
         entries = chain(chain.from_iterable(self.table), self.table.values())
-        if all(type(v) is Fraction for v in entries):
+        if set(map(type, entries)) <= {Fraction}:
             self.table = dict(self.table)  # a copy that hashes no key again
         else:
             self.table = {
@@ -250,15 +251,9 @@ class Scm:
     def domain(self, name: str) -> tuple[Fraction, ...]:
         return self.decl(name).domain
 
-    def check_assignment(self, assignment: Mapping[str, Any]) -> Assignment:
-        """Normalize a partial assignment, rejecting unknown names and off-domain values."""
-        return {
-            name: self._decls[name].domain[position]
-            for name, position in self._positions(assignment).items()
-        }
-
     def _positions(self, assignment: Mapping[str, Any]) -> Positions:
-        """Domain positions of a partial assignment, checked as ``check_assignment`` does."""
+        """Domain positions of a partial assignment; an unknown name or a value
+        outside its variable's domain is a DomainError."""
         out: Positions = {}
         for name, raw in assignment.items():
             value = exact_value(raw)
@@ -389,7 +384,7 @@ class Scm:
         Pinning an exogenous variable removes it from the model's inputs.
         The empty action returns the model unchanged.
         """
-        pins = self.check_assignment(action)
+        pins = {name: self.domain(name)[p] for name, p in self._positions(action).items()}
         if not pins:
             return self
         variables = tuple(
@@ -442,29 +437,27 @@ def graph_to_dot(graph: CausalGraph) -> str:
 #                   "table": [{"in": [...], "out": ...}, ...]}, ...]}
 
 
+_VARIABLE_FIELDS = frozenset({"name", "kind", "domain"})
+_EQUATION_FIELDS = frozenset({"target", "parents", "table"})
+_ROW_FIELDS = frozenset({"in", "out"})
+
+
 def scm_from_dict(data: Any) -> Scm:
-    if not isinstance(data, dict):
-        raise ParseError("model document must be a JSON object")
-    unknown = set(data) - {"variables", "equations"}
-    if unknown:
-        raise ParseError(f"unknown model field(s): {', '.join(sorted(unknown))}")
+    data = read_object(data, "model", allowed={"variables", "equations"}, required={"variables"})
     read = _literal_reader()
-    variables = []
-    for i, item in enumerate(_require_list(data.get("variables"), "model field 'variables'")):
-        variables.append(_variable_from_dict(item, i, read))
-    equations = []
-    for i, item in enumerate(data.get("equations", []) or []):
-        equations.append(_equation_from_dict(item, i, read))
-    return Scm(tuple(variables), tuple(equations))
+    variables = read_list(data["variables"], "model", "variables")
+    equations = read_list(data.get("equations", []), "model", "equations")
+    return Scm(
+        tuple(_variable_from_dict(item, i, read) for i, item in enumerate(variables)),
+        tuple(_equation_from_dict(item, i, read) for i, item in enumerate(equations)),
+    )
 
 
 def _literal_reader() -> Callable[[Any], Fraction]:
-    """``exact_value`` that converts each distinct int or string literal once.
-
-    Equal literals then share one Fraction, so table keys and domain values
-    compare by identity.  Only ints and strings (never equal to each other)
-    are cached; anything else, such as a bool or a list, goes to
-    ``exact_value`` every time and fails there if it is not a number.
+    """``exact_value`` that converts each distinct int or string literal once,
+    so that equal literals share one Fraction.  Only ints and strings (never
+    equal to each other) are cached; anything else, such as a bool or a list,
+    goes to ``exact_value`` every time and fails there if it is not a number.
     """
     memo: dict[int | str, Fraction] = {}
 
@@ -479,69 +472,37 @@ def _literal_reader() -> Callable[[Any], Fraction]:
     return read
 
 
-def _require_list(value: Any, what: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{what} must be a list")
-    return value
-
-
 def _variable_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) -> VariableDecl:
-    if not isinstance(item, dict):
-        raise ParseError(f"variables[{index}] must be an object")
-    unknown = set(item) - {"name", "kind", "domain"}
-    if unknown:
-        raise ParseError(
-            f"variables[{index}] has unknown field(s): {', '.join(sorted(unknown))}"
-        )
-    try:
-        name, kind = str(item["name"]), str(item["kind"])
-        domain = _require_list(item["domain"], f"variables[{index}] field 'domain'")
-    except KeyError as exc:
-        raise ParseError(f"variables[{index}] is missing field {exc.args[0]!r}") from None
-    try:
-        return VariableDecl(name, kind, tuple(map(read, domain)))
-    except ValueError as exc:
-        raise ParseError(f"variables[{index}]: {exc}") from None
+    where = f"variables[{index}]"
+    item = read_object(item, where, allowed=_VARIABLE_FIELDS, required=_VARIABLE_FIELDS)
+    return VariableDecl(
+        read_str(item["name"], where, "name"),
+        read_str(item["kind"], where, "kind"),
+        read_values(item["domain"], where, "domain", read),
+    )
 
 
 def _equation_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) -> StructuralEquation:
-    if not isinstance(item, dict):
-        raise ParseError(f"equations[{index}] must be an object")
-    unknown = set(item) - {"target", "parents", "table"}
-    if unknown:
-        raise ParseError(
-            f"equations[{index}] has unknown field(s): {', '.join(sorted(unknown))}"
-        )
-    try:
-        target = str(item["target"])
-        parents = _require_list(item["parents"], f"equations[{index}] field 'parents'")
-        rows = item["table"]
-    except KeyError as exc:
-        raise ParseError(f"equations[{index}] is missing field {exc.args[0]!r}") from None
-    parents = tuple(str(p) for p in parents)
+    where = f"equations[{index}]"
+    item = read_object(item, where, allowed=_EQUATION_FIELDS, required=_EQUATION_FIELDS)
+    target = read_str(item["target"], where, "target")
+    parents = tuple(
+        read_str(parent, f"{where}.parents[{k}]")
+        for k, parent in enumerate(read_list(item["parents"], where, "parents"))
+    )
+    arity = len(parents)
     table: dict[tuple[Fraction, ...], Fraction] = {}
-    if not isinstance(rows, list):
-        raise ParseError(f"equations[{index}].table must be a list of rows")
-    for j, row in enumerate(rows):
-        if not isinstance(row, dict) or set(row) != {"in", "out"}:
-            raise ParseError(
-                f"equations[{index}].table[{j}] must be an object with 'in' and 'out'"
-            )
-        inputs = _require_list(row["in"], f"equations[{index}].table[{j}] field 'in'")
-        try:
-            key = tuple(map(read, inputs))
-            out = read(row["out"])
-        except ValueError as exc:
-            raise ParseError(f"equations[{index}].table[{j}]: {exc}") from None
-        if len(key) != len(parents):
-            raise ParseError(
-                f"equations[{index}].table[{j}] has {len(key)} inputs for "
-                f"{len(parents)} parent(s)"
-            )
+    for j, row in enumerate(read_list(item["table"], where, "table")):
+        at = f"{where}.table[{j}]"
+        read_object(row, at, allowed=_ROW_FIELDS, required=_ROW_FIELDS)
+        key = read_values(row["in"], at, "in", read)
+        out = read_value(row["out"], at, "out", read)
+        if len(key) != arity:
+            raise ParseError(f"{at} has {len(key)} inputs for {arity} parent(s)")
         size = len(table)
         table[key] = out
         if len(table) == size:
-            raise ParseError(f"equations[{index}].table[{j}] repeats inputs {inputs}")
+            raise ParseError(f"{at} repeats inputs {row['in']}")
     return StructuralEquation(target, parents, table)
 
 

@@ -9,9 +9,10 @@ Floats only appear at parse boundaries and are read by their decimal literal
 from __future__ import annotations
 
 import json
+import reprlib
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import AbstractSet, Any, Callable, NoReturn
 
 from .errors import ParseError, ValueRangeError
 
@@ -58,8 +59,6 @@ def as_value(raw: Any) -> Fraction:
     try:
         if isinstance(raw, Fraction):
             return raw
-        if isinstance(raw, bool):
-            return Fraction(int(raw))
         if isinstance(raw, int):
             return Fraction(raw)
         if isinstance(raw, float):
@@ -130,3 +129,79 @@ def load_json_exact(path: str | Path, noun: str) -> Any:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # a number literal beyond the digit limit
         raise ParseError(f"{path}: {exc}") from exc
+
+
+# ------------------------------------------------------------- JSON fields
+#
+# Readers for the fields of decoded JSON documents.  ``where`` names the object
+# ("query", "variables[2]") and ``field`` the field in it, or ``where`` alone the
+# value itself; a value of the wrong kind is a ParseError naming that place.
+
+
+def _place(where: str, field: str | None) -> str:
+    return where if field is None else f"{where} field {field!r}"
+
+
+def _reject(raw: Any, where: str, field: str | None, expected: str) -> NoReturn:
+    raise ParseError(f"{_place(where, field)} must be {expected}, got {reprlib.repr(raw)}")
+
+
+def read_object(
+    raw: Any,
+    where: str,
+    field: str | None = None,
+    *,
+    allowed: AbstractSet[str] | None = None,
+    required: AbstractSet[str] = frozenset(),
+    expected: str = "an object",
+) -> dict:
+    """A JSON object with every ``required`` field and, given ``allowed``, no other."""
+    if not isinstance(raw, dict):
+        _reject(raw, where, field, expected)
+    keys = raw.keys()
+    if keys == required:  # the usual case for an object whose fields are all required
+        return raw
+    if allowed is not None and not keys <= allowed:
+        unknown = ", ".join(sorted(map(str, keys - allowed)))
+        raise ParseError(f"{_place(where, field)} has unknown field(s): {unknown}")
+    if not keys >= required:
+        raise ParseError(f"{_place(where, field)} is missing field {min(required - keys)!r}")
+    return raw
+
+
+def _reader(kind: type, expected: str) -> Callable[..., Any]:
+    def read(raw: Any, where: str, field: str | None = None) -> Any:
+        return raw if type(raw) is kind else _reject(raw, where, field, expected)
+
+    return read
+
+
+read_list = _reader(list, "a list")
+read_str = _reader(str, "a string")
+read_bool = _reader(bool, "true or false")
+read_int = _reader(int, "an integer")  # exact type: a bool is not an integer
+
+
+def read_value(raw: Any, where: str, field: str | None = None, convert=as_value) -> Fraction:
+    """An exact value, ``convert(raw)``; ``convert`` raises ValueError on a non-number."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ParseError(f"{_place(where, field)}: {exc}") from None
+
+
+def read_values(raw: Any, where: str, field: str | None = None, convert=as_value) -> tuple:
+    """A JSON list of exact values, each read as ``read_value`` reads one."""
+    if not isinstance(raw, list):  # checked here, not by read_list: one call less per table row
+        _reject(raw, where, field, "a list")
+    try:
+        return tuple(map(convert, raw))
+    except ValueError as exc:
+        raise ParseError(f"{_place(where, field)}: {exc}") from None
+
+
+def read_agent(raw: Any, where: str, field: str | None = None) -> int | str:
+    """A JSON integer, or a string; ``"-2"`` and ``-2`` name the same agent."""
+    if isinstance(raw, str):
+        return int(read_value(raw, where, field)) if raw.removeprefix("-").isdecimal() else raw
+    return raw if type(raw) is int else _reject(raw, where, field, "an integer or a string")

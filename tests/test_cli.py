@@ -128,6 +128,20 @@ class TestSolve:
                 small_model_with(("equations", 0, "table", 1, "in"), "1"),
                 "equations[0].table[1] field 'in' must be a list",
             ),
+            (
+                "scm",
+                small_model_with(("equations",), 5),
+                "model field 'equations' must be a list",
+            ),
+            ("scm_file", 5, "query field 'scm_file' must be a string"),
+            ("constraints", 5, "query field 'constraints' must be a list"),
+            ("constraints", [{"kind": ["pareto"]}], "constraints[0] field 'kind' must be a string"),
+            # Not decimal integers, so string ids: agent 1 is then missing.
+            ("agents", {"\u00b2": "h1"}, "principal 1 is not among the agents"),
+            ("agents", {"--1": "h1"}, "principal 1 is not among the agents"),
+            ("principal", True, "query field 'principal' must be an integer or a string"),
+            ("agents", {"1": None, "2": "h2"}, "agents field '1' must be a string, got None"),
+            ("cost", {"kind": "count", "bogus": 1}, "query field 'cost' has unknown field(s): bogus"),
         ],
         ids=[
             "factual-list",
@@ -143,6 +157,15 @@ class TestSolve:
             "parents-text",
             "in-int",
             "in-text",
+            "equations-int",
+            "scm-file-int",
+            "constraints-int",
+            "kind-list",
+            "agent-superscript",
+            "agent-double-minus",
+            "principal-bool",
+            "outcome-null",
+            "cost-unknown-field",
         ],
     )
     def test_malformed_query_field_exit_1(self, workdir, capsys, field, value, message):
@@ -206,6 +229,7 @@ class TestSolve:
             ("scm_file", 0),
             ("no_recommendation", 2),
             ("non_invertible", 1),
+            ("malformed_clause", 1),
         ],
     )
     def test_golden_output(self, capsysbinary, name, exit_code):

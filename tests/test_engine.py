@@ -421,6 +421,33 @@ class TestBaseline:
         with pytest.raises(mr.DomainError):
             mr.solve_cfe_baseline(query)
 
+    def test_negative_shift_found(self, pd1):
+        # A shift amount need not be a domain value: -1 takes x2 from 1 to 0.
+        query = pd_query(
+            pd1,
+            principal=1,
+            factual={"x1": 1, "x2": 1},
+            feasible=[{"x1": -1}, {"x2": -1}],
+            constraints=[],
+        )
+        outcome = mr.solve_cfe_baseline(query)
+        assert outcome is not None
+        assert outcome.action == {"x2": F(-1)}
+        assert outcome.counterfactual["x2"] == F(0)
+        assert outcome.per_agent[1].after == F(10)
+
+    @pytest.mark.parametrize("amount", [1, 0])
+    def test_unknown_shift_variable(self, pd1, amount):
+        query = pd_query(
+            pd1,
+            principal=1,
+            factual={"x1": 0, "x2": 1},
+            feasible=[{"x9": amount}],
+            constraints=[],
+        )
+        with pytest.raises(mr.DomainError, match="unknown variable 'x9'"):
+            mr.solve_cfe_baseline(query)
+
     def test_multi_agent_clauses_rejected(self, pd1):
         query = pd_query(
             pd1,

@@ -1,5 +1,6 @@
 """Log parsing, filtering, synthesis, experiment runs, and report rendering."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -393,6 +394,12 @@ class TestSingleRoundStructure:
         assert by_profile[(1, 1)].principal_worsened == 1
 
 
+def report_text(**counts):
+    """A JSON report whose overall counts are all 1 except ``counts``."""
+    overall = dict.fromkeys(experiment._COUNT_FIELDS, 1) | counts
+    return json.dumps({"overall": overall, "per_matrix": {}})
+
+
 class TestRendering:
     def sample_report(self):
         games = mr.generate_synthetic_log(30, 12, {"table2": 1}, seed=8)
@@ -429,6 +436,14 @@ class TestRendering:
             ("not json", "report JSON: line 1"),
             ("{}", "missing field 'overall'"),
             ('{"overall": [], "per_matrix": {}}', "objects of integers"),
+            pytest.param(
+                report_text(games=float("inf")),
+                "field 'games' must be an integer, got inf",
+                id="count-infinity",
+            ),
+            pytest.param(
+                report_text(games=5.9), "field 'games' must be an integer, got 5.9", id="count-float"
+            ),
         ],
     )
     def test_bad_json_report_is_a_parse_error(self, text, message):

@@ -1,9 +1,13 @@
 """Property tests: invariants over randomized models and queries.
 
 Random structures come from seeded generators in oracle.py; hypothesis drives
-the seeds so failures shrink to a reproducible integer.
+the seeds so failures shrink to a reproducible integer.  The decoding property
+draws its JSON values from hypothesis strategies, so a failure shrinks to the
+smallest replaced value.
 """
 
+import copy
+import json
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -328,6 +332,117 @@ def test_json_query_with_respelled_literals_matches_brute_force(seed):
         assert outcome is not None
         assert outcome.action == expected[1]
         assert outcome.counterfactual == expected[2]
+
+
+# Valid documents of each kind that the decoders read, every optional field
+# present so that a replacement can reach each of them.
+FUZZ_MODEL = mr.scm_to_dict(mr.pd_scm(mr.builtin_matrix("table1")))
+FUZZ_QUERY = {
+    "scm": FUZZ_MODEL,
+    "principal": 1,
+    "agents": {"1": "h1", "2": "h2"},
+    "factual": {"x1": 0, "x2": 1},
+    "feasible": [{"x1": 1}, {"x2": 0}, {}],
+    "constraints": [
+        {"kind": "threshold", "agent": 1, "t": "1/2", "strict": False},
+        {"kind": "principal_improvement", "strict": True},
+        {"kind": "social_welfare", "strict": False},
+        {"kind": "pareto"},
+        {"kind": "plausible"},
+    ],
+    "cost": {"kind": "weighted", "weights": {"x1": 2, "x2": 0.5}},
+    "plausible": [{"x1": 1}, {"x2": 0}],
+    "exclude_identity": False,
+    "solver": "structural",
+}
+FUZZ_BASELINE = dict(
+    FUZZ_QUERY,
+    constraints=[{"kind": "threshold", "agent": "1", "t": 3, "strict": True}],
+    feasible=[{"x1": 1}, {"x2": -1}],
+    solver="baseline",
+)
+FUZZ_REPORT = json.loads(
+    mr.render_report(
+        mr.run_experiment(mr.generate_synthetic_log(6, 3, {"table1": 1}, seed=1), mr.ExperimentConfig()),
+        "json",
+    )
+)
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = (
+    JSON_SCALARS
+    | st.lists(JSON_SCALARS, max_size=3)
+    | st.dictionaries(st.text(max_size=4), JSON_SCALARS | st.lists(JSON_SCALARS, max_size=2), max_size=3)
+)
+
+
+def json_paths(node, path=()):
+    """The path (keys and indices) of ``node`` and of every value inside it."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def replaced(document, path, value):
+    """A deep copy of ``document`` with the value at ``path`` set to ``value``."""
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return document
+
+
+def decode(kind, document):
+    """Decode ``document`` as the CLI would, solving a query and writing its outcome."""
+    if kind == "model":
+        mr.scm_from_dict(document)
+    elif kind == "report":
+        mr.report_from_json(json.dumps(document))
+    else:
+        query, solver = mr.query_from_dict(document)
+        outcome = (mr.solve if solver == "structural" else mr.solve_cfe_baseline)(query)
+        if outcome is not None:
+            json.dumps(mr.outcome_to_dict(outcome))
+
+
+FUZZ_DOCUMENTS = {
+    "query": ("query", FUZZ_QUERY),
+    "baseline": ("query", FUZZ_BASELINE),
+    "model": ("model", FUZZ_MODEL),
+    "report": ("report", FUZZ_REPORT),
+}
+# Every place a replacement can go: (kind, document, path).  Inside a query's
+# embedded model only "scm" itself: the model document covers the rest.
+FUZZ_SITES = [
+    (kind, document, path)
+    for kind, document in FUZZ_DOCUMENTS.values()
+    for path in json_paths(document)
+    if not (kind == "query" and path[:1] == ("scm",) and len(path) > 1)
+]
+
+
+@pytest.mark.parametrize("name", list(FUZZ_DOCUMENTS))
+def test_fuzz_documents_are_valid(name):
+    decode(*FUZZ_DOCUMENTS[name])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FUZZ_SITES), JSON_VALUES)
+def test_one_replaced_field_decodes_or_raises_a_recourse_error(site, value):
+    kind, document, path = site
+    try:
+        decode(kind, replaced(document, path, value))
+    except mr.RecourseError:
+        pass
 
 
 @settings(max_examples=50, deadline=None)
