@@ -1,16 +1,19 @@
 """Recourse solvers: exact enumeration over a finite action set.
 
-Two solvers share the query type.  ``solve`` pushes every candidate action
-through the abduction/intervention/prediction pipeline and returns the
-cheapest action whose counterfactual state satisfies every constraint clause
-plus the plausibility predicate.  The factual world is abducted once per
-query and mapped once to positions in the variables' domains.  Each candidate
-maps only its pins to positions, is predicted as a pin overlay on the
-model's compiled index tables (no mutilated model is built), and turns the
-resulting positions back into values.  ``solve_cfe_baseline`` is the
-deliberately naive additive variant: it shifts the named features in place,
-re-predicts only the agents' outcome models, and never touches the causal
-structure.
+Two solvers share the query type.  ``solve`` returns the cheapest candidate
+action whose counterfactual state satisfies every constraint clause plus the
+plausibility predicate.  The factual world is abducted once per query and
+mapped once to positions in the variables' domains.  An action's cost depends
+only on the action and the factual state, so every candidate is ranked before
+any is predicted, on integer keys: the count, and the weighted change as a
+numerator over the query's common denominator.  Candidates are then predicted
+in rank order, each as a pin overlay on the model's compiled index tables (no
+mutilated model is built), and the first whose clauses all hold is returned;
+only its state is turned back into values.  ``enumerate_feasible`` shares the
+ranking and predicts every candidate for its audit table.
+``solve_cfe_baseline`` is the deliberately naive additive variant: it shifts
+the named features in place, re-predicts only the agents' outcome models from
+their compiled tables, and never touches the causal structure.
 
 Ties between equal-cost actions break lexicographically over (sorted
 intervened variable names, then value positions in each variable's declared
@@ -23,10 +26,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, Union
+from math import lcm
+from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError, InvalidQueryError, ParseError
-from .scm import ENDOGENOUS, Assignment, Scm, scm_from_dict, load_scm
+from .scm import ENDOGENOUS, Assignment, Positions, Scm, scm_from_dict, load_scm
 from .values import exact_value, format_value, load_json_exact, value_to_json
 from .values import read_agent, read_bool, read_list, read_object, read_str, read_value
 
@@ -157,25 +161,17 @@ class CostModel:
             return Fraction(1)
         return self.weights.get(name, Fraction(1))
 
-    def weighted_change(self, assigned: Mapping[str, Fraction], factual: Mapping[str, Fraction]) -> Fraction:
+    def scalar(self, assigned: Mapping[str, Fraction], factual: Mapping[str, Fraction]) -> Fraction:
+        """The reported cost: the count for the count model, the weighted change otherwise.
+
+        Actions are ranked on the same quantities, as integers (``_rank_keys``).
+        """
+        if self.kind == COST_COUNT:
+            return Fraction(len(assigned))
         return sum(
             (self.weight(name) * abs(value - factual[name]) for name, value in assigned.items()),
             Fraction(0),
         )
-
-    def order_key(self, assigned: Mapping[str, Fraction], factual: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
-        """What actions are ranked by; its last entry is the reported cost (``scalar``)."""
-        count = Fraction(len(assigned))
-        if self.kind == COST_COUNT:
-            return (count,)
-        change = self.weighted_change(assigned, factual)
-        if self.kind == COST_WEIGHTED:
-            return (change,)
-        return (count, change)
-
-    def scalar(self, assigned: Mapping[str, Fraction], factual: Mapping[str, Fraction]) -> Fraction:
-        """The reported cost: the count for the count model, the weighted change otherwise."""
-        return self.order_key(assigned, factual)[-1]
 
 
 # ------------------------------------------------------------------- queries
@@ -319,38 +315,71 @@ def _action_key(positions: Mapping[str, int]) -> tuple:
     return (names, tuple(positions[name] for name in names))
 
 
-def _candidate_rows(query: RecourseQuery) -> tuple[Assignment, list[tuple[tuple, tuple, FeasibleRow]]]:
+def _rank_keys(cost: CostModel, candidates: list[tuple], factual: Assignment) -> Callable[[tuple], tuple]:
+    """Sort key of a candidate (action, pins, ...): its cost as ints, then ``_action_key``.
+
+    The count is an int.  The weighted change is a sum of terms w*|v - f|, one
+    per pinned (variable, position); each distinct term is computed once and
+    scaled to the terms' common denominator, so changes compare as numerators.
+    """
+    scaled = {}
+    if cost.kind != COST_COUNT:
+        terms = {}
+        for action, pins, *_ in candidates:
+            for name, position in pins.items():
+                if (name, position) not in terms:
+                    terms[name, position] = cost.weight(name) * abs(action[name] - factual[name])
+        scale = lcm(*(term.denominator for term in terms.values()))
+        scaled = {item: t.numerator * (scale // t.denominator) for item, t in terms.items()}
+
+    def key(candidate: tuple) -> tuple:
+        pins = candidate[1]
+        if cost.kind == COST_COUNT:
+            return (len(pins), *_action_key(pins))
+        change = sum(map(scaled.__getitem__, pins.items()))
+        if cost.kind == COST_WEIGHTED:
+            return (change, *_action_key(pins))
+        return (len(pins), change, *_action_key(pins))
+
+    return key
+
+
+def _rank(
+    query: RecourseQuery,
+) -> tuple[Assignment, list[tuple[dict[str, Fraction], Positions]], Callable]:
+    """Check the query, abduct its factual world, and rank its candidate actions
+    without predicting any: a cost depends only on the action and the factual
+    state.
+
+    Returns the factual state, the candidates as (action, pins) cheapest
+    first, and ``predict``: pins -> the counterfactual state as positions, the
+    plausibility predicate's verdict on it, and each clause's verdict,
+    computed as it is drawn.
+    """
     _check_query(query)
     scm = query.scm
     # Mapping each action to positions checks it against the domains.
-    actions = [(action, scm._positions(action)) for action in query.feasible]
-    factual_state = scm.abduct(query.factual)
-    world = scm._positions(factual_state)
-    before = {agent: factual_state[var] for agent, var in query.agents.items()}
+    candidates = [(action, scm._positions(action)) for action in query.feasible]
+    factual = scm.abduct(query.factual)
+    world = scm._positions(factual)
+    for clause in query.constraints:
+        clause_label(clause)  # rejects an unknown clause
+    if query.exclude_identity:
+        candidates = [c for c in candidates if any(world[n] != p for n, p in c[1].items())]
+    candidates.sort(key=_rank_keys(query.cost, candidates, factual))
+    before = {agent: factual[var] for agent, var in query.agents.items()}
     welfare_before = sum(before.values(), Fraction(0))
-    labels = [clause_label(c) for c in query.constraints]
-    keyed: list[tuple[tuple, tuple, FeasibleRow]] = []
-    for action, pins in actions:
-        if query.exclude_identity and all(world[name] == p for name, p in pins.items()):
-            continue
-        counterfactual = scm._values(scm._evaluate_exact(world, pins))
-        after = {agent: counterfactual[var] for agent, var in query.agents.items()}
-        plausible_ok = query.plausible(counterfactual) if query.plausible else True
-        verdicts = tuple(
-            (label, _clause_holds(c, query.principal, before, after, plausible_ok, welfare_before))
-            for label, c in zip(labels, query.constraints)
+
+    def predict(pins: Positions) -> tuple[Positions, bool, Iterator[bool]]:
+        state = scm._evaluate_exact(world, pins)
+        after = {agent: scm.domain(var)[state[var]] for agent, var in query.agents.items()}
+        plausible_ok = query.plausible(scm._values(state)) if query.plausible else True
+        return state, plausible_ok, (
+            _clause_holds(c, query.principal, before, after, plausible_ok, welfare_before)
+            for c in query.constraints
         )
-        order_key = query.cost.order_key(action, factual_state)
-        row = FeasibleRow(
-            action=dict(action),
-            counterfactual=counterfactual,
-            cost=order_key[-1],
-            plausible=plausible_ok,
-            clauses=verdicts,
-        )
-        keyed.append((order_key, _action_key(pins), row))
-    keyed.sort(key=lambda item: (item[0], item[1]))
-    return factual_state, keyed
+
+    return factual, candidates, predict
 
 
 def enumerate_feasible(query: RecourseQuery) -> list[FeasibleRow]:
@@ -358,20 +387,38 @@ def enumerate_feasible(query: RecourseQuery) -> list[FeasibleRow]:
 
     ``solve`` returns exactly the first row here whose clauses all hold.
     """
-    _, keyed = _candidate_rows(query)
-    return [row for _, _, row in keyed]
+    factual, candidates, predict = _rank(query)
+    labels = [clause_label(c) for c in query.constraints]
+    rows = []
+    for action, pins in candidates:
+        state, plausible_ok, verdicts = predict(pins)
+        rows.append(
+            FeasibleRow(
+                action=dict(action),
+                counterfactual=query.scm._values(state),
+                cost=query.cost.scalar(action, factual),
+                plausible=plausible_ok,
+                clauses=tuple(zip(labels, verdicts)),
+            )
+        )
+    return rows
 
 
-def _assemble_outcome(query: RecourseQuery, before: dict[AgentId, Fraction], row: FeasibleRow) -> RecourseOutcome:
-    ordered_agents = sorted(query.agents, key=str)
+def _assemble_outcome(
+    query: RecourseQuery,
+    factual: Assignment,
+    action: dict[str, Fraction],
+    counterfactual: Assignment,
+    cost: Fraction,
+) -> RecourseOutcome:
     per_agent = {
-        agent: AgentDelta(before[agent], row.counterfactual[query.agents[agent]])
-        for agent in ordered_agents
+        agent: AgentDelta(factual[query.agents[agent]], counterfactual[query.agents[agent]])
+        for agent in sorted(query.agents, key=str)
     }
     return RecourseOutcome(
-        action=row.action,
-        counterfactual=row.counterfactual,
-        cost=row.cost,
+        action=action,
+        counterfactual=counterfactual,
+        cost=cost,
         principal=query.principal,
         per_agent=per_agent,
         flags=_flags(query.principal, per_agent),
@@ -379,12 +426,22 @@ def _assemble_outcome(query: RecourseQuery, before: dict[AgentId, Fraction], row
 
 
 def solve(query: RecourseQuery) -> RecourseOutcome | None:
-    """Cheapest feasible action satisfying every clause, or None if there is none."""
-    factual_state, keyed = _candidate_rows(query)
-    before = {agent: factual_state[var] for agent, var in query.agents.items()}
-    for _, _, row in keyed:
-        if row.satisfies_all:
-            return _assemble_outcome(query, before, row)
+    """Cheapest feasible action satisfying every clause, or None if there is none.
+
+    Candidates are predicted in rank order, and the first one whose clauses
+    all hold is returned; none ranked after it is predicted.
+    """
+    factual, candidates, predict = _rank(query)
+    for action, pins in candidates:
+        state, plausible_ok, verdicts = predict(pins)
+        if plausible_ok and all(verdicts):
+            return _assemble_outcome(
+                query,
+                factual,
+                dict(action),
+                query.scm._values(state),
+                query.cost.scalar(action, factual),
+            )
     return None
 
 
@@ -429,31 +486,35 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
         thresholds = [Threshold(query.principal, before[query.principal], strict=True)]
     welfare_before = sum(before.values(), Fraction(0))
 
-    best: tuple[tuple, tuple, dict, Assignment, Fraction] | None = None
+    scm = query.scm
+    world = scm._positions(factual_state)
+    passing = []
     for delta in query.feasible:
         # Look every name up first: an unknown one is a DomainError, even unshifted.
-        domains = {name: query.scm.domain(name) for name in delta}
+        for name in delta:
+            scm.decl(name)
         shift = {name: value for name, value in delta.items() if value != 0}
         if outcome_vars & set(shift):
             raise InvalidQueryError("baseline shifts cannot target an agent's outcome variable")
         if query.exclude_identity and not shift:
             continue
         assigned: dict[str, Fraction] = {}
+        pins: Positions = {}
         shifted = dict(factual_state)
         for name, amount in shift.items():
             new_value = factual_state[name] + amount
-            if new_value not in domains[name]:
+            position = scm._index[name].get(new_value)
+            if position is None:
                 raise DomainError(
                     f"shifting {name!r} by {format_value(amount)} leaves its domain"
                 )
-            shifted[name] = new_value
-            assigned[name] = new_value
+            shifted[name] = assigned[name] = new_value
+            pins[name] = position
         # Re-predict the outcome models from the shifted vector; parents that
         # are themselves outcomes read their factual values (no propagation).
-        frozen = dict(shifted)
-        for eq in query.scm.equations:
-            if eq.target in outcome_vars:
-                shifted[eq.target] = eq.table[tuple(frozen[p] for p in eq.parents)]
+        positions = {**world, **pins}
+        for var in outcome_vars:
+            shifted[var] = scm.domain(var)[scm._output(var, positions)]
         after = {agent: shifted[var] for agent, var in query.agents.items()}
         plausible_ok = query.plausible(shifted) if query.plausible else True
         if not plausible_ok:
@@ -463,21 +524,11 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
             for t in thresholds
         ):
             continue
-        order_key = query.cost.order_key(assigned, factual_state)
-        entry = (
-            order_key,
-            _action_key(query.scm._positions(assigned)),
-            shift,
-            shifted,
-            order_key[-1],
-        )
-        if best is None or entry[:2] < best[:2]:
-            best = entry
-    if best is None:
+        passing.append((assigned, pins, shift, shifted))
+    if not passing:
         return None
-    _, _, shift, shifted, cost = best
-    row = FeasibleRow(action=shift, counterfactual=shifted, cost=cost, plausible=True, clauses=())
-    return _assemble_outcome(query, before, row)
+    assigned, _, shift, shifted = min(passing, key=_rank_keys(query.cost, passing, factual_state))
+    return _assemble_outcome(query, factual_state, shift, shifted, query.cost.scalar(assigned, factual_state))
 
 
 # ---------------------------------------------------------------- file forms
@@ -564,10 +615,16 @@ def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuer
         scm = scm_from_dict(data["scm"])
     else:
         scm = load_scm(Path(base_dir) / read_str(data["scm_file"], "query", "scm_file"))
-    agents = {
-        read_agent(agent, "query", "agents"): read_str(variable, "agents", agent)
-        for agent, variable in read_object(data["agents"], "query", "agents").items()
-    }
+    agents: dict[AgentId, str] = {}
+    keys: dict[AgentId, str] = {}  # agent -> the key that named it
+    for key, variable in read_object(data["agents"], "query", "agents").items():
+        agent = read_agent(key, "query", "agents")
+        if agent in keys:
+            raise ParseError(
+                f"query field 'agents' names agent {agent!r} twice: {keys[agent]!r} and {key!r}"
+            )
+        keys[agent] = key
+        agents[agent] = read_str(variable, "agents", key)
     constraints = [
         _clause_from_dict(item, i)
         for i, item in enumerate(read_list(data.get("constraints", []), "query", "constraints"))

@@ -15,9 +15,12 @@ import csv
 import io
 import json
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import accumulate
+from math import ceil
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -283,18 +286,16 @@ def generate_synthetic_log(
     if sum(p for _, p in proportions) != 1:
         raise InvalidParamsError("matrix proportions must sum to 1")
 
+    # A roll of random() is k / 2**53 for an integer k, so it lies below the
+    # cumulative proportion c exactly when k < ceil(c * 2**53).  A roll picks
+    # the first matrix whose bound lies above k.
+    ids = [mid for mid, _ in proportions]
+    bounds = [ceil(c * 2**53) for c in accumulate(p for _, p in proportions)]
     rng = random.Random(seed)
     silent_games = set(rng.sample(range(n_total), n_principal_silent))
     records = []
     for i in range(n_total):
-        roll = rng.random()
-        matrix_id = proportions[-1][0]
-        cumulative = Fraction(0)
-        for mid, p in proportions:
-            cumulative += p
-            if roll < cumulative:
-                matrix_id = mid
-                break
+        matrix_id = ids[bisect_right(bounds, int(rng.random() * 2**53))]
         p1 = SILENT if i in silent_games else BETRAY
         p2 = rng.randrange(2)
         records.append(
@@ -384,7 +385,27 @@ def _counts_from_dict(raw: Any, scope: str) -> OutcomeCounts:
     data = read_object(
         raw, where, allowed=_COUNT_SET, required=_COUNT_SET, expected="objects of integers"
     )
-    return OutcomeCounts(**{name: read_int(data[name], where, name) for name in _COUNT_FIELDS})
+    counts = {name: read_int(data[name], where, name) for name in _COUNT_FIELDS}
+    return _consistent(OutcomeCounts(**counts), where)
+
+
+# Count -> the count it may not exceed: recommendations answer queries, and
+# each outcome count counts some of the recommendations.
+_COUNT_BOUNDS = {"recommendations": "queries", **dict.fromkeys(_COUNT_FIELDS[3:], "recommendations")}
+
+
+def _consistent(counts: OutcomeCounts, where: str) -> OutcomeCounts:
+    """``counts`` unless one is negative or exceeds its bound; ``where`` names the scope."""
+    values = _counts_to_dict(counts)
+    for name, value in values.items():
+        if value < 0:
+            raise ParseError(f"{where} field {name!r} is negative: {value}")
+    for name, bound in _COUNT_BOUNDS.items():
+        if values[name] > values[bound]:
+            raise ParseError(
+                f"{where} field {name!r} ({values[name]}) exceeds {bound!r} ({values[bound]})"
+            )
+    return counts
 
 
 def render_report(report: ExperimentReport, fmt: str = "table") -> str:
@@ -454,6 +475,7 @@ def report_from_csv(text: str) -> ExperimentReport:
             raise ParseError(
                 f"line {reader.line_num}: expected {len(_COUNT_FIELDS)} integer counts"
             ) from None
+        _consistent(counts, f"report CSV counts {row[0]!r} (line {reader.line_num})")
         if row[0] == "overall":
             report.overall = counts
         else:

@@ -19,6 +19,13 @@ numbered in mixed radix over the parent domains (the order of
 so they hash no values; values are converted to positions and back only
 where an operation takes or returns them.
 
+A model file is read straight into these tuples: each row literal is mapped
+to its domain position through a per-variable memo, so no table of values is
+built.  Such an equation builds its ``table`` of values only when asked for
+it (``scm_to_dict``, equality, ``repr``).  A table that does not read cleanly
+this way is built as values, and its errors are reported exactly as for a
+model built in code.
+
 All values are exact rationals; models are treated as immutable after
 construction and are safe to share across workers.
 """
@@ -28,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
+from math import prod
+from operator import getitem, mul
 from pathlib import Path
 from typing import Any, Callable, Mapping, NoReturn
 
@@ -60,28 +69,66 @@ class VariableDecl:
     name: str
     kind: str
     domain: tuple[Fraction, ...]
+    # Domain value -> its position; it has fewer entries than the domain when
+    # a value repeats.
+    _index: dict[Fraction, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.domain = tuple(map(exact_value, self.domain))
+        self._index = {value: i for i, value in enumerate(self.domain)}
 
 
-@dataclass
 class StructuralEquation:
-    """Total lookup table assigning ``target`` from an ordered tuple of parent values."""
+    """Total lookup table assigning ``target`` from an ordered tuple of parent values.
 
-    target: str
-    parents: tuple[str, ...]
-    table: dict[tuple[Fraction, ...], Fraction]
+    An equation read from a model file holds positions instead: the parent
+    and target domains it was read against and the target's position for each
+    parent row.  ``table`` is then built the first time it is asked for.
+    """
 
-    def __post_init__(self) -> None:
-        self.parents = tuple(self.parents)
-        entries = chain(chain.from_iterable(self.table), self.table.values())
+    def __init__(
+        self, target: str, parents: tuple[str, ...], table: Mapping[tuple[Any, ...], Any]
+    ) -> None:
+        self.target = target
+        self.parents = tuple(parents)
+        entries = chain(chain.from_iterable(table), table.values())
         if set(map(type, entries)) <= {Fraction}:
-            self.table = dict(self.table)  # a copy that hashes no key again
+            self._table = dict(table)  # a copy that hashes no key again
         else:
-            self.table = {
-                tuple(map(exact_value, key)): exact_value(out) for key, out in self.table.items()
-            }
+            self._table = {tuple(map(exact_value, key)): exact_value(out) for key, out in table.items()}
+        self._positions: tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]] | None = None
+
+    @classmethod
+    def _from_positions(
+        cls,
+        target: str,
+        parents: tuple[str, ...],
+        domains: tuple[tuple[Fraction, ...], ...],
+        outputs: tuple[int, ...],
+    ) -> "StructuralEquation":
+        """``domains`` holds each parent's domain, then the target's; ``outputs``
+        the target's position for each parent row in ``product`` order."""
+        eq = cls.__new__(cls)
+        eq.target, eq.parents, eq._table, eq._positions = target, parents, None, (domains, outputs)
+        return eq
+
+    @property
+    def table(self) -> dict[tuple[Fraction, ...], Fraction]:
+        if self._table is None:
+            domains, outputs = self._positions
+            self._table = dict(zip(product(*domains[:-1]), map(domains[-1].__getitem__, outputs)))
+        return self._table
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.target, self.parents, self.table) == (other.target, other.parents, other.table)
+
+    def __repr__(self) -> str:
+        return (
+            f"StructuralEquation(target={self.target!r}, parents={self.parents!r}, "
+            f"table={self.table!r})"
+        )
 
 
 @dataclass
@@ -130,11 +177,10 @@ class Scm:
                 )
             if not decl.domain:
                 raise ScmValidationError(f"variable {decl.name!r} has an empty domain")
-            positions = {value: i for i, value in enumerate(decl.domain)}
-            if len(positions) != len(decl.domain):
+            if len(decl._index) != len(decl.domain):
                 raise ScmValidationError(f"variable {decl.name!r} repeats a domain value")
             decls[decl.name] = decl
-            index[decl.name] = positions
+            index[decl.name] = decl._index
         self._decls = decls
         self._index = index
 
@@ -167,19 +213,26 @@ class Scm:
         """The equation as positions: each parent with its domain size, and the
         target's position for each parent row in ``product`` order.
 
-        Looks each row up once.  A missing row, an output outside the target's
-        domain, or more rows than the product (stray rows) is reported by
-        ``_reject_table``.
+        An equation read as positions against these same domains is taken as
+        it is.  Otherwise each row of its table is looked up once; a missing
+        row, an output outside the target's domain, or more rows than the
+        product (stray rows) is reported by ``_reject_table``.
         """
         domains = [self._decls[p].domain for p in eq.parents]
+        radix = tuple(zip(eq.parents, map(len, domains)))
+        if eq._positions is not None:
+            read_against, outputs = eq._positions
+            if read_against == (*domains, self._decls[eq.target].domain):
+                return radix, outputs
         targets = self._index[eq.target]
+        table = eq.table
         try:
-            outputs = tuple(targets[eq.table[row]] for row in product(*domains))
+            outputs = tuple(targets[table[row]] for row in product(*domains))
         except KeyError:
             self._reject_table(eq)
-        if len(outputs) != len(eq.table):
+        if len(outputs) != len(table):
             self._reject_table(eq)
-        return tuple(zip(eq.parents, map(len, domains))), outputs
+        return radix, outputs
 
     def _reject_table(self, eq: StructuralEquation) -> NoReturn:
         """Raise the error for a table that does not compile: stray rows first,
@@ -307,6 +360,14 @@ class Scm:
                     row = row * size + state[parent]
                 state[target] = outputs[row]
         return state
+
+    def _output(self, target: str, state: Positions) -> int:
+        """The position that ``target``'s equation gives for the parent positions in ``state``."""
+        radix, outputs = self._compiled[target]
+        row = 0
+        for parent, size in radix:
+            row = row * size + state[parent]
+        return outputs[row]
 
     def abduct(self, observation: Mapping[str, Any]) -> Assignment:
         """The unique complete state consistent with a partial observation.
@@ -440,16 +501,31 @@ def graph_to_dot(graph: CausalGraph) -> str:
 _VARIABLE_FIELDS = frozenset({"name", "kind", "domain"})
 _EQUATION_FIELDS = frozenset({"target", "parents", "table"})
 _ROW_FIELDS = frozenset({"in", "out"})
+# The types of JSON literals ``as_value`` reads as numbers.
+_LITERAL_TYPES = frozenset({int, str, Fraction, float})
 
 
 def scm_from_dict(data: Any) -> Scm:
+    """The model a decoded JSON document describes.
+
+    The variables are read first.  Each table is then read straight into the
+    positions ``Scm`` runs on (``_table_positions``); only a table that does
+    not read cleanly that way is built as values, which is where its errors
+    are found and reported.
+    """
     data = read_object(data, "model", allowed={"variables", "equations"}, required={"variables"})
     read = _literal_reader()
-    variables = read_list(data["variables"], "model", "variables")
+    raw_variables = read_list(data["variables"], "model", "variables")
     equations = read_list(data.get("equations", []), "model", "equations")
+    variables = tuple(_variable_from_dict(item, i, read) for i, item in enumerate(raw_variables))
+    memos = {
+        decl.name: _PositionMemo(decl, item["domain"])
+        for decl, item in zip(variables, raw_variables)
+        if len(decl._index) == len(decl.domain)
+    }
     return Scm(
-        tuple(_variable_from_dict(item, i, read) for i, item in enumerate(variables)),
-        tuple(_equation_from_dict(item, i, read) for i, item in enumerate(equations)),
+        variables,
+        tuple(_equation_from_dict(item, i, read, memos) for i, item in enumerate(equations)),
     )
 
 
@@ -472,6 +548,26 @@ def _literal_reader() -> Callable[[Any], Fraction]:
     return read
 
 
+class _PositionMemo(dict):
+    """Raw JSON literal -> its position in one variable's domain.
+
+    Starts with the domain's own literals; any other literal is read by
+    ``as_value`` and looked up on first use.  A literal that is not a number, or whose value is
+    outside the domain, raises KeyError (ValueError for a number literal that
+    is too long).  Only for a domain that repeats no value, so that equal
+    values always share a position.
+    """
+
+    def __init__(self, decl: VariableDecl, literals: list):
+        super().__init__(zip(literals, range(len(decl.domain))))
+        self.domain = decl.domain
+        self._index = decl._index
+
+    def __missing__(self, raw: Any) -> int:
+        position = self[raw] = self._index[as_value(raw)]
+        return position
+
+
 def _variable_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) -> VariableDecl:
     where = f"variables[{index}]"
     item = read_object(item, where, allowed=_VARIABLE_FIELDS, required=_VARIABLE_FIELDS)
@@ -482,7 +578,9 @@ def _variable_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) 
     )
 
 
-def _equation_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) -> StructuralEquation:
+def _equation_from_dict(
+    item: Any, index: int, read: Callable[[Any], Fraction], memos: dict[str, _PositionMemo]
+) -> StructuralEquation:
     where = f"equations[{index}]"
     item = read_object(item, where, allowed=_EQUATION_FIELDS, required=_EQUATION_FIELDS)
     target = read_str(item["target"], where, "target")
@@ -490,9 +588,64 @@ def _equation_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) 
         read_str(parent, f"{where}.parents[{k}]")
         for k, parent in enumerate(read_list(item["parents"], where, "parents"))
     )
+    rows = read_list(item["table"], where, "table")
+    positions = _table_positions(rows, parents, target, memos)
+    if positions is not None:
+        return StructuralEquation._from_positions(target, parents, *positions)
+    return StructuralEquation(target, parents, _read_table(rows, where, len(parents), read))
+
+
+def _table_positions(
+    rows: list, parents: tuple[str, ...], target: str, memos: dict[str, _PositionMemo]
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]] | None:
+    """The domains read against and the target's position for each parent row
+    in ``product`` order, read straight from the JSON rows.
+
+    None unless the rows are well formed, hold only numbers, use only
+    declared variables whose domains repeat no value, and give every parent
+    row exactly once with an output in the target's domain.  Such a table has
+    no error that ``_read_table`` or ``Scm`` would report.
+    """
+    try:
+        parent_memos = [memos[name] for name in parents]
+        out_memo = memos[target]
+    except KeyError:
+        return None
+    sizes = [len(memo.domain) for memo in parent_memos]
+    # A row's number in the mixed radix: the sum of position times stride.
+    strides = [prod(sizes[k + 1 :]) for k in range(len(sizes))]
+    if len(rows) != prod(sizes):
+        return None
     arity = len(parents)
+    outputs = [-1] * len(rows)
+    try:
+        for row in rows:
+            if type(row) is not dict or len(row) != 2:
+                return None
+            ins, out = row["in"], row["out"]  # with two fields, a KeyError unless these
+            # Only literals of a number type, since a memo hit needs only equality
+            # (True == 1) and a miss is read by as_value.
+            if (
+                type(ins) is not list
+                or len(ins) != arity
+                or type(out) not in _LITERAL_TYPES
+                or not _LITERAL_TYPES.issuperset(map(type, ins))
+            ):
+                return None
+            outputs[sum(map(mul, map(getitem, parent_memos, ins), strides))] = out_memo[out]
+    except (KeyError, ValueError):
+        return None
+    if -1 in outputs:  # a repeated row leaves another one out
+        return None
+    return (*(memo.domain for memo in parent_memos), out_memo.domain), tuple(outputs)
+
+
+def _read_table(
+    rows: list, where: str, arity: int, read: Callable[[Any], Fraction]
+) -> dict[tuple[Fraction, ...], Fraction]:
+    """The rows as values, each checked in turn; a malformed row is a ParseError."""
     table: dict[tuple[Fraction, ...], Fraction] = {}
-    for j, row in enumerate(read_list(item["table"], where, "table")):
+    for j, row in enumerate(rows):
         at = f"{where}.table[{j}]"
         read_object(row, at, allowed=_ROW_FIELDS, required=_ROW_FIELDS)
         key = read_values(row["in"], at, "in", read)
@@ -503,7 +656,7 @@ def _equation_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) 
         table[key] = out
         if len(table) == size:
             raise ParseError(f"{at} repeats inputs {row['in']}")
-    return StructuralEquation(target, parents, table)
+    return table
 
 
 def scm_to_dict(scm: Scm) -> dict:

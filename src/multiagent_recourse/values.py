@@ -53,13 +53,16 @@ def bounded_literal(text: str) -> str:
 
 
 def as_value(raw: Any) -> Fraction:
-    """Coerce ints, floats, Fractions, and "3.5" / "7/2" strings to Fraction."""
+    """Coerce ints, floats, Fractions, and "3.5" / "7/2" strings to Fraction.
+
+    A bool is not a number here: JSON ``true`` is no way to write 1.
+    """
     if isinstance(raw, str):
         bounded_literal(raw)
     try:
         if isinstance(raw, Fraction):
             return raw
-        if isinstance(raw, int):
+        if isinstance(raw, int) and not isinstance(raw, bool):
             return Fraction(raw)
         if isinstance(raw, float):
             return Fraction(repr(raw))

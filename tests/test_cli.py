@@ -142,6 +142,19 @@ class TestSolve:
             ("principal", True, "query field 'principal' must be an integer or a string"),
             ("agents", {"1": None, "2": "h2"}, "agents field '1' must be a string, got None"),
             ("cost", {"kind": "count", "bogus": 1}, "query field 'cost' has unknown field(s): bogus"),
+            # JSON true is no number, though Python's True equals 1.
+            ("factual", {"x1": True, "x2": 1}, "query field 'factual': cannot interpret bool value True"),
+            (
+                "scm",
+                small_model_with(("variables", 0, "domain"), [True, 0]),
+                "variables[0] field 'domain': cannot interpret bool value True",
+            ),
+            (
+                "scm",
+                small_model_with(("equations", 0, "table", 1, "in"), [True]),
+                "equations[0].table[1] field 'in': cannot interpret bool value True",
+            ),
+            ("agents", {"1": "h1", "01": "h2"}, "query field 'agents' names agent 1 twice: '1' and '01'"),
         ],
         ids=[
             "factual-list",
@@ -166,6 +179,10 @@ class TestSolve:
             "principal-bool",
             "outcome-null",
             "cost-unknown-field",
+            "factual-bool",
+            "domain-bool",
+            "in-bool",
+            "agents-collide",
         ],
     )
     def test_malformed_query_field_exit_1(self, workdir, capsys, field, value, message):

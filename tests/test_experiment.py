@@ -400,6 +400,28 @@ def report_text(**counts):
     return json.dumps({"overall": overall, "per_matrix": {}})
 
 
+def report_csv(**counts):
+    """A CSV report with all counts 1, except ``counts`` in the row for table2."""
+    ones = dict.fromkeys(experiment._COUNT_FIELDS, 1)
+    rows = [["scope", *ones], ["overall", *ones.values()], ["table2", *(ones | counts).values()]]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+INCONSISTENT_COUNTS = [
+    pytest.param({"games": -3}, "field 'games' is negative: -3", id="negative"),
+    pytest.param(
+        {"recommendations": 2},
+        r"field 'recommendations' \(2\) exceeds 'queries' \(1\)",
+        id="recommendations-above-queries",
+    ),
+    pytest.param(
+        {"pareto_violated": 2},
+        r"field 'pareto_violated' \(2\) exceeds 'recommendations' \(1\)",
+        id="outcome-above-recommendations",
+    ),
+]
+
+
 class TestRendering:
     def sample_report(self):
         games = mr.generate_synthetic_log(30, 12, {"table2": 1}, seed=8)
@@ -449,6 +471,17 @@ class TestRendering:
     def test_bad_json_report_is_a_parse_error(self, text, message):
         with pytest.raises(mr.ParseError, match=message):
             mr.report_from_json(text)
+
+    @pytest.mark.parametrize("counts, message", INCONSISTENT_COUNTS)
+    def test_inconsistent_json_counts_are_a_parse_error(self, counts, message):
+        with pytest.raises(mr.ParseError, match="report JSON counts 'overall' " + message):
+            mr.report_from_json(report_text(**counts))
+
+    @pytest.mark.parametrize("counts, message", INCONSISTENT_COUNTS)
+    def test_inconsistent_csv_counts_are_a_parse_error(self, counts, message):
+        assert mr.report_from_csv(report_csv()).per_matrix["table2"].games == 1
+        with pytest.raises(mr.ParseError, match=r"report CSV counts 'table2' \(line 3\) " + message):
+            mr.report_from_csv(report_csv(**counts))
 
     def test_empty_csv_report_is_a_parse_error(self):
         with pytest.raises(mr.ParseError, match="must start with the header"):

@@ -251,6 +251,58 @@ def test_solver_matches_brute_force(seed):
         assert outcome.counterfactual == expected[2]
 
 
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_solve_predicts_only_up_to_the_first_satisfying_row(seed):
+    # solve ranks every candidate first, then predicts in rank order and stops
+    # at the first row whose clauses all hold: the one enumerate_feasible puts
+    # first among those.  Fractional weights give the cost terms several
+    # denominators.
+    rng = random.Random(seed)
+    variables, equations = oracle.random_plain_scm(rng)
+    scm = build_scm_from_plain(variables, equations)
+    parts = oracle.random_query_parts(rng, variables, equations)
+    names = [name for name, _, _ in variables]
+    weights = {n: F(rng.randint(0, 6), rng.randint(1, 4)) for n in rng.sample(names, min(3, len(names)))}
+    kind = parts["cost"][0]
+    query = mr.RecourseQuery(
+        scm=scm,
+        principal=parts["principal"],
+        agents=parts["agents"],
+        factual=parts["factual"],
+        feasible=parts["feasible"],
+        constraints=plain_clauses_to_engine(parts["clauses"]),
+        cost=mr.CostModel(kind, weights),
+        plausible=parts["plausible"],
+        exclude_identity=parts["exclude_identity"],
+    )
+    try:
+        rows = mr.enumerate_feasible(query)
+    except mr.NonInvertibleError:
+        return
+    # The ranking matches the oracle's, which compares Fraction costs.
+    base = scm.abduct(parts["factual"])
+    domains = {name: domain for name, _, domain in variables}
+    keys = [oracle.cost_key((kind, weights), row.action, base, domains) for row in rows]
+    assert keys == sorted(keys)
+
+    predicted = []
+    evaluate = scm._evaluate_exact
+    scm._evaluate_exact = lambda world, pins=None: predicted.append(pins) or evaluate(world, pins)
+    outcome = mr.solve(query)
+    chosen = next((i for i, row in enumerate(rows) if row.satisfies_all), None)
+    if chosen is None:
+        assert outcome is None
+        assert len(predicted) == len(rows)
+    else:
+        row = rows[chosen]
+        assert (outcome.action, outcome.counterfactual, outcome.cost) == (row.action, row.counterfactual, row.cost)
+        assert len(predicted) == chosen + 1
+    assert [{n: scm.domain(n)[p] for n, p in pins.items()} for pins in predicted] == [
+        row.action for row in rows[: len(predicted)]
+    ]
+
+
 def respell(rng, value):
     """One JSON spelling of an exact value, drawn at random: 1, "1", "2/2" or 1.0."""
     spellings = [str(value), f"{value.numerator * 2}/{value.denominator * 2}"]
@@ -270,6 +322,32 @@ def respelled_model(rng, scm):
             row["in"] = [respell(rng, F(v)) for v in row["in"]]
             row["out"] = respell(rng, F(row["out"]))
     return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_model_tables_read_as_positions(seed):
+    # A valid model file is read straight into positions: no equation holds a
+    # table of values until one is asked for, and the model it gives is the
+    # one its tables describe, however its literals are spelled.
+    rng = random.Random(seed)
+    variables, equations = oracle.random_plain_scm(rng)
+    scm = build_scm_from_plain(variables, equations)
+    document = respelled_model(rng, scm)
+    loaded = mr.scm_from_dict(document)
+    assert all(eq._table is None for eq in loaded.equations)
+    # A mutilated model reuses the kept equations' positions as they are.
+    names = [name for name, _, _ in variables]
+    action = {n: rng.choice(scm.domain(n)) for n in rng.sample(names, rng.randint(1, min(2, len(names))))}
+    mutated = loaded.intervene(action)
+    assert all(eq._table is None for eq in mutated.equations if eq.target not in action)
+    assert mutated == scm.intervene(action)
+    assert mr.graph_to_dot(loaded.graph()) == mr.graph_to_dot(scm.graph())
+    assert mr.scm_to_dict(loaded) == mr.scm_to_dict(scm)
+    assert mr.scm_to_dict(mr.scm_from_dict(mr.scm_to_dict(loaded))) == mr.scm_to_dict(scm)
+    assert loaded == scm
+    for u in exo_assignments(scm):
+        assert loaded.evaluate(u) == scm.evaluate(u)
 
 
 @settings(max_examples=120, deadline=None)

@@ -373,6 +373,34 @@ class TestFiles:
         with pytest.raises(mr.ParseError):
             mr.scm_from_dict({"variables": [], "equations": [], "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "domain, rows, error, message",
+        [
+            # Every row error comes before every structural one, even when
+            # the domain repeats a value, so that two spellings share a row.
+            ([0, 1, "1"], [[0, 1], [1, 0], ["1", 0]], mr.ParseError, "table[2] repeats inputs ['1']"),
+            ([0, 0], [[0, 1], [1, 0]], mr.ScmValidationError, "'x1' repeats a domain value"),
+            ([0, 1], [[0, 1], [1, 0], [2, 0], [1, 5]], mr.ParseError, "table[3] repeats inputs [1]"),
+            ([0, 1], [[0, 5], [2, 0]], mr.DomainError, "row outside the parent domains: (Fraction(2, 1),)"),
+            ([0, 1], [[0, 5]], mr.IncompleteTableError, "missing 1 row(s), e.g. parents=(Fraction(1, 1),)"),
+            ([0, 1], [[0, 5], ["2/2", 0]], mr.DomainError, "maps (Fraction(0, 1),) to 5, outside"),
+            ([0, 1], [[0, 1], [1, "1/0"]], mr.ParseError, "table[1] field 'out': cannot interpret '1/0'"),
+        ],
+        ids=["respelled-repeat", "repeated-domain", "repeat-after-stray", "stray", "missing", "output", "bad-out"],
+    )
+    def test_file_errors_keep_their_order(self, domain, rows, error, message):
+        data = {
+            "variables": [
+                {"name": "x1", "kind": "exogenous", "domain": domain},
+                {"name": "h1", "kind": "endogenous", "domain": [0, 1]},
+            ],
+            "equations": [
+                {"target": "h1", "parents": ["x1"], "table": [{"in": [i], "out": o} for i, o in rows]}
+            ],
+        }
+        with pytest.raises(error, match=re.escape(message)):
+            mr.scm_from_dict(data)
+
     def test_fractional_values_survive(self, pd1):
         data = mr.scm_to_dict(pd1)
         h1 = next(e for e in data["equations"] if e["target"] == "h1")
