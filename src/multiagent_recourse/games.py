@@ -146,16 +146,19 @@ def load_matrix_csv(path: str | Path, matrix_id: str = "custom") -> PayoffMatrix
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or rows[0] != _MATRIX_HEADER:
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows or rows[0][1] != _MATRIX_HEADER:
         raise ParseError(
             f"{path}: first line must be '{','.join(_MATRIX_HEADER)}'"
         )
     entries: dict[tuple[int, int], Cell] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 4:
             raise ParseError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
         try:

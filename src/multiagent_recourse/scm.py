@@ -32,6 +32,7 @@ construction and are safe to share across workers.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
@@ -261,27 +262,30 @@ class Scm:
 
     def _topological_order(self) -> tuple[str, ...]:
         # Kahn's algorithm over the endogenous targets; exogenous parents are free.
+        # Each batch that becomes ready joins the queue in declaration order.
         declared = {d.name: i for i, d in enumerate(self.variables)}
-        pending = {
-            target: {p for p, _ in radix if p in self._compiled}
-            for target, (radix, _) in self._compiled.items()
-        }
+        waiting: dict[str, int] = {}  # target -> parents not yet placed
+        dependents: dict[str, list[str]] = {target: [] for target in self._compiled}
+        for target, (radix, _) in self._compiled.items():
+            parents = {p for p, _ in radix if p in dependents}
+            waiting[target] = len(parents)
+            for parent in parents:
+                dependents[parent].append(target)
+        ready = deque(sorted((t for t, n in waiting.items() if not n), key=declared.get))
         order: list[str] = []
-        ready = sorted((t for t, deps in pending.items() if not deps), key=declared.get)
         while ready:
-            target = ready.pop(0)
+            target = ready.popleft()
             order.append(target)
-            del pending[target]
             newly = []
-            for other, deps in pending.items():
-                if target in deps:
-                    deps.discard(target)
-                    if not deps:
-                        newly.append(other)
+            for other in dependents[target]:
+                waiting[other] -= 1
+                if not waiting[other]:
+                    newly.append(other)
             ready.extend(sorted(newly, key=declared.get))
-        if pending:
+        if len(order) < len(waiting):
             raise CycleError(
-                "causal graph has a cycle through: " + ", ".join(sorted(pending))
+                "causal graph has a cycle through: "
+                + ", ".join(sorted(waiting.keys() - set(order)))
             )
         return tuple(order)
 

@@ -185,20 +185,21 @@ read_bool = _reader(bool, "true or false")
 read_int = _reader(int, "an integer")  # exact type: a bool is not an integer
 
 
-def read_value(raw: Any, where: str, field: str | None = None, convert=as_value) -> Fraction:
-    """An exact value, ``convert(raw)``; ``convert`` raises ValueError on a non-number."""
+def read_value(raw: Any, where: str, field: str | None = None, convert=None) -> Fraction:
+    """An exact value, ``convert(raw)``; ``convert`` (by default ``as_value``, looked
+    up at each call) raises ValueError on a non-number."""
     try:
-        return convert(raw)
+        return (convert or as_value)(raw)
     except ValueError as exc:
         raise ParseError(f"{_place(where, field)}: {exc}") from None
 
 
-def read_values(raw: Any, where: str, field: str | None = None, convert=as_value) -> tuple:
+def read_values(raw: Any, where: str, field: str | None = None, convert=None) -> tuple:
     """A JSON list of exact values, each read as ``read_value`` reads one."""
     if not isinstance(raw, list):  # checked here, not by read_list: one call less per table row
         _reject(raw, where, field, "a list")
     try:
-        return tuple(map(convert, raw))
+        return tuple(map(convert or as_value, raw))
     except ValueError as exc:
         raise ParseError(f"{_place(where, field)}: {exc}") from None
 

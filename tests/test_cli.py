@@ -419,6 +419,32 @@ class TestExperiment:
         report = mr.report_from_json(capsys.readouterr().out)
         assert report.overall.recommendations == 2
 
+    @pytest.mark.parametrize(
+        "which, content, message",
+        [
+            ("log", b"\xff" + mr.write_game_log([]).encode(), "cannot read log file {path}: 'utf-8' codec"),
+            ("matrix", b"row_action,col_action,p1,p2\n0,0,\xe9,1\n", "cannot read matrix file {path}: 'utf-8' codec"),
+            ("log", (mr.write_game_log([]) + "g" * 131073 + ",table2,test,0,1,0,1\n").encode(),
+             "{path}: line 2: field larger than field limit (131072)"),
+            ("matrix", ("row_action,col_action,p1,p2\n\n0,0,1,1\n0,1,\"" + "9" * 131073 + "\",1\n").encode(),
+             "{path}: line 4: field larger than field limit (131072)"),
+        ],
+        ids=["log-not-utf8", "matrix-not-utf8", "log-oversized-field", "matrix-oversized-field"],
+    )
+    def test_unreadable_csv_exit_1(self, tmp_path, capsys, which, content, message):
+        path = tmp_path / f"{which}.csv"
+        path.write_bytes(content)
+        if which == "log":
+            args = ["experiment", "--log", str(path)]
+        else:
+            args = ["experiment", "--synthetic", "n=2", "silent=1", "--matrix", "mine", "--matrix-file", f"mine={path}"]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if not line.startswith("note: ")]
+        assert len(errors) == 1 and errors[0].startswith("error: " + message.format(path=path))
+        assert "Traceback" not in err
+
 
 class TestGenerateAndGraph:
     def test_generate_writes_stable_file(self, tmp_path):

@@ -72,6 +72,16 @@ class TestParsing:
         with pytest.raises(mr.ParseError, match="duplicate round"):
             parse_game_log_text(text)
 
+    def test_one_game_may_spell_its_delta_two_ways(self):
+        text = (
+            "game_id,matrix_id,group,delta,round,p1_action,p2_action\n"
+            "g1,table2,test,1/2,1,0,1\n"
+            "g1,table2,test,0.5,2,1,1\n"
+        )
+        (record,) = parse_game_log_text(text)
+        assert record.delta == F(1, 2)
+        assert record.rounds == [(0, 1), (1, 1)]
+
     def test_round_trip_is_canonical(self):
         records = parse_game_log_text(SAMPLE_LOG)
         text = mr.write_game_log(records)

@@ -131,3 +131,9 @@ class TestMatrixFiles:
         )
         with pytest.raises(mr.DomainError):
             mr.load_matrix_csv(path)
+
+    def test_error_names_the_file_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("row_action,col_action,p1,p2\n\n0,0,x,1\n")
+        with pytest.raises(mr.ParseError, match=r"m\.csv: line 3: cannot interpret 'x'"):
+            mr.load_matrix_csv(path)

@@ -7,6 +7,8 @@ smallest replaced value.
 """
 
 import copy
+import csv
+import io
 import json
 import random
 from fractions import Fraction as F
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multiagent_recourse as mr
+from multiagent_recourse.experiment import ALLOWED_DELTAS
 import oracle
 from conftest import build_scm_from_plain, plain_clauses_to_engine
 
@@ -560,3 +563,106 @@ def test_operations_are_deterministic(seed):
     assert scm.counterfactual(state, {target: value}) == scm.counterfactual(
         state, {target: value}
     )
+
+
+def kahn_by_declaration(variables, equations):
+    """The order the quadratic Kahn's algorithm gave: the ready targets, each
+    batch that one placement frees sorted by declaration; or its cycle message."""
+    declared = {name: i for i, (name, _, _) in enumerate(variables)}
+    pending = {t: {p for p in parents if p in equations} for t, (parents, _) in equations.items()}
+    order = []
+    ready = sorted((t for t, deps in pending.items() if not deps), key=declared.get)
+    while ready:
+        target = ready.pop(0)
+        order.append(target)
+        del pending[target]
+        newly = []
+        for other, deps in pending.items():
+            if target in deps:
+                deps.discard(target)
+                if not deps:
+                    newly.append(other)
+        ready.extend(sorted(newly, key=declared.get))
+    if pending:
+        return "causal graph has a cycle through: " + ", ".join(sorted(pending))
+    return tuple(order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_topological_order_matches_kahn_by_declaration(seed):
+    rng = random.Random(seed)
+    variables, equations = oracle.random_plain_scm(rng, max_exo=3, max_endo=6)
+    domains = {name: domain for name, _, domain in variables}
+    for _ in range(rng.randint(0, 2)):  # extra edges between endogenous variables may close cycles
+        target, parent = rng.choice(list(equations)), rng.choice(list(equations))
+        parents = equations[target][0]
+        if parent not in parents:
+            parents += (parent,)
+            rows = product(*(domains[p] for p in parents))
+            equations[target] = (parents, {row: rng.choice(domains[target]) for row in rows})
+    rng.shuffle(variables)
+    equations = dict(rng.sample(list(equations.items()), len(equations)))
+    expected = kahn_by_declaration(variables, equations)
+    if isinstance(expected, str):
+        with pytest.raises(mr.CycleError) as raised:
+            build_scm_from_plain(variables, equations)
+        assert str(raised.value) == expected
+    else:
+        assert build_scm_from_plain(variables, equations)._order == expected
+
+
+# Spellings that the log reader accepts for each value.
+DELTA_SPELLINGS = {
+    F(0): ["0", "0.0", " 0", "0/3", "-0"],
+    F(1, 2): ["1/2", "0.5", " 1/2", "2/4", "0.50 "],
+    F(3, 4): ["3/4", " 3/4", "0.75", "6/8"],
+}
+ACTION_SPELLINGS = {0: ["0", "00", "+0", " 0"], 1: ["1", "01", "+1", " 1 "]}
+
+
+def read_log_directly(text):
+    """Each row read on its own: the delta by Fraction, numbers by int()."""
+    games = {}
+    for row in csv.reader(io.StringIO(text)):
+        if not row or row[0] == "game_id":
+            continue
+        game_id, matrix_id, group, delta, round_no, p1, p2 = row
+        record = games.setdefault(
+            game_id,
+            mr.GameRecord(game_id, matrix_id, group, F(delta.strip()) if group == "test" else None, []),
+        )
+        record.rounds.append((int(round_no), int(p1), int(p2)))
+    for record in games.values():
+        record.rounds = [(p1, p2) for _, p1, p2 in sorted(record.rounds)]
+    return list(games.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_log_with_mixed_spellings_reads_as_row_by_row(seed):
+    rng = random.Random(seed)
+    rows = []
+    for i in range(rng.randint(1, 12)):
+        game_id = rng.choice([f"g{i}", f"g,{i}", f'g "{i}"', f"g\n{i}"])
+        matrix_id = rng.choice(["table1", "table2", "my, matrix"])
+        group = rng.choice(["test", "control"])
+        delta = rng.choice(list(DELTA_SPELLINGS)) if group == "test" else None
+        for round_no in range(1, rng.randint(1, 4) + 1):
+            delta_text = "" if delta is None else rng.choice(DELTA_SPELLINGS[delta])
+            actions = [rng.choice(ACTION_SPELLINGS[rng.randrange(2)]) for _ in range(2)]
+            round_text = rng.choice([str(round_no), f"0{round_no}", f"+{round_no}"])
+            rows.append([game_id, matrix_id, group, delta_text, round_text, *actions])
+    rng.shuffle(rows)  # games interleave and their rounds come in any order
+    out = io.StringIO()
+    out.write("game_id,matrix_id,group,delta,round,p1_action,p2_action\n")
+    for row in rows:
+        if rng.random() < 0.2:
+            out.write(rng.choice(["\n", "\r\n"]))
+        quoting = rng.choice([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+        csv.writer(out, quoting=quoting, lineterminator=rng.choice(["\n", "\r\n"])).writerow(row)
+    text = out.getvalue()
+    records = mr.parse_game_log_text(text)
+    assert records == read_log_directly(text)
+    for record in records:
+        assert record.delta is None or any(record.delta is d for d in ALLOWED_DELTAS)

@@ -35,3 +35,19 @@ def test_more_than_4300_digits_is_out_of_range(value):
         mr.format_value(value)
     with pytest.raises(mr.ValueRangeError, match="out of range"):
         mr.value_to_json(value)
+
+
+def test_field_readers_look_up_as_value_at_each_call(monkeypatch):
+    # A tracer that rebinds values.as_value must see the readers' calls.
+    from multiagent_recourse import values
+
+    seen = []
+
+    def spy(raw):
+        seen.append(raw)
+        return F(7)
+
+    monkeypatch.setattr(values, "as_value", spy)
+    assert values.read_value("1/2", "query", "t") == F(7)
+    assert values.read_values(["1", "2"], "query", "domain") == (F(7), F(7))
+    assert seen == ["1/2", "1", "2"]
