@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError, InvalidQueryError, ParseError
 from .scm import ENDOGENOUS, Assignment, Positions, Scm, scm_from_dict, load_scm
-from .values import exact_value, format_value, load_json_exact, value_to_json
+from .values import as_value, format_value, load_json_exact, value_to_json
 from .values import read_agent, read_bool, read_list, read_object, read_str, read_value
 
 AgentId = Union[int, str]
@@ -49,7 +49,7 @@ class Threshold:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", exact_value(self.t))
+        object.__setattr__(self, "t", as_value(self.t))
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class CostModel:
         if self.weights is not None:
             normalized = {}
             for name, raw in self.weights.items():
-                w = exact_value(raw)
+                w = as_value(raw)
                 if w < 0:
                     raise InvalidQueryError(f"cost weight for {name!r} is negative")
                 normalized[name] = w
@@ -201,9 +201,9 @@ class RecourseQuery:
     exclude_identity: bool = False
 
     def __post_init__(self) -> None:
-        self.factual = {name: exact_value(v) for name, v in self.factual.items()}
+        self.factual = {name: as_value(v) for name, v in self.factual.items()}
         self.feasible = [
-            {name: exact_value(v) for name, v in action.items()} for action in self.feasible
+            {name: as_value(v) for name, v in action.items()} for action in self.feasible
         ]
 
 

@@ -471,6 +471,8 @@ def report_from_json(text: str) -> ExperimentReport:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"report JSON: line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # a count beyond the digit limit, or deep nesting
+        raise ParseError(f"report JSON: {exc}") from None
     data = read_object(data, "report JSON", allowed=_REPORT_FIELDS, required=_REPORT_FIELDS)
     per_matrix = read_object(data["per_matrix"], "report JSON", "per_matrix")
     return ExperimentReport(
@@ -481,21 +483,26 @@ def report_from_json(text: str) -> ExperimentReport:
 
 def report_from_csv(text: str) -> ExperimentReport:
     reader = csv.reader(io.StringIO(text))
-    if next(reader, None) != ["scope"] + _COUNT_FIELDS:
-        raise ParseError(f"report CSV must start with the header 'scope,{','.join(_COUNT_FIELDS)}'")
-    report = ExperimentReport()
-    for row in reader:
-        if not row:
-            continue
-        try:
-            counts = OutcomeCounts(**dict(zip(_COUNT_FIELDS, map(int, row[1:]), strict=True)))
-        except ValueError:
+    try:
+        if next(reader, None) != ["scope"] + _COUNT_FIELDS:
             raise ParseError(
-                f"line {reader.line_num}: expected {len(_COUNT_FIELDS)} integer counts"
-            ) from None
-        _consistent(counts, f"report CSV counts {row[0]!r} (line {reader.line_num})")
-        if row[0] == "overall":
-            report.overall = counts
-        else:
-            report.per_matrix[row[0]] = counts
+                f"report CSV must start with the header 'scope,{','.join(_COUNT_FIELDS)}'"
+            )
+        report = ExperimentReport()
+        for row in reader:
+            if not row:
+                continue
+            try:
+                counts = OutcomeCounts(**dict(zip(_COUNT_FIELDS, map(int, row[1:]), strict=True)))
+            except ValueError:
+                raise ParseError(
+                    f"line {reader.line_num}: expected {len(_COUNT_FIELDS)} integer counts"
+                ) from None
+            _consistent(counts, f"report CSV counts {row[0]!r} (line {reader.line_num})")
+            if row[0] == "overall":
+                report.overall = counts
+            else:
+                report.per_matrix[row[0]] = counts
+    except csv.Error as exc:  # text the CSV reader cannot split, such as an oversized field
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     return report

@@ -35,11 +35,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import prod
 from operator import getitem, mul
 from pathlib import Path
-from typing import Any, Callable, Mapping, NoReturn
+from typing import Any, Mapping, NoReturn
 
 from .errors import (
     CycleError,
@@ -51,7 +51,7 @@ from .errors import (
     ParseError,
     ScmValidationError,
 )
-from .values import as_value, exact_value, load_json_exact, value_to_json
+from .values import as_value, load_json_exact, value_to_json
 from .values import read_list, read_object, read_str, read_value, read_values
 
 EXOGENOUS = "exogenous"
@@ -75,7 +75,7 @@ class VariableDecl:
     _index: dict[Fraction, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.domain = tuple(map(exact_value, self.domain))
+        self.domain = tuple(map(as_value, self.domain))
         self._index = {value: i for i, value in enumerate(self.domain)}
 
 
@@ -92,11 +92,7 @@ class StructuralEquation:
     ) -> None:
         self.target = target
         self.parents = tuple(parents)
-        entries = chain(chain.from_iterable(table), table.values())
-        if set(map(type, entries)) <= {Fraction}:
-            self._table = dict(table)  # a copy that hashes no key again
-        else:
-            self._table = {tuple(map(exact_value, key)): exact_value(out) for key, out in table.items()}
+        self._table = {tuple(map(as_value, key)): as_value(out) for key, out in table.items()}
         self._positions: tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]] | None = None
 
     @classmethod
@@ -313,7 +309,7 @@ class Scm:
         outside its variable's domain is a DomainError."""
         out: Positions = {}
         for name, raw in assignment.items():
-            value = exact_value(raw)
+            value = as_value(raw)
             self.decl(name)  # rejects an unknown name
             position = self._index[name].get(value)
             if position is None:
@@ -518,10 +514,9 @@ def scm_from_dict(data: Any) -> Scm:
     are found and reported.
     """
     data = read_object(data, "model", allowed={"variables", "equations"}, required={"variables"})
-    read = _literal_reader()
     raw_variables = read_list(data["variables"], "model", "variables")
     equations = read_list(data.get("equations", []), "model", "equations")
-    variables = tuple(_variable_from_dict(item, i, read) for i, item in enumerate(raw_variables))
+    variables = tuple(_variable_from_dict(item, i) for i, item in enumerate(raw_variables))
     memos = {
         decl.name: _PositionMemo(decl, item["domain"])
         for decl, item in zip(variables, raw_variables)
@@ -529,27 +524,8 @@ def scm_from_dict(data: Any) -> Scm:
     }
     return Scm(
         variables,
-        tuple(_equation_from_dict(item, i, read, memos) for i, item in enumerate(equations)),
+        tuple(_equation_from_dict(item, i, memos) for i, item in enumerate(equations)),
     )
-
-
-def _literal_reader() -> Callable[[Any], Fraction]:
-    """``exact_value`` that converts each distinct int or string literal once,
-    so that equal literals share one Fraction.  Only ints and strings (never
-    equal to each other) are cached; anything else, such as a bool or a list,
-    goes to ``exact_value`` every time and fails there if it is not a number.
-    """
-    memo: dict[int | str, Fraction] = {}
-
-    def read(raw: Any) -> Fraction:
-        if type(raw) is not int and type(raw) is not str:
-            return exact_value(raw)
-        value = memo.get(raw)
-        if value is None:
-            value = memo[raw] = as_value(raw)
-        return value
-
-    return read
 
 
 class _PositionMemo(dict):
@@ -572,18 +548,18 @@ class _PositionMemo(dict):
         return position
 
 
-def _variable_from_dict(item: Any, index: int, read: Callable[[Any], Fraction]) -> VariableDecl:
+def _variable_from_dict(item: Any, index: int) -> VariableDecl:
     where = f"variables[{index}]"
     item = read_object(item, where, allowed=_VARIABLE_FIELDS, required=_VARIABLE_FIELDS)
     return VariableDecl(
         read_str(item["name"], where, "name"),
         read_str(item["kind"], where, "kind"),
-        read_values(item["domain"], where, "domain", read),
+        read_values(item["domain"], where, "domain"),
     )
 
 
 def _equation_from_dict(
-    item: Any, index: int, read: Callable[[Any], Fraction], memos: dict[str, _PositionMemo]
+    item: Any, index: int, memos: dict[str, _PositionMemo]
 ) -> StructuralEquation:
     where = f"equations[{index}]"
     item = read_object(item, where, allowed=_EQUATION_FIELDS, required=_EQUATION_FIELDS)
@@ -596,7 +572,7 @@ def _equation_from_dict(
     positions = _table_positions(rows, parents, target, memos)
     if positions is not None:
         return StructuralEquation._from_positions(target, parents, *positions)
-    return StructuralEquation(target, parents, _read_table(rows, where, len(parents), read))
+    return StructuralEquation(target, parents, _read_table(rows, where, len(parents)))
 
 
 def _table_positions(
@@ -644,16 +620,14 @@ def _table_positions(
     return (*(memo.domain for memo in parent_memos), out_memo.domain), tuple(outputs)
 
 
-def _read_table(
-    rows: list, where: str, arity: int, read: Callable[[Any], Fraction]
-) -> dict[tuple[Fraction, ...], Fraction]:
+def _read_table(rows: list, where: str, arity: int) -> dict[tuple[Fraction, ...], Fraction]:
     """The rows as values, each checked in turn; a malformed row is a ParseError."""
     table: dict[tuple[Fraction, ...], Fraction] = {}
     for j, row in enumerate(rows):
         at = f"{where}.table[{j}]"
         read_object(row, at, allowed=_ROW_FIELDS, required=_ROW_FIELDS)
-        key = read_values(row["in"], at, "in", read)
-        out = read_value(row["out"], at, "out", read)
+        key = read_values(row["in"], at, "in")
+        out = read_value(row["out"], at, "out")
         if len(key) != arity:
             raise ParseError(f"{at} has {len(key)} inputs for {arity} parent(s)")
         size = len(table)

@@ -2,6 +2,8 @@
 
 Every feature value and payoff in this package is a ``fractions.Fraction`` so
 that constraint checks are exact comparisons with no tolerance questions.
+Every literal of a model, query, log or matrix becomes one through
+``as_value``, which remembers the int and string literals it has read.
 Floats only appear at parse boundaries and are read by their decimal literal
 (``0.1`` means 1/10, not its binary expansion).
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import reprlib
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, NoReturn
 
@@ -52,11 +55,27 @@ def bounded_literal(text: str) -> str:
     return text
 
 
-def as_value(raw: Any) -> Fraction:
-    """Coerce ints, floats, Fractions, and "3.5" / "7/2" strings to Fraction.
+# How many distinct int and string literals ``as_value`` remembers.
+_LITERAL_MEMO_SIZE = 1024
 
-    A bool is not a number here: JSON ``true`` is no way to write 1.
+
+def as_value(raw: Any) -> Fraction:
+    """The exact value of an int, a float, a Fraction, or a "3.5" / "7/2" / "1e-3" string.
+
+    A Fraction is returned as it is.  Int and string literals are read
+    through one bounded memo shared by every model, query and log, so a
+    literal seen again costs a lookup.  Anything else is converted at each
+    call.  A bool is not a number here: JSON ``true`` is no way to write 1.
     """
+    kind = type(raw)
+    if kind is Fraction:
+        return raw
+    if kind is int or kind is str:  # exact types: a bool is converted, and rejected, at each call
+        return _read_literal(raw)
+    return _convert(raw)
+
+
+def _convert(raw: Any) -> Fraction:
     if isinstance(raw, str):
         bounded_literal(raw)
     try:
@@ -73,9 +92,8 @@ def as_value(raw: Any) -> Fraction:
     raise ValueError(f"cannot interpret {type(raw).__name__} value {raw!r} as a rational")
 
 
-def exact_value(raw: Any) -> Fraction:
-    """``raw`` itself when it is already a Fraction, else ``as_value(raw)``."""
-    return raw if type(raw) is Fraction else as_value(raw)
+# A literal that fails is not remembered: it raises again at each call.
+_read_literal = lru_cache(maxsize=_LITERAL_MEMO_SIZE)(_convert)
 
 
 def _writable(n: int) -> int:
@@ -123,14 +141,12 @@ def load_json_exact(path: str | Path, noun: str) -> Any:
     """Read a JSON file, float literals as exact Fractions; ``noun`` names it in errors."""
     path = Path(path)
     try:
-        return json.loads(
-            path.read_text(), parse_float=lambda text: Fraction(bounded_literal(text))
-        )
+        return json.loads(path.read_text(), parse_float=as_value)
     except OSError as exc:
         raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # a number literal beyond the digit limit
+    except (ValueError, RecursionError) as exc:  # a number beyond the digit limit, or deep nesting
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -185,21 +201,20 @@ read_bool = _reader(bool, "true or false")
 read_int = _reader(int, "an integer")  # exact type: a bool is not an integer
 
 
-def read_value(raw: Any, where: str, field: str | None = None, convert=None) -> Fraction:
-    """An exact value, ``convert(raw)``; ``convert`` (by default ``as_value``, looked
-    up at each call) raises ValueError on a non-number."""
+def read_value(raw: Any, where: str, field: str | None = None) -> Fraction:
+    """An exact value, read by ``as_value``; a non-number is a ParseError naming the place."""
     try:
-        return (convert or as_value)(raw)
+        return as_value(raw)
     except ValueError as exc:
         raise ParseError(f"{_place(where, field)}: {exc}") from None
 
 
-def read_values(raw: Any, where: str, field: str | None = None, convert=None) -> tuple:
+def read_values(raw: Any, where: str, field: str | None = None) -> tuple:
     """A JSON list of exact values, each read as ``read_value`` reads one."""
     if not isinstance(raw, list):  # checked here, not by read_list: one call less per table row
         _reject(raw, where, field, "a list")
     try:
-        return tuple(map(convert or as_value, raw))
+        return tuple(map(as_value, raw))
     except ValueError as exc:
         raise ParseError(f"{_place(where, field)}: {exc}") from None
 

@@ -207,6 +207,15 @@ class TestSolve:
         assert code == 1
         assert err.startswith("error: ") and "digits" in err
 
+    @pytest.mark.parametrize("name", ["query.json", "model.json"])
+    def test_deeply_nested_json_exit_1(self, workdir, capsys, name):
+        (workdir / name).write_text("[" * 200_000)
+        code = main(["solve", str(workdir / "query.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {workdir / name}: maximum recursion depth exceeded")
+        assert "Traceback" not in err
+
     def test_oversized_result_exit_1(self, tmp_path, capsys):
         # Both literals are in range; the weighted cost, 10**6000, is not.
         query = {
@@ -488,6 +497,15 @@ class TestGenerateAndGraph:
         err = capsys.readouterr().err
         assert code == 1
         assert "cycle" in err
+
+    def test_graph_deeply_nested_model_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"variables": ' + "[" * 200_000)
+        code = main(["graph", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
+        assert "Traceback" not in err
 
 
 class TestUsage:

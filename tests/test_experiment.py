@@ -476,6 +476,14 @@ class TestRendering:
             pytest.param(
                 report_text(games=5.9), "field 'games' must be an integer, got 5.9", id="count-float"
             ),
+            pytest.param(
+                report_text(games="N").replace('"N"', "1" * 5000),
+                r"report JSON: Exceeds the limit \(4300 digits\)",
+                id="count-over-4300-digits",
+            ),
+            pytest.param(
+                "[" * 200_000, "report JSON: maximum recursion depth exceeded", id="deep-nesting"
+            ),
         ],
     )
     def test_bad_json_report_is_a_parse_error(self, text, message):
@@ -502,6 +510,11 @@ class TestRendering:
         lines[1] = lines[1].replace(",", ",x", 1)
         with pytest.raises(mr.ParseError, match="line 2: expected 9 integer counts"):
             mr.report_from_csv("\n".join(lines) + "\n")
+
+    def test_oversized_csv_field_is_a_parse_error(self):
+        text = report_csv() + "table3," + "1" * 200_000 + "\n"
+        with pytest.raises(mr.ParseError, match="line 4: field larger than field limit"):
+            mr.report_from_csv(text)
 
     def test_short_csv_row_is_a_parse_error(self):
         text = mr.render_report(self.sample_report(), "csv") + "table9,1,2\n"
