@@ -23,7 +23,6 @@ domain), so results are reproducible byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from math import lcm
@@ -31,7 +30,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import DomainError, InvalidQueryError, ParseError
 from .scm import ENDOGENOUS, Assignment, Positions, Scm, scm_from_dict, load_scm
-from .values import as_value, format_value, load_json_exact, value_to_json
+from .values import FrozenRecord, Record, as_value, format_value, load_json_exact, value_to_json
 from .values import read_agent, read_bool, read_list, read_object, read_str, read_value
 
 AgentId = Union[int, str]
@@ -40,40 +39,43 @@ AgentId = Union[int, str]
 # ------------------------------------------------------------------- clauses
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(FrozenRecord):
     """The named agent's outcome must reach t (strictly, if asked)."""
 
-    agent: AgentId
-    t: Fraction
-    strict: bool = False
+    __slots__ = _fields = ("agent", "t", "strict")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", as_value(self.t))
+    def __init__(self, agent: AgentId, t: Fraction, strict: bool = False) -> None:
+        self._set(agent, as_value(t), strict)
 
 
-@dataclass(frozen=True)
-class PrincipalImprovement:
+class PrincipalImprovement(FrozenRecord):
     """The principal's outcome must not fall below its factual value (or must rise)."""
 
-    strict: bool = True
+    __slots__ = _fields = ("strict",)
+
+    def __init__(self, strict: bool = True) -> None:
+        self._set(strict)
 
 
-@dataclass(frozen=True)
-class SocialWelfare:
+class SocialWelfare(FrozenRecord):
     """The summed outcomes of all agents must not fall (or must rise)."""
 
-    strict: bool = True
+    __slots__ = _fields = ("strict",)
+
+    def __init__(self, strict: bool = True) -> None:
+        self._set(strict)
 
 
-@dataclass(frozen=True)
-class Pareto:
+class Pareto(FrozenRecord):
     """No agent's outcome may fall below its factual value."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Plausible:
+
+class Plausible(FrozenRecord):
     """The counterfactual state must pass the query's plausibility predicate."""
+
+    __slots__ = ()
 
 
 Clause = Union[Threshold, PrincipalImprovement, SocialWelfare, Pareto, Plausible]
@@ -127,8 +129,7 @@ COST_COMPOSITE = "composite"
 _COST_KINDS = (COST_COUNT, COST_WEIGHTED, COST_COMPOSITE)
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(FrozenRecord):
     """Action cost at a factual state.
 
     kinds:
@@ -139,22 +140,24 @@ class CostModel:
     Unlisted variables weigh 1; weights must be nonnegative.
     """
 
-    kind: str = COST_COMPOSITE
-    weights: Mapping[str, Fraction] | None = None
+    __slots__ = _fields = ("kind", "weights")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _COST_KINDS:
+    def __init__(
+        self, kind: str = COST_COMPOSITE, weights: Mapping[str, Fraction] | None = None
+    ) -> None:
+        if kind not in _COST_KINDS:
             raise InvalidQueryError(
-                f"unknown cost kind {self.kind!r}; expected one of {', '.join(_COST_KINDS)}"
+                f"unknown cost kind {kind!r}; expected one of {', '.join(_COST_KINDS)}"
             )
-        if self.weights is not None:
+        if weights is not None:
             normalized = {}
-            for name, raw in self.weights.items():
+            for name, raw in weights.items():
                 w = as_value(raw)
                 if w < 0:
                     raise InvalidQueryError(f"cost weight for {name!r} is negative")
                 normalized[name] = w
-            object.__setattr__(self, "weights", normalized)
+            weights = normalized
+        self._set(kind, weights)
 
     def weight(self, name: str) -> Fraction:
         if self.weights is None:
@@ -177,8 +180,7 @@ class CostModel:
 # ------------------------------------------------------------------- queries
 
 
-@dataclass
-class RecourseQuery:
+class RecourseQuery(Record):
     """One solver invocation: who is advised, from where, with which actions.
 
     ``feasible`` lists candidate actions.  For ``solve`` each action maps
@@ -188,52 +190,66 @@ class RecourseQuery:
     ``exclude_identity`` set, actions that would leave the world exactly as it
     is (the empty action, or pins equal to the current values) are skipped, so
     "no recommendation" is distinguishable from "recommend doing nothing".
+    ``constraints`` defaults to a new empty list and ``cost`` to ``CostModel()``.
     """
 
-    scm: Scm
-    principal: AgentId
-    agents: dict[AgentId, str]
-    factual: dict[str, Fraction]
-    feasible: list[dict[str, Fraction]]
-    constraints: list[Clause] = field(default_factory=list)
-    cost: CostModel = field(default_factory=CostModel)
-    plausible: Callable[[Assignment], bool] | None = None
-    exclude_identity: bool = False
+    __slots__ = _fields = (
+        "scm", "principal", "agents", "factual", "feasible",
+        "constraints", "cost", "plausible", "exclude_identity",
+    )
 
-    def __post_init__(self) -> None:
-        self.factual = {name: as_value(v) for name, v in self.factual.items()}
-        self.feasible = [
-            {name: as_value(v) for name, v in action.items()} for action in self.feasible
-        ]
+    def __init__(
+        self, scm: Scm, principal: AgentId, agents: dict[AgentId, str],
+        factual: dict[str, Fraction], feasible: list[dict[str, Fraction]],
+        constraints: list[Clause] | None = None, cost: CostModel | None = None,
+        plausible: Callable[[Assignment], bool] | None = None, exclude_identity: bool = False,
+    ) -> None:
+        self.scm = scm
+        self.principal = principal
+        self.agents = agents
+        self.factual = {name: as_value(v) for name, v in factual.items()}
+        self.feasible = [{name: as_value(v) for name, v in action.items()} for action in feasible]
+        self.constraints = [] if constraints is None else constraints
+        self.cost = CostModel() if cost is None else cost
+        self.plausible = plausible
+        self.exclude_identity = exclude_identity
 
 
-@dataclass(frozen=True)
-class AgentDelta:
-    before: Fraction
-    after: Fraction
+class AgentDelta(FrozenRecord):
+    __slots__ = _fields = ("before", "after")
+
+    def __init__(self, before: Fraction, after: Fraction) -> None:
+        self._set(before, after)
 
     @property
     def delta(self) -> Fraction:
         return self.after - self.before
 
 
-@dataclass(frozen=True)
-class OutcomeFlags:
-    principal_improved: bool
-    pareto_violated: bool
-    welfare_delta: Fraction
+class OutcomeFlags(FrozenRecord):
+    __slots__ = _fields = ("principal_improved", "pareto_violated", "welfare_delta")
+
+    def __init__(
+        self, principal_improved: bool, pareto_violated: bool, welfare_delta: Fraction
+    ) -> None:
+        self._set(principal_improved, pareto_violated, welfare_delta)
 
 
-@dataclass
-class RecourseOutcome:
+class RecourseOutcome(Record):
     """The chosen action, the state it leads to, and per-agent consequences."""
 
-    action: dict[str, Fraction]
-    counterfactual: Assignment
-    cost: Fraction
-    principal: AgentId
-    per_agent: dict[AgentId, AgentDelta]
-    flags: OutcomeFlags
+    __slots__ = _fields = ("action", "counterfactual", "cost", "principal", "per_agent", "flags")
+
+    def __init__(
+        self, action: dict[str, Fraction], counterfactual: Assignment, cost: Fraction,
+        principal: AgentId, per_agent: dict[AgentId, AgentDelta], flags: OutcomeFlags,
+    ) -> None:
+        self.action = action
+        self.counterfactual = counterfactual
+        self.cost = cost
+        self.principal = principal
+        self.per_agent = per_agent
+        self.flags = flags
 
     @property
     def principal_worsened(self) -> bool:
@@ -260,15 +276,20 @@ def classify(outcome: RecourseOutcome) -> OutcomeFlags:
     return _flags(outcome.principal, outcome.per_agent)
 
 
-@dataclass
-class FeasibleRow:
+class FeasibleRow(Record):
     """Audit row: one candidate action with its clause-by-clause verdicts."""
 
-    action: dict[str, Fraction]
-    counterfactual: Assignment
-    cost: Fraction
-    plausible: bool
-    clauses: tuple[tuple[str, bool], ...]
+    __slots__ = _fields = ("action", "counterfactual", "cost", "plausible", "clauses")
+
+    def __init__(
+        self, action: dict[str, Fraction], counterfactual: Assignment, cost: Fraction,
+        plausible: bool, clauses: tuple[tuple[str, bool], ...],
+    ) -> None:
+        self.action = action
+        self.counterfactual = counterfactual
+        self.cost = cost
+        self.plausible = plausible
+        self.clauses = clauses
 
     @property
     def satisfies_all(self) -> bool:

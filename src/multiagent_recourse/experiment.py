@@ -17,7 +17,6 @@ import json
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil
@@ -37,11 +36,14 @@ from .engine import (
 from .errors import DomainError, InvalidParamsError, ParseError, RecourseError
 from .games import BETRAY, SILENT, PayoffMatrix, builtin_matrix, pd_scm
 from .scm import Scm
-from .values import as_value, format_value, read_int, read_object
+from .values import Record, as_value, decode_json, format_value, read_int, read_object
 
 GROUP_TEST = "test"
 GROUP_CONTROL = "control"
 ALLOWED_DELTAS = (Fraction(0), Fraction(1, 2), Fraction(3, 4))
+# The delta of a game equivalent to one round.  Logs read and generated here
+# hold this object itself, so a check for it is an identity test.
+_NO_CONTINUATION = ALLOWED_DELTAS[0]
 
 PLAYER1_ONLY = "player1_only"
 BOTH_PLAYERS = "both_players"
@@ -60,23 +62,33 @@ MODES = (
 )
 
 
-@dataclass
-class GameRecord:
+class GameRecord(Record):
     """One logged game: matrix, experimental group, and per-round actions."""
 
-    game_id: str
-    matrix_id: str
-    group: str
-    delta: Fraction | None
-    rounds: list[tuple[int, int]]
+    __slots__ = _fields = ("game_id", "matrix_id", "group", "delta", "rounds")
+
+    def __init__(
+        self, game_id: str, matrix_id: str, group: str, delta: Fraction | None,
+        rounds: list[tuple[int, int]],
+    ) -> None:
+        self.game_id = game_id
+        self.matrix_id = matrix_id
+        self.group = group
+        self.delta = delta
+        self.rounds = rounds
 
 
-@dataclass
-class ExperimentConfig:
-    mode: str = MODE_SINGLE_AGENT
-    principal_policy: str = PLAYER1_ONLY
-    exclude_identity: bool = True
-    custom_clauses: tuple[Clause, ...] = ()
+class ExperimentConfig(Record):
+    __slots__ = _fields = ("mode", "principal_policy", "exclude_identity", "custom_clauses")
+
+    def __init__(
+        self, mode: str = MODE_SINGLE_AGENT, principal_policy: str = PLAYER1_ONLY,
+        exclude_identity: bool = True, custom_clauses: tuple[Clause, ...] = (),
+    ) -> None:
+        self.mode = mode
+        self.principal_policy = principal_policy
+        self.exclude_identity = exclude_identity
+        self.custom_clauses = custom_clauses
 
     def clauses(self) -> list[Clause]:
         if self.mode == MODE_SINGLE_AGENT:
@@ -105,17 +117,27 @@ class ExperimentConfig:
         )
 
 
-@dataclass
-class OutcomeCounts:
-    games: int = 0
-    queries: int = 0
-    recommendations: int = 0
-    principal_improved: int = 0
-    principal_worsened: int = 0
-    opponent_improved: int = 0
-    pareto_violated: int = 0
-    welfare_increased: int = 0
-    welfare_decreased: int = 0
+class OutcomeCounts(Record):
+    # The reports' columns, in this order.
+    __slots__ = _fields = (
+        "games", "queries", "recommendations", "principal_improved", "principal_worsened",
+        "opponent_improved", "pareto_violated", "welfare_increased", "welfare_decreased",
+    )
+
+    def __init__(
+        self, games: int = 0, queries: int = 0, recommendations: int = 0,
+        principal_improved: int = 0, principal_worsened: int = 0, opponent_improved: int = 0,
+        pareto_violated: int = 0, welfare_increased: int = 0, welfare_decreased: int = 0,
+    ) -> None:
+        self.games = games
+        self.queries = queries
+        self.recommendations = recommendations
+        self.principal_improved = principal_improved
+        self.principal_worsened = principal_worsened
+        self.opponent_improved = opponent_improved
+        self.pareto_violated = pareto_violated
+        self.welfare_increased = welfare_increased
+        self.welfare_decreased = welfare_decreased
 
     def tally(self, outcome: RecourseOutcome | None, n: int = 1) -> None:
         """Count n queries that all led to ``outcome`` (None: no recommendation)."""
@@ -131,10 +153,17 @@ class OutcomeCounts:
         self.welfare_decreased += n * (outcome.flags.welfare_delta < 0)
 
 
-@dataclass
-class ExperimentReport:
-    overall: OutcomeCounts = field(default_factory=OutcomeCounts)
-    per_matrix: dict[str, OutcomeCounts] = field(default_factory=dict)
+class ExperimentReport(Record):
+    """Counts over all games and per matrix; each defaults to a new empty one."""
+
+    __slots__ = _fields = ("overall", "per_matrix")
+
+    def __init__(
+        self, overall: OutcomeCounts | None = None,
+        per_matrix: dict[str, OutcomeCounts] | None = None,
+    ) -> None:
+        self.overall = OutcomeCounts() if overall is None else overall
+        self.per_matrix = {} if per_matrix is None else per_matrix
 
     @property
     def total_games(self) -> int:
@@ -275,7 +304,7 @@ def filter_single_round(games: Sequence[GameRecord]) -> list[GameRecord]:
     return [
         g
         for g in games
-        if (g.group == GROUP_TEST and g.delta == 0)
+        if (g.group == GROUP_TEST and (g.delta is _NO_CONTINUATION or g.delta == 0))
         or (g.group == GROUP_CONTROL and len(g.rounds) == 1)
     ]
 
@@ -317,7 +346,7 @@ def generate_synthetic_log(
         p1 = SILENT if i in silent_games else BETRAY
         p2 = rng.randrange(2)
         records.append(
-            GameRecord(f"g{i:05d}", matrix_id, GROUP_TEST, Fraction(0), [(p1, p2)])
+            GameRecord(f"g{i:05d}", matrix_id, GROUP_TEST, _NO_CONTINUATION, [(p1, p2)])
         )
     return records
 
@@ -354,11 +383,11 @@ def run_experiment(
         if game.matrix_id not in scms:
             matrix = (matrices or {}).get(game.matrix_id) or builtin_matrix(game.matrix_id)
             scms[game.matrix_id] = pd_scm(matrix)
-        matrix_counts = report.per_matrix.setdefault(game.matrix_id, OutcomeCounts())
+            report.per_matrix[game.matrix_id] = OutcomeCounts()
         if game.game_id not in seen_games:
             seen_games.add(game.game_id)
             report.overall.games += 1
-            matrix_counts.games += 1
+            report.per_matrix[game.matrix_id].games += 1
         cell = (game.matrix_id, *game.rounds[0])
         cells[cell] += 1
         first_game.setdefault(cell, game.game_id)
@@ -387,7 +416,7 @@ def run_experiment(
 
 # ----------------------------------------------------------------- rendering
 
-_COUNT_FIELDS = [f.name for f in fields(OutcomeCounts)]
+_COUNT_FIELDS = list(OutcomeCounts._fields)
 
 
 def _counts_to_dict(counts: OutcomeCounts) -> dict:
@@ -468,7 +497,7 @@ def render_report(report: ExperimentReport, fmt: str = "table") -> str:
 
 def report_from_json(text: str) -> ExperimentReport:
     try:
-        data = json.loads(text)
+        data = decode_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"report JSON: line {exc.lineno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # a count beyond the digit limit, or deep nesting

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 from .errors import AsymmetricMatrixError, DomainError, InvalidParamsError, ParseError, UnknownMatrixError
 from .scm import ENDOGENOUS, EXOGENOUS, Scm, StructuralEquation, VariableDecl
-from .values import as_value, format_value
+from .values import Record, as_value, format_value
 
 BETRAY = 1
 SILENT = 0
@@ -25,25 +24,24 @@ ACTIONS = (SILENT, BETRAY)
 Cell = tuple[Fraction, Fraction]
 
 
-@dataclass
-class PayoffMatrix:
+class PayoffMatrix(Record):
     """Payoffs (row player, column player) for each pair of actions."""
 
-    id: str
-    entries: dict[tuple[int, int], Cell]
+    __slots__ = _fields = ("id", "entries")
 
-    def __post_init__(self) -> None:
+    def __init__(self, id: str, entries: dict[tuple[int, int], Cell]) -> None:
+        self.id = id
         normalized: dict[tuple[int, int], Cell] = {}
-        for key, cell in self.entries.items():
+        for key, cell in entries.items():
             a1, a2 = int(key[0]), int(key[1])
             if a1 not in ACTIONS or a2 not in ACTIONS:
-                raise DomainError(f"matrix {self.id!r} has an action outside {{0, 1}}: {key}")
+                raise DomainError(f"matrix {id!r} has an action outside {{0, 1}}: {key}")
             p1, p2 = cell
             normalized[(a1, a2)] = (as_value(p1), as_value(p2))
         expected = set(product(ACTIONS, ACTIONS))
         if set(normalized) != expected:
             raise InvalidParamsError(
-                f"matrix {self.id!r} must define all four action pairs"
+                f"matrix {id!r} must define all four action pairs"
             )
         self.entries = normalized
 

@@ -33,7 +33,6 @@ construction and are safe to share across workers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -51,7 +50,7 @@ from .errors import (
     ParseError,
     ScmValidationError,
 )
-from .values import as_value, load_json_exact, value_to_json
+from .values import Record, as_value, load_json_exact, value_to_json
 from .values import read_list, read_object, read_str, read_value, read_values
 
 EXOGENOUS = "exogenous"
@@ -63,19 +62,18 @@ Assignment = dict[str, Fraction]
 Positions = dict[str, int]
 
 
-@dataclass
-class VariableDecl:
+class VariableDecl(Record):
     """One variable: its kind and its ordered finite domain."""
 
-    name: str
-    kind: str
-    domain: tuple[Fraction, ...]
-    # Domain value -> its position; it has fewer entries than the domain when
-    # a value repeats.
-    _index: dict[Fraction, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "kind", "domain", "_index")
+    _fields = ("name", "kind", "domain")
 
-    def __post_init__(self) -> None:
-        self.domain = tuple(map(as_value, self.domain))
+    def __init__(self, name: str, kind: str, domain: tuple[Fraction, ...]) -> None:
+        self.name = name
+        self.kind = kind
+        self.domain = tuple(map(as_value, domain))
+        # Domain value -> its position; it has fewer entries than the domain
+        # when a value repeats.
         self._index = {value: i for i, value in enumerate(self.domain)}
 
 
@@ -128,32 +126,38 @@ class StructuralEquation:
         )
 
 
-@dataclass
-class CausalGraph:
+class CausalGraph(Record):
     """Directed graph induced by the equations: one edge per parent-of-target pair."""
 
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = _fields = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> None:
+        self.nodes = nodes
+        self.edges = edges
 
     def in_degree(self, node: str) -> int:
         return sum(1 for _, to in self.edges if to == node)
 
 
-@dataclass
-class Scm:
-    """A validated model.  Construction runs every structural check."""
+class Scm(Record):
+    """A validated model.  Construction runs every structural check.
 
-    variables: tuple[VariableDecl, ...]
-    equations: tuple[StructuralEquation, ...]
-    _decls: dict[str, VariableDecl] = field(init=False, repr=False, compare=False)
-    _order: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    # Per variable: domain value -> its position in the declared domain.
-    _index: dict[str, dict[Fraction, int]] = field(init=False, repr=False, compare=False)
-    # Per equation target: ((parent, its domain size), ...) and the target's
-    # position for each parent row.
-    _compiled: dict[str, tuple[tuple[tuple[str, int], ...], tuple[int, ...]]] = field(
-        init=False, repr=False, compare=False
-    )
+    Only ``variables`` and ``equations`` take part in ``==`` and ``repr``; the
+    other slots hold what ``_validate`` compiles from them.
+    """
+
+    # _index: per variable, domain value -> its position in the declared domain.
+    # _compiled: per equation target, ((parent, its domain size), ...) and the
+    # target's position for each parent row.
+    __slots__ = ("variables", "equations", "_decls", "_order", "_index", "_compiled")
+    _fields = ("variables", "equations")
+
+    def __init__(
+        self, variables: tuple[VariableDecl, ...], equations: tuple[StructuralEquation, ...]
+    ) -> None:
+        self.variables = variables
+        self.equations = equations
+        self.__post_init__()  # looked up on the class, so a wrapper set there sees each build
 
     def __post_init__(self) -> None:
         self.variables = tuple(self.variables)

@@ -3,9 +3,11 @@
 Every feature value and payoff in this package is a ``fractions.Fraction`` so
 that constraint checks are exact comparisons with no tolerance questions.
 Every literal of a model, query, log or matrix becomes one through
-``as_value``, which remembers the int and string literals it has read.
+``as_value``, which remembers the int and short string literals it has read.
 Floats only appear at parse boundaries and are read by their decimal literal
 (``0.1`` means 1/10, not its binary expansion).
+
+The base classes of the package's record types live here too.
 """
 
 from __future__ import annotations
@@ -55,22 +57,26 @@ def bounded_literal(text: str) -> str:
     return text
 
 
-# How many distinct int and string literals ``as_value`` remembers.
+# How many distinct int and string literals ``as_value`` remembers, and the
+# longest string it remembers: a longer one (padding is valid) is read at each
+# call, so the memo holds no long texts alive.
 _LITERAL_MEMO_SIZE = 1024
+_MEMO_TEXT_LENGTH = 64
 
 
 def as_value(raw: Any) -> Fraction:
     """The exact value of an int, a float, a Fraction, or a "3.5" / "7/2" / "1e-3" string.
 
-    A Fraction is returned as it is.  Int and string literals are read
-    through one bounded memo shared by every model, query and log, so a
-    literal seen again costs a lookup.  Anything else is converted at each
-    call.  A bool is not a number here: JSON ``true`` is no way to write 1.
+    A Fraction is returned as it is.  Int literals and short string literals
+    are read through one bounded memo shared by every model, query and log,
+    so a literal seen again costs a lookup.  Anything else is converted at
+    each call.  A bool is not a number here: JSON ``true`` is no way to write 1.
     """
     kind = type(raw)
     if kind is Fraction:
         return raw
-    if kind is int or kind is str:  # exact types: a bool is converted, and rejected, at each call
+    # Exact types: a bool is converted, and rejected, at each call.
+    if kind is int or (kind is str and len(raw) <= _MEMO_TEXT_LENGTH):
         return _read_literal(raw)
     return _convert(raw)
 
@@ -137,11 +143,31 @@ def value_to_json(v: Fraction) -> int | str:
     return _writable(v.numerator) if v.denominator == 1 else format_value(v)
 
 
+def _json_int(text: str) -> int:
+    return int(bounded_literal(text))
+
+
+def decode_json(text: str, **options: Any) -> Any:
+    """``json.loads(text, **options)``, but a JSON integer of more than
+    MAX_LITERAL_DIGITS digits is refused with ``bounded_literal``'s message.
+
+    Only a document that fails is read again with each integer checked: a
+    ``parse_int`` on every read would double the decoding time of a model.
+    """
+    try:
+        return json.loads(text, **options)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        json.loads(text, parse_int=_json_int, **options)
+        raise
+
+
 def load_json_exact(path: str | Path, noun: str) -> Any:
     """Read a JSON file, float literals as exact Fractions; ``noun`` names it in errors."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(), parse_float=as_value)
+        return decode_json(path.read_text(), parse_float=as_value)
     except OSError as exc:
         raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -224,3 +250,53 @@ def read_agent(raw: Any, where: str, field: str | None = None) -> int | str:
     if isinstance(raw, str):
         return int(read_value(raw, where, field)) if raw.removeprefix("-").isdecimal() else raw
     return raw if type(raw) is int else _reject(raw, where, field, "an integer or a string")
+
+
+# ----------------------------------------------------------------- records
+
+
+class Record:
+    """Base of the package's record types: ``==`` and ``repr`` over ``_fields``.
+
+    A subclass declares ``__slots__``, writes its own ``__init__`` and names its
+    compared fields, in order, in ``_fields``.  A record equals only records of
+    its own class, and is unhashable (it defines ``__eq__`` but no ``__hash__``).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record that hashes its fields and refuses assignment; its ``__init__``
+    sets them through ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, *values: Any) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: Any) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle through __init__, not by assignment
+        return self.__class__, self._key()

@@ -478,7 +478,7 @@ class TestRendering:
             ),
             pytest.param(
                 report_text(games="N").replace('"N"', "1" * 5000),
-                r"report JSON: Exceeds the limit \(4300 digits\)",
+                r"report JSON: numeric literal '1{37}\.\.\.' is out of range \(more than 4300 digits\)",
                 id="count-over-4300-digits",
             ),
             pytest.param(

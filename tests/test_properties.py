@@ -13,6 +13,7 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -290,9 +291,13 @@ def test_solve_predicts_only_up_to_the_first_satisfying_row(seed):
     assert keys == sorted(keys)
 
     predicted = []
-    evaluate = scm._evaluate_exact
-    scm._evaluate_exact = lambda world, pins=None: predicted.append(pins) or evaluate(world, pins)
-    outcome = mr.solve(query)
+    evaluate = mr.Scm._evaluate_exact  # a model takes no attributes of its own: patch the class
+    with mock.patch.object(
+        mr.Scm,
+        "_evaluate_exact",
+        lambda self, world, pins=None: predicted.append(pins) or evaluate(self, world, pins),
+    ):
+        outcome = mr.solve(query)
     chosen = next((i for i, row in enumerate(rows) if row.satisfies_all), None)
     if chosen is None:
         assert outcome is None

@@ -124,3 +124,13 @@ def test_memo_is_bounded():
     info = values._read_literal.cache_info()
     assert info.maxsize == 1024
     assert info.currsize <= info.maxsize
+
+
+def test_memo_holds_no_long_texts():
+    from multiagent_recourse import values
+
+    info = values._read_literal.cache_info()
+    assert mr.as_value(" " * 10**6 + "1") == 1
+    with pytest.raises(ValueError, match="cannot interpret"):
+        mr.as_value("1" * 100 + "x")
+    assert values._read_literal.cache_info() == info
