@@ -15,6 +15,7 @@ from .errors import (
     InvalidQueryError,
     MissingExogenousError,
     NonInvertibleError,
+    OutputError,
     ParseError,
     RecourseError,
     ScmError,

@@ -18,7 +18,7 @@ from .engine import (
     solve,
     solve_cfe_baseline,
 )
-from .errors import InvalidParamsError, RecourseError
+from .errors import InvalidParamsError, OutputError, RecourseError
 from .experiment import (
     BOTH_PLAYERS,
     MODE_PARETO,
@@ -61,8 +61,11 @@ def _emit(text: str, output: str | None) -> None:
     out_dir = os.environ.get(OUT_DIR_ENV)
     if out_dir and not path.is_absolute():
         path = Path(out_dir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:  # such as a directory, or a path under a regular file
+        raise OutputError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
 def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:
@@ -73,6 +76,8 @@ def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:
             raise InvalidParamsError(
                 f"--synthetic takes n=<total> silent=<count>, got {token!r}"
             )
+        if key in params:
+            raise InvalidParamsError(f"--synthetic gives {key} more than once")
         try:
             params[key] = int(value)
         except ValueError:
@@ -91,6 +96,8 @@ def _parse_matrix_mix(spec: str) -> dict:
         mid, sep, proportion = part.partition("=")
         if not sep or not mid:
             raise InvalidParamsError(f"bad --matrix entry {part!r}")
+        if mid in mix:
+            raise InvalidParamsError(f"--matrix gives {mid!r} more than once")
         try:
             mix[mid] = as_value(proportion)
         except ValueError:

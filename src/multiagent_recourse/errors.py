@@ -61,6 +61,10 @@ class ValueRangeError(RecourseError):
     """An exact value has too many digits to be written as text."""
 
 
+class OutputError(RecourseError):
+    """An output file cannot be written."""
+
+
 __all__ = [
     "RecourseError",
     "ScmError",
@@ -77,4 +81,5 @@ __all__ = [
     "ParseError",
     "InvalidParamsError",
     "ValueRangeError",
+    "OutputError",
 ]

@@ -284,18 +284,47 @@ def parse_game_log_text(text: str) -> list[GameRecord]:
     return [record for record, _ in games.values()]
 
 
+class _RowText:
+    """A file for ``csv.writer`` whose ``write`` returns the text it is given,
+    so that ``writerow`` returns the row's line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def write_game_log(records: Iterable[GameRecord]) -> str:
-    """Canonical CSV form of a log (the inverse of parse_game_log_text)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_LOG_HEADER)
+    """Canonical CSV form of a log (the inverse of parse_game_log_text).
+
+    Rows that differ only in their game id share the text after it, so each
+    distinct tail goes through the CSV writer once and each delta object is
+    formatted once.  A game id that is not alphanumeric, or a field of another
+    type than the parser gives, sends the row through the writer whole.
+    """
+    row_text = csv.writer(_RowText, lineterminator="\n").writerow
+    lines = [row_text(_LOG_HEADER)]
+    tails: dict[tuple, str] = {}  # (matrix, group, delta text, round, p1, p2) -> ",...\n"
+    delta, delta_text = None, ""
     for record in records:
-        delta_text = "" if record.delta is None else format_value(record.delta)
+        game_id, matrix_id, group = record.game_id, record.matrix_id, record.group
+        if record.delta is not delta:
+            delta = record.delta
+            delta_text = "" if delta is None else format_value(delta)
+        # Equal keys must write equal text: 1 == True, so only exact types share a tail.
+        plain = (
+            type(game_id) is str and game_id.isalnum()
+            and type(matrix_id) is str and type(group) is str
+        )
         for round_no, (p1, p2) in enumerate(record.rounds, start=1):
-            writer.writerow(
-                [record.game_id, record.matrix_id, record.group, delta_text, round_no, p1, p2]
-            )
-    return out.getvalue()
+            if not (plain and type(p1) is int and type(p2) is int):
+                lines.append(row_text([game_id, matrix_id, group, delta_text, round_no, p1, p2]))
+                continue
+            key = (matrix_id, group, delta_text, round_no, p1, p2)
+            tail = tails.get(key)
+            if tail is None:  # an alphanumeric id is written as it is
+                tail = tails[key] = row_text([game_id, *key])[len(game_id):]
+            lines.append(game_id + tail)
+    return "".join(lines)
 
 
 def filter_single_round(games: Sequence[GameRecord]) -> list[GameRecord]:
@@ -339,15 +368,18 @@ def generate_synthetic_log(
     ids = [mid for mid, _ in proportions]
     bounds = [ceil(c * 2**53) for c in accumulate(p for _, p in proportions)]
     rng = random.Random(seed)
-    silent_games = set(rng.sample(range(n_total), n_principal_silent))
-    records = []
-    for i in range(n_total):
-        matrix_id = ids[bisect_right(bounds, int(rng.random() * 2**53))]
-        p1 = SILENT if i in silent_games else BETRAY
-        p2 = rng.randrange(2)
-        records.append(
-            GameRecord(f"g{i:05d}", matrix_id, GROUP_TEST, _NO_CONTINUATION, [(p1, p2)])
+    p1_actions = [BETRAY] * n_total
+    for i in rng.sample(range(n_total), n_principal_silent):
+        p1_actions[i] = SILENT
+    roll, coin = rng.random, rng.randrange
+    # Arguments are evaluated left to right: each game rolls its matrix, then p2.
+    records = [
+        GameRecord(
+            "g%05d" % i, ids[bisect_right(bounds, int(roll() * 2**53))], GROUP_TEST,
+            _NO_CONTINUATION, [(p1, coin(2))],
         )
+        for i, p1 in enumerate(p1_actions)
+    ]
     return records
 
 

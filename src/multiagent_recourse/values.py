@@ -31,6 +31,11 @@ _TOO_MANY_DIGITS = 10**MAX_LITERAL_DIGITS
 _TOO_MANY_DIGITS_BITS = _TOO_MANY_DIGITS.bit_length()
 
 
+def _shown(text: str) -> str:
+    """``text`` cut to at most 40 characters, for quoting in an error message."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def bounded_literal(text: str) -> str:
     """Return ``text`` unless its exact value could need more than MAX_LITERAL_DIGITS digits.
 
@@ -49,9 +54,8 @@ def bounded_literal(text: str) -> str:
         len(exponent) > len(str(MAX_LITERAL_DIGITS))
         or digits + int(exponent) > MAX_LITERAL_DIGITS
     ):
-        shown = text if len(text) <= 40 else text[:37] + "..."
         raise ValueError(
-            f"numeric literal {shown!r} is out of range "
+            f"numeric literal {_shown(text)!r} is out of range "
             f"(more than {MAX_LITERAL_DIGITS} digits)"
         )
     return text
@@ -93,9 +97,12 @@ def _convert(raw: Any) -> Fraction:
             return Fraction(repr(raw))
         if isinstance(raw, str):
             return Fraction(raw.strip())
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"cannot interpret {raw!r} as a rational value") from exc
-    raise ValueError(f"cannot interpret {type(raw).__name__} value {raw!r} as a rational")
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # a string, or a float nan or inf
+        shown = _shown(raw) if isinstance(raw, str) else raw
+        raise ValueError(f"cannot interpret {shown!r} as a rational value") from exc
+    raise ValueError(
+        f"cannot interpret {type(raw).__name__} value {reprlib.repr(raw)} as a rational"
+    )
 
 
 # A literal that fails is not remembered: it raises again at each call.

@@ -1,6 +1,7 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
 import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -210,6 +211,20 @@ class TestSolve:
             "is out of range (more than 4300 digits)\n"
         )
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (" " * 100_000 + "x", "'" + " " * 37 + "...' as a rational value"),
+            ([0] * 100_000, "list value [0, 0, 0, 0, 0, 0, ...] as a rational"),
+        ],
+        ids=["padded-string", "long-list"],
+    )
+    def test_unreadable_long_field_one_short_line(self, workdir, capsys, value, message):
+        (workdir / "bad.json").write_text(json.dumps(dict(QUERY_CASE1, factual={"x1": value, "x2": 1})))
+        code = main(["solve", str(workdir / "bad.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: query field 'factual': cannot interpret {message}\n"
+
     @pytest.mark.parametrize("name", ["query.json", "model.json"])
     def test_deeply_nested_json_exit_1(self, workdir, capsys, name):
         (workdir / name).write_text("[" * 200_000)
@@ -415,6 +430,22 @@ class TestExperiment:
         code = main(["experiment", "--synthetic", "n=10", "--matrix", "table2"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["experiment", "generate"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--synthetic", "n=5", "silent=2", "n=7"], "--synthetic gives n more than once"),
+            (["--synthetic", "silent=2", "n=5", "silent=2"], "--synthetic gives silent more than once"),
+            (["--synthetic", "n=5", "silent=2", "--matrix", "a=1/2,a=1/2"], "--matrix gives 'a' more than once"),
+        ],
+        ids=["n", "silent", "matrix"],
+    )
+    def test_repeated_parameter_exit_1(self, capsys, command, args, message):
+        assert main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_custom_matrix_file(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
         path.write_text(mr.matrix_to_csv(mr.builtin_matrix("table2")))
@@ -474,6 +505,37 @@ class TestGenerateAndGraph:
         assert out.read_bytes() == first
         records = mr.parse_game_log(out)
         assert len(records) == 9
+
+    # SHA-256 of the generated log for the benchmark's two argument sets, as
+    # the row-by-row writer wrote it: sharing row tails must not change a byte.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["n=30000", "silent=9000", "--matrix", "table1=1/4,table2=1/4,table3=1/2"],
+             "7e5a7c0b66c1205ac825bf38b0e45bce0827894629981f5d79670c20fc854ecc"),
+            (["n=3294", "silent=434", "--matrix", "table2"],
+             "9c72b4b445c9a4868dae74c614ee9a353a071985ea86220a821985252730457e"),
+        ],
+        ids=["log_ingest", "paper"],
+    )
+    def test_generate_golden_digest(self, tmp_path, args, digest):
+        out = tmp_path / "log.csv"
+        assert main(["generate", "--synthetic", *args, "--seed", "401", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("", "Is a directory"), ("file.txt/log.csv", "File exists"), ("file.txt/sub/log.csv", "Not a directory")],
+        ids=["directory", "under-file", "deep-under-file"],
+    )
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, command, target, reason):
+        (tmp_path / "file.txt").write_text("")
+        path = tmp_path / target
+        assert main([command, "--synthetic", "n=4", "silent=2", "--matrix", "table2", "-o", str(path)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if not line.startswith("note: ")]
+        assert errors == [f"error: cannot write output file {path}: {reason}"]
 
     def test_graph_export(self, workdir, capsys):
         code = main(["graph", str(workdir / "model.json")])

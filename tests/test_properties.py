@@ -11,8 +11,10 @@ import csv
 import io
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
-from itertools import product
+from itertools import accumulate, product
+from math import ceil
 from unittest import mock
 
 import pytest
@@ -671,3 +673,73 @@ def test_log_with_mixed_spellings_reads_as_row_by_row(seed):
     assert records == read_log_directly(text)
     for record in records:
         assert record.delta is None or any(record.delta is d for d in ALLOWED_DELTAS)
+
+
+def write_log_row_by_row(records):
+    """The log writer as it was: every row, game id included, through csv.writer."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["game_id", "matrix_id", "group", "delta", "round", "p1_action", "p2_action"])
+    for record in records:
+        delta_text = "" if record.delta is None else mr.format_value(record.delta)
+        for round_no, (p1, p2) in enumerate(record.rounds, start=1):
+            writer.writerow(
+                [record.game_id, record.matrix_id, record.group, delta_text, round_no, p1, p2]
+            )
+    return out.getvalue()
+
+
+# Ids with every character the CSV writer quotes, non-ASCII letters and digits, or nothing.
+ODD_IDS = ["", "g,1", 'g"1', "g\n1", "g\r1", "g 1", " ", "gé1", "ß", "g١"]
+MATRIX_IDS = ["table1", "table2", "my, matrix", 'say "t"', "t\n1", "t\r2", "t 3", "tableé", ""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_log_writer_matches_row_by_row_writer(seed):
+    rng = random.Random(seed)
+    records = []
+    for i in range(rng.randint(0, 30)):
+        game_id = rng.choice([f"g{i}", f"g{i % 4}", rng.choice(ODD_IDS)])
+        # Equal deltas come as one shared object or as distinct ones.
+        delta = rng.choice([None, *ALLOWED_DELTAS, F(rng.choice(["0", "1/2", "3/4"]))])
+        # A bool action is written "True": it must not share the tail of a 1.
+        rounds = [
+            (rng.choice([0, 1, 1, True]), rng.choice([0, 1, 0, False]))
+            for _ in range(rng.randint(1, 12))
+        ]
+        records.append(
+            mr.GameRecord(game_id, rng.choice(MATRIX_IDS), rng.choice(["test", "control"]), delta, rounds)
+        )
+    assert mr.write_game_log(records) == write_log_row_by_row(records)
+
+
+def generate_log_game_by_game(n_total, n_principal_silent, matrix_mix, seed):
+    """The synthetic log as it was drawn: a set probe and two draws per game."""
+    proportions = [(mid, mr.as_value(p)) for mid, p in sorted(matrix_mix.items())]
+    ids = [mid for mid, _ in proportions]
+    bounds = [ceil(c * 2**53) for c in accumulate(p for _, p in proportions)]
+    rng = random.Random(seed)
+    silent_games = set(rng.sample(range(n_total), n_principal_silent))
+    records = []
+    for i in range(n_total):
+        matrix_id = ids[bisect_right(bounds, int(rng.random() * 2**53))]
+        p1 = mr.SILENT if i in silent_games else mr.BETRAY
+        p2 = rng.randrange(2)
+        records.append(mr.GameRecord(f"g{i:05d}", matrix_id, "test", F(0), [(p1, p2)]))
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_synthetic_log_draws_as_game_by_game(seed):
+    rng = random.Random(seed)
+    n_total = rng.randint(0, 300)
+    n_silent = rng.randint(0, n_total)
+    mix = rng.choice([
+        {"table2": 1},
+        {"table1": F(1, 4), "table2": F(1, 4), "table3": F(1, 2)},
+        {"table3": "0.7", "table1": "0.3", "table2": 0},
+    ])
+    expected = generate_log_game_by_game(n_total, n_silent, mix, seed)
+    assert mr.generate_synthetic_log(n_total, n_silent, mix, seed) == expected

@@ -134,3 +134,19 @@ def test_memo_holds_no_long_texts():
     with pytest.raises(ValueError, match="cannot interpret"):
         mr.as_value("1" * 100 + "x")
     assert values._read_literal.cache_info() == info
+
+
+@pytest.mark.parametrize(
+    "raw, shown",
+    [
+        (" " * 100_000 + "x", "'" + " " * 37 + "...'"),
+        ("abc" * 40_000, "'" + ("abc" * 13)[:37] + "...'"),
+        ([1] * 100_000, "list value [1, 1, 1, 1, 1, 1, ...]"),
+    ],
+    ids=["padded", "letters", "list"],
+)
+def test_an_unreadable_literal_is_quoted_cut_to_40_characters(raw, shown):
+    with pytest.raises(ValueError) as info:
+        mr.as_value(raw)
+    assert str(info.value).startswith(f"cannot interpret {shown} as a rational")
+    assert len(str(info.value)) < 100
