@@ -21,10 +21,8 @@ from .engine import (
 from .errors import InvalidParamsError, OutputError, RecourseError
 from .experiment import (
     BOTH_PLAYERS,
-    MODE_PARETO,
-    MODE_PARETO_AND_WELFARE,
+    MODE_CLAUSES,
     MODE_SINGLE_AGENT,
-    MODE_SOCIAL_WELFARE,
     PLAYER1_ONLY,
     ExperimentConfig,
     filter_single_round,
@@ -105,12 +103,23 @@ def _parse_matrix_mix(spec: str) -> dict:
     return mix
 
 
+def _synthetic_games(args) -> list:
+    n_total, n_silent = _parse_synthetic(args.synthetic)
+    return generate_synthetic_log(n_total, n_silent, _parse_matrix_mix(args.matrix), args.seed)
+
+
 def _load_matrix_files(pairs: list[str]) -> dict:
     registry = {}
     for pair in pairs:
         name, sep, path = pair.partition("=")
         if not sep or not name or not path:
             raise InvalidParamsError(f"--matrix-file takes NAME=PATH, got {pair!r}")
+        if name == "overall":
+            raise InvalidParamsError(
+                "--matrix-file cannot name a matrix 'overall': reports use it for the totals"
+            )
+        if name in registry:
+            raise InvalidParamsError(f"--matrix-file gives {name!r} more than once")
         registry[name] = load_matrix_csv(path, matrix_id=name)
     return registry
 
@@ -131,13 +140,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.log:
-        games = parse_game_log(args.log)
-    else:
-        n_total, n_silent = _parse_synthetic(args.synthetic)
-        games = generate_synthetic_log(
-            n_total, n_silent, _parse_matrix_mix(args.matrix), args.seed
-        )
+    games = parse_game_log(args.log) if args.log else _synthetic_games(args)
     kept = filter_single_round(games)
     dropped = len(games) - len(kept)
     print(
@@ -152,17 +155,15 @@ def _cmd_experiment(args) -> int:
         exclude_identity=not args.include_identity,
     )
     matrices = _load_matrix_files(args.matrix_file) if args.matrix_file else None
-    report = run_experiment(kept, config, matrices=matrices, jobs=args.jobs)
+    if args.jobs < 1:  # --jobs is accepted for old scripts and changes nothing
+        raise InvalidParamsError("jobs must be at least 1")
+    report = run_experiment(kept, config, matrices=matrices)
     _emit(render_report(report, args.format), args.output)
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
-    n_total, n_silent = _parse_synthetic(args.synthetic)
-    games = generate_synthetic_log(
-        n_total, n_silent, _parse_matrix_mix(args.matrix), args.seed
-    )
-    _emit(write_game_log(games), args.output)
+    _emit(write_game_log(_synthetic_games(args)), args.output)
     return EXIT_OK
 
 
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument(
         "--mode",
-        choices=[MODE_SINGLE_AGENT, MODE_SOCIAL_WELFARE, MODE_PARETO, MODE_PARETO_AND_WELFARE],
+        choices=list(MODE_CLAUSES),
         default=MODE_SINGLE_AGENT,
     )
     p_exp.add_argument("--matrix", default="table1", help="matrix id or id=proportion list")

@@ -26,7 +26,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 from math import lcm
-from typing import Any, Callable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Sequence, Union, get_args
 
 from .errors import DomainError, InvalidQueryError, ParseError
 from .scm import ENDOGENOUS, Assignment, Positions, Scm, scm_from_dict, load_scm
@@ -37,88 +37,99 @@ AgentId = Union[int, str]
 
 
 # ------------------------------------------------------------------- clauses
+#
+# Each clause class carries its JSON kind, its label, and its check: ``holds``
+# tells, from the principal, every agent's factual and counterfactual outcome
+# and the plausibility predicate's verdict, whether the clause holds.
+
+Outcomes = Mapping[AgentId, Fraction]
 
 
 class Threshold(FrozenRecord):
     """The named agent's outcome must reach t (strictly, if asked)."""
 
     __slots__ = _fields = ("agent", "t", "strict")
+    kind = "threshold"
 
     def __init__(self, agent: AgentId, t: Fraction, strict: bool = False) -> None:
         self._set(agent, as_value(t), strict)
+
+    @property
+    def label(self) -> str:
+        return f"threshold[{self.agent}]{'>' if self.strict else '>='}{format_value(self.t)}"
+
+    def holds(self, principal: AgentId, before: Outcomes, after: Outcomes, plausible: bool) -> bool:
+        value = after[self.agent]
+        return value > self.t if self.strict else value >= self.t
 
 
 class PrincipalImprovement(FrozenRecord):
     """The principal's outcome must not fall below its factual value (or must rise)."""
 
     __slots__ = _fields = ("strict",)
+    kind = "principal_improvement"
 
     def __init__(self, strict: bool = True) -> None:
         self._set(strict)
+
+    @property
+    def label(self) -> str:
+        return f"principal_improvement({'strict' if self.strict else 'non-strict'})"
+
+    def holds(self, principal: AgentId, before: Outcomes, after: Outcomes, plausible: bool) -> bool:
+        if self.strict:
+            return after[principal] > before[principal]
+        return after[principal] >= before[principal]
 
 
 class SocialWelfare(FrozenRecord):
     """The summed outcomes of all agents must not fall (or must rise)."""
 
     __slots__ = _fields = ("strict",)
+    kind = "social_welfare"
 
     def __init__(self, strict: bool = True) -> None:
         self._set(strict)
+
+    @property
+    def label(self) -> str:
+        return f"social_welfare({'strict' if self.strict else 'non-strict'})"
+
+    def holds(self, principal: AgentId, before: Outcomes, after: Outcomes, plausible: bool) -> bool:
+        total_before = sum(before.values(), Fraction(0))
+        total_after = sum(after.values(), Fraction(0))
+        return total_after > total_before if self.strict else total_after >= total_before
 
 
 class Pareto(FrozenRecord):
     """No agent's outcome may fall below its factual value."""
 
     __slots__ = ()
+    kind = label = "pareto"
+
+    def holds(self, principal: AgentId, before: Outcomes, after: Outcomes, plausible: bool) -> bool:
+        return all(after[agent] >= before[agent] for agent in after)
 
 
 class Plausible(FrozenRecord):
     """The counterfactual state must pass the query's plausibility predicate."""
 
     __slots__ = ()
+    kind = label = "plausible"
+
+    def holds(self, principal: AgentId, before: Outcomes, after: Outcomes, plausible: bool) -> bool:
+        return plausible
 
 
 Clause = Union[Threshold, PrincipalImprovement, SocialWelfare, Pareto, Plausible]
+_CLAUSE_TYPES = get_args(Clause)
+_CLAUSE_KINDS = {cls.kind: cls for cls in _CLAUSE_TYPES}
 
 
 def clause_label(clause: Clause) -> str:
-    if isinstance(clause, Threshold):
-        op = ">" if clause.strict else ">="
-        return f"threshold[{clause.agent}]{op}{format_value(clause.t)}"
-    if isinstance(clause, PrincipalImprovement):
-        return f"principal_improvement({'strict' if clause.strict else 'non-strict'})"
-    if isinstance(clause, SocialWelfare):
-        return f"social_welfare({'strict' if clause.strict else 'non-strict'})"
-    if isinstance(clause, Pareto):
-        return "pareto"
-    if isinstance(clause, Plausible):
-        return "plausible"
-    raise InvalidQueryError(f"unknown constraint clause {clause!r}")
-
-
-def _clause_holds(
-    clause: Clause,
-    principal: AgentId,
-    before: dict[AgentId, Fraction],
-    after: dict[AgentId, Fraction],
-    plausible_ok: bool,
-    welfare_before: Fraction,
-) -> bool:
-    if isinstance(clause, Threshold):
-        value = after[clause.agent]
-        return value > clause.t if clause.strict else value >= clause.t
-    if isinstance(clause, PrincipalImprovement):
-        if clause.strict:
-            return after[principal] > before[principal]
-        return after[principal] >= before[principal]
-    if isinstance(clause, SocialWelfare):
-        total_after = sum(after.values(), Fraction(0))
-        return total_after > welfare_before if clause.strict else total_after >= welfare_before
-    if isinstance(clause, Pareto):
-        return all(after[agent] >= before[agent] for agent in after)
-    if isinstance(clause, Plausible):
-        return plausible_ok
-    raise InvalidQueryError(f"unknown constraint clause {clause!r}")
+    if not isinstance(clause, _CLAUSE_TYPES):
+        raise InvalidQueryError(f"unknown constraint clause {clause!r}")
+    return clause.label
 
 
 # ---------------------------------------------------------------- cost model
@@ -389,15 +400,13 @@ def _rank(
         candidates = [c for c in candidates if any(world[n] != p for n, p in c[1].items())]
     candidates.sort(key=_rank_keys(query.cost, candidates, factual))
     before = {agent: factual[var] for agent, var in query.agents.items()}
-    welfare_before = sum(before.values(), Fraction(0))
 
     def predict(pins: Positions) -> tuple[Positions, bool, Iterator[bool]]:
         state = scm._evaluate_exact(world, pins)
         after = {agent: scm.domain(var)[state[var]] for agent, var in query.agents.items()}
         plausible_ok = query.plausible(scm._values(state)) if query.plausible else True
         return state, plausible_ok, (
-            _clause_holds(c, query.principal, before, after, plausible_ok, welfare_before)
-            for c in query.constraints
+            c.holds(query.principal, before, after, plausible_ok) for c in query.constraints
         )
 
     return factual, candidates, predict
@@ -505,7 +514,6 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
             )
     if not thresholds:
         thresholds = [Threshold(query.principal, before[query.principal], strict=True)]
-    welfare_before = sum(before.values(), Fraction(0))
 
     scm = query.scm
     world = scm._positions(factual_state)
@@ -540,10 +548,7 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
         plausible_ok = query.plausible(shifted) if query.plausible else True
         if not plausible_ok:
             continue
-        if not all(
-            _clause_holds(t, query.principal, before, after, plausible_ok, welfare_before)
-            for t in thresholds
-        ):
+        if not all(t.holds(query.principal, before, after, plausible_ok) for t in thresholds):
             continue
         passing.append((assigned, pins, shift, shifted))
     if not passing:
@@ -580,13 +585,6 @@ _QUERY_FIELDS = {
     "exclude_identity",
     "solver",
 }
-_CLAUSE_KINDS = {
-    "threshold": Threshold,
-    "principal_improvement": PrincipalImprovement,
-    "social_welfare": SocialWelfare,
-    "pareto": Pareto,
-    "plausible": Plausible,
-}
 
 
 def _assignment(raw: Any, where: str, field: str | None = None) -> dict[str, Fraction]:
@@ -601,14 +599,13 @@ def _clause_from_dict(item: Any, index: int) -> Clause:
     if kind not in _CLAUSE_KINDS:
         kinds = ", ".join(sorted(_CLAUSE_KINDS))
         raise ParseError(f"{where} has unknown kind {kind!r}; expected one of {kinds}")
-    strict = read_bool(item.get("strict", kind != "threshold"), where, "strict")
-    if kind == "threshold":
+    cls = _CLAUSE_KINDS[kind]
+    strict = read_bool(item.get("strict", cls is not Threshold), where, "strict")
+    if cls is Threshold:
         read_object(item, where, required={"agent", "t"})
         agent = read_agent(item["agent"], where, "agent")
         return Threshold(agent, read_value(item["t"], where, "t"), strict)
-    if kind in ("principal_improvement", "social_welfare"):
-        return _CLAUSE_KINDS[kind](strict)
-    return _CLAUSE_KINDS[kind]()
+    return cls(strict) if cls._fields else cls()
 
 
 def _allowlist_predicate(entries: list) -> Callable[[Assignment], bool]:

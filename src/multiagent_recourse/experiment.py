@@ -53,13 +53,15 @@ MODE_SOCIAL_WELFARE = "social_welfare"
 MODE_PARETO = "pareto"
 MODE_PARETO_AND_WELFARE = "pareto_and_welfare"
 MODE_CUSTOM = "custom"
-MODES = (
-    MODE_SINGLE_AGENT,
-    MODE_SOCIAL_WELFARE,
-    MODE_PARETO,
-    MODE_PARETO_AND_WELFARE,
-    MODE_CUSTOM,
-)
+# The paper's recourse modes and the clauses each one asks of an action.
+MODE_CLAUSES = {
+    MODE_SINGLE_AGENT: (PrincipalImprovement(),),
+    MODE_SOCIAL_WELFARE: (SocialWelfare(),),
+    MODE_PARETO: (PrincipalImprovement(), Pareto()),
+    MODE_PARETO_AND_WELFARE: (PrincipalImprovement(), Pareto(), SocialWelfare()),
+}
+MODES = (*MODE_CLAUSES, MODE_CUSTOM)
+_PRINCIPALS = {PLAYER1_ONLY: (1,), BOTH_PLAYERS: (1, 2)}
 
 
 class GameRecord(Record):
@@ -91,30 +93,22 @@ class ExperimentConfig(Record):
         self.custom_clauses = custom_clauses
 
     def clauses(self) -> list[Clause]:
-        if self.mode == MODE_SINGLE_AGENT:
-            return [PrincipalImprovement()]
-        if self.mode == MODE_SOCIAL_WELFARE:
-            return [SocialWelfare()]
-        if self.mode == MODE_PARETO:
-            return [PrincipalImprovement(), Pareto()]
-        if self.mode == MODE_PARETO_AND_WELFARE:
-            return [PrincipalImprovement(), Pareto(), SocialWelfare()]
         if self.mode == MODE_CUSTOM:
             if not self.custom_clauses:
                 raise InvalidParamsError("custom mode needs custom_clauses")
             return list(self.custom_clauses)
-        raise InvalidParamsError(
-            f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}"
-        )
+        try:
+            return list(MODE_CLAUSES[self.mode])
+        except (KeyError, TypeError):  # TypeError: an unhashable mode
+            raise InvalidParamsError(
+                f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}"
+            ) from None
 
     def principals(self) -> tuple[int, ...]:
-        if self.principal_policy == PLAYER1_ONLY:
-            return (1,)
-        if self.principal_policy == BOTH_PLAYERS:
-            return (1, 2)
-        raise InvalidParamsError(
-            f"unknown principal policy {self.principal_policy!r}"
-        )
+        try:
+            return _PRINCIPALS[self.principal_policy]
+        except (KeyError, TypeError):
+            raise InvalidParamsError(f"unknown principal policy {self.principal_policy!r}") from None
 
 
 class OutcomeCounts(Record):
@@ -391,17 +385,13 @@ def run_experiment(
     config: ExperimentConfig,
     *,
     matrices: Mapping[str, PayoffMatrix] | None = None,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Fold every (game, principal) outcome into counts.
 
     The caller filters to single-round-equivalent games first.  Games in one
     cell (matrix, p1 action, p2 action) share their outcome, so each cell is
-    solved once per principal.  ``jobs`` must be at least 1 and does not
-    change the work done; it is kept for compatibility.
+    solved once per principal.
     """
-    if jobs < 1:
-        raise InvalidParamsError("jobs must be at least 1")
     clauses = config.clauses()
     principals = config.principals()
     scms: dict[str, Scm] = {}
@@ -549,7 +539,7 @@ def report_from_csv(text: str) -> ExperimentReport:
             raise ParseError(
                 f"report CSV must start with the header 'scope,{','.join(_COUNT_FIELDS)}'"
             )
-        report = ExperimentReport()
+        scopes: dict[str, OutcomeCounts] = {}
         for row in reader:
             if not row:
                 continue
@@ -560,10 +550,13 @@ def report_from_csv(text: str) -> ExperimentReport:
                     f"line {reader.line_num}: expected {len(_COUNT_FIELDS)} integer counts"
                 ) from None
             _consistent(counts, f"report CSV counts {row[0]!r} (line {reader.line_num})")
-            if row[0] == "overall":
-                report.overall = counts
-            else:
-                report.per_matrix[row[0]] = counts
+            if row[0] in scopes:
+                raise ParseError(
+                    f"line {reader.line_num}: report CSV gives scope {row[0]!r} more than once"
+                )
+            scopes[row[0]] = counts
     except csv.Error as exc:  # text the CSV reader cannot split, such as an oversized field
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    return report
+    if "overall" not in scopes:
+        raise ParseError("report CSV has no 'overall' row")
+    return ExperimentReport(overall=scopes.pop("overall"), per_matrix=scopes)

@@ -3,6 +3,9 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -426,6 +429,13 @@ class TestExperiment:
         assert "error: jobs must be at least 1" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_mode_choices_are_the_paper_modes_in_order(self, capsys):
+        assert main(["experiment", "--synthetic", "n=4", "silent=2", "--mode", "custom"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --mode: invalid choice: 'custom' (choose from "
+            "'single_agent', 'social_welfare', 'pareto', 'pareto_and_welfare')\n"
+        )
+
     def test_bad_synthetic_params(self, capsys):
         code = main(["experiment", "--synthetic", "n=10", "--matrix", "table2"])
         assert code == 1
@@ -461,6 +471,25 @@ class TestExperiment:
         assert main(args) == 0
         report = mr.report_from_json(capsys.readouterr().out)
         assert report.overall.recommendations == 2
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["mine", "mine"], "--matrix-file gives 'mine' more than once"),
+            (["mine", "overall"], "--matrix-file cannot name a matrix 'overall': reports use it for the totals"),
+        ],
+        ids=["repeated", "overall"],
+    )
+    def test_bad_matrix_file_name_exit_1(self, tmp_path, capsys, names, message):
+        path = tmp_path / "m.csv"
+        path.write_text(mr.matrix_to_csv(mr.builtin_matrix("table2")))
+        # The second file does not exist: the name is refused before it is read.
+        files = [f"{names[0]}={path}", f"{names[1]}={tmp_path / 'absent.csv'}"]
+        args = ["experiment", "--synthetic", "n=4", "silent=2", "--matrix", "mine", "--format", "csv"]
+        assert main([*args, "--matrix-file", files[0], "--matrix-file", files[1]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[1:] == [f"error: {message}"]
 
     @pytest.mark.parametrize(
         "which, content, message",
@@ -589,3 +618,102 @@ class TestUsage:
         written = tmp_path / "outputs" / "result.json"
         assert written.exists()
         assert json.loads(written.read_text())["found"] is True
+
+
+def _model(variables, equations):
+    return {
+        "variables": [{"name": n, "kind": k, "domain": d} for n, k, d in variables],
+        "equations": [
+            {"target": t, "parents": p, "table": [{"in": i, "out": o} for i, o in rows]}
+            for t, p, rows in equations
+        ],
+    }
+
+
+# Models whose errors come from sets: the cycle's members, the stray and the missing rows.
+BROKEN_MODELS = {
+    "cycle": _model(
+        [("x", "exogenous", [0, 1])] + [(n, "endogenous", [0, 1]) for n in "dcba"],
+        [
+            ("a", ["d"], [([0], 0), ([1], 1)]),
+            ("b", ["a", "x"], [([i, j], i) for i in (0, 1) for j in (0, 1)]),
+            ("c", ["b"], [([0], 1), ([1], 0)]),
+            ("d", ["c"], [([0], 0), ([1], 1)]),
+        ],
+    ),
+    "stray": _model(
+        [("x", "exogenous", [0, 1]), ("y", "exogenous", [0, 1, 2]), ("h", "endogenous", [0, 1])],
+        [("h", ["x", "y"], [([i, j], 0) for i in (0, 1, 5, 7) for j in (0, 2, 9, 4)])],
+    ),
+    "missing": _model(
+        [("x", "exogenous", [0, 1, 2]), ("y", "exogenous", [0, 1, 2]), ("h", "endogenous", [0, 1])],
+        [("h", ["x", "y"], [([i, i], 1) for i in (0, 1, 2)])],
+    ),
+}
+
+# Runs each argument list through the CLI in one process and prints one JSON
+# line per command: its arguments, exit code, stdout and stderr.
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from multiagent_recourse.cli import main
+
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    print(json.dumps([argv, code, out.getvalue(), err.getvalue()]))
+"""
+
+
+class TestHashSeed:
+    """Output does not depend on the hash seed: every command gives the same
+    bytes and exit code in two interpreters with different ``PYTHONHASHSEED``."""
+
+    def commands(self, tmp_path):
+        for name, model in BROKEN_MODELS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(model))
+        paper = ["--synthetic", "n=3294", "silent=434", "--matrix", "table2", "--seed", "401"]
+        mix = ["--synthetic", "n=600", "silent=200", "--matrix", "table1=1/4,table2=1/4,table3=1/2",
+               "--seed", "401"]
+        queries = [path for path in sorted(GOLDEN.glob("*.json")) if path.with_suffix(".stdout").exists()]
+        commands = [["solve", str(path)] for path in queries]
+        commands += [
+            ["experiment", *paper, "--principal", "both", "--mode", mode, "--format", fmt]
+            for mode in ("single_agent", "social_welfare", "pareto", "pareto_and_welfare")
+            for fmt in ("table", "csv", "json")
+        ]
+        log = str(tmp_path / "log.csv")
+        commands += [
+            ["generate", *mix],
+            ["generate", *mix, "-o", log],
+            ["experiment", "--log", log, "--principal", "both", "--jobs", "2", "--format", "json"],
+            ["graph", str(GOLDEN / "pd_table2_model.json")],
+        ]
+        commands += [["graph", str(tmp_path / f"{name}.json")] for name in BROKEN_MODELS]
+        return commands
+
+    def run(self, commands, seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        package_root = str(Path(mr.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_COMMANDS], input=json.dumps(commands),
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert done.stderr == ""
+        return [json.loads(line) for line in done.stdout.splitlines()]
+
+    def test_two_hash_seeds_give_the_same_bytes(self, tmp_path):
+        commands = self.commands(tmp_path)
+        first = self.run(commands, 1)
+        assert len(first) == len(commands)
+        assert first == self.run(commands, 2)
+        for argv, _, out, _ in first:
+            if argv[0] == "solve":
+                assert out == Path(argv[1]).with_suffix(".stdout").read_text()
+        errors = [err for argv, code, _, err in first if argv[0] == "graph" and code == 1]
+        assert errors == [
+            "error: causal graph has a cycle through: a, b, c, d\n",
+            "error: table for 'h' has a row outside the parent domains: (Fraction(0, 1), Fraction(4, 1))\n",
+            "error: table for 'h' is missing 6 row(s), e.g. parents=(Fraction(0, 1), Fraction(1, 1))\n",
+        ]

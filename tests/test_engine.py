@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -595,8 +596,12 @@ class TestFileForms:
     def test_unknown_clause_kind(self):
         data = self.query_data()
         data["constraints"] = [{"kind": "paretto"}]
-        with pytest.raises(mr.ParseError):
+        with pytest.raises(mr.ParseError) as info:
             mr.query_from_dict(data)
+        assert str(info.value) == (
+            "constraints[0] has unknown kind 'paretto'; expected one of "
+            "pareto, plausible, principal_improvement, social_welfare, threshold"
+        )
 
     @pytest.mark.parametrize("raw", ["false", "no", 0, None])
     def test_booleans_must_be_json_true_or_false(self, raw):
@@ -653,3 +658,93 @@ class TestFileForms:
         assert payload["flags"]["welfare_delta"] == -4
         round_tripped = json.loads(json.dumps(payload))
         assert round_tripped == payload
+
+
+class TestClauseKinds:
+    """Each clause's label, and what happens to a constraint that is not a clause."""
+
+    @pytest.mark.parametrize(
+        "clause, label",
+        [
+            (mr.Threshold(1, F(1, 2)), "threshold[1]>=0.5"),
+            (mr.Threshold(2, F(1, 3)), "threshold[2]>=1/3"),
+            (mr.Threshold("b", F(3), strict=True), "threshold[b]>3"),
+            (mr.PrincipalImprovement(), "principal_improvement(strict)"),
+            (mr.PrincipalImprovement(strict=False), "principal_improvement(non-strict)"),
+            (mr.SocialWelfare(), "social_welfare(strict)"),
+            (mr.SocialWelfare(strict=False), "social_welfare(non-strict)"),
+            (mr.Pareto(), "pareto"),
+            (mr.Plausible(), "plausible"),
+        ],
+    )
+    def test_labels(self, clause, label):
+        assert mr.clause_label(clause) == label
+
+    @pytest.mark.parametrize("not_a_clause", ["pareto", None, {"kind": "pareto"}])
+    def test_clause_label_rejects_a_non_clause(self, not_a_clause):
+        with pytest.raises(mr.InvalidQueryError) as info:
+            mr.clause_label(not_a_clause)
+        assert str(info.value) == f"unknown constraint clause {not_a_clause!r}"
+
+    @pytest.mark.parametrize("run", [mr.solve, mr.enumerate_feasible, mr.solve_cfe_baseline])
+    def test_solvers_reject_a_non_clause(self, pd1, run):
+        query = pd_query(
+            pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": 1}],
+            constraints=[mr.Plausible(), "pareto"],
+        )
+        with pytest.raises(mr.InvalidQueryError) as info:
+            run(query)
+        assert str(info.value) == "unknown constraint clause 'pareto'"
+
+    @pytest.mark.parametrize("run", [mr.solve, mr.enumerate_feasible])
+    def test_out_of_domain_action_is_reported_first(self, pd1, run):
+        query = pd_query(
+            pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": 7}],
+            constraints=["pareto"],
+        )
+        with pytest.raises(mr.DomainError):
+            run(query)
+
+    @pytest.mark.parametrize("run", [mr.solve, mr.enumerate_feasible])
+    def test_failed_abduction_is_reported_first(self, run):
+        query, _ = mr.load_query(Path(__file__).parent / "data" / "solve" / "non_invertible.json")
+        query.constraints = ["pareto"]
+        with pytest.raises(mr.NonInvertibleError):
+            run(query)
+
+    @pytest.mark.parametrize(
+        "clause, label",
+        [
+            (mr.Pareto(), "pareto"),
+            (mr.SocialWelfare(strict=False), "social_welfare(non-strict)"),
+            (mr.PrincipalImprovement(), "principal_improvement(strict)"),
+        ],
+    )
+    def test_baseline_names_the_clause_it_does_not_support(self, pd1, clause, label):
+        query = pd_query(
+            pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": 1}], constraints=[clause]
+        )
+        with pytest.raises(mr.InvalidQueryError) as info:
+            mr.solve_cfe_baseline(query)
+        assert str(info.value) == f"the additive baseline does not support the {label} clause"
+
+    def test_clause_file_forms(self):
+        items = [
+            {"kind": "threshold", "agent": 2, "t": "1/2"},
+            {"kind": "threshold", "agent": 1, "t": 3, "strict": True},
+            {"kind": "principal_improvement"},
+            {"kind": "social_welfare", "strict": False},
+            {"kind": "pareto", "strict": False},
+            {"kind": "plausible"},
+        ]
+        data = TestFileForms().query_data()
+        data["constraints"] = items
+        query, _ = mr.query_from_dict(data)
+        assert query.constraints == [
+            mr.Threshold(2, F(1, 2), strict=False),
+            mr.Threshold(1, F(3), strict=True),
+            mr.PrincipalImprovement(strict=True),
+            mr.SocialWelfare(strict=False),
+            mr.Pareto(),
+            mr.Plausible(),
+        ]

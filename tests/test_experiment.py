@@ -250,13 +250,6 @@ class TestRunExperiment:
         config = mr.ExperimentConfig(mode="single_agent")
         assert mr.run_experiment(games, config) == mr.run_experiment(shuffled, config)
 
-    def test_jobs_do_not_change_the_report(self):
-        games = mr.generate_synthetic_log(40, 15, {"table2": 1}, seed=2)
-        config = mr.ExperimentConfig(mode="social_welfare")
-        assert mr.run_experiment(games, config) == mr.run_experiment(
-            games, config, jobs=4
-        )
-
     def test_per_matrix_breakdown(self):
         games = [
             one_round_game("g0", 0, 0, "table2"),
@@ -298,13 +291,6 @@ class TestRunExperiment:
         assert report.overall.queries == 400
         assert len(calls) == 2 * len({(g.matrix_id, *g.rounds[0]) for g in games})
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(mr.InvalidParamsError, match="jobs must be at least 1"):
-            mr.run_experiment(
-                self.four_profile_log(), mr.ExperimentConfig(mode="single_agent"), jobs=jobs
-            )
-
     def test_solve_error_names_first_game_in_log_order(self):
         games = [
             one_round_game("g5", 1, 1),
@@ -333,6 +319,51 @@ class TestRunExperiment:
         report = mr.run_experiment(self.four_profile_log(), config)
         # only a betrayal against a silent opponent reaches 100
         assert report.overall.recommendations == 1
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "mode, clauses",
+        [
+            ("single_agent", [mr.PrincipalImprovement()]),
+            ("social_welfare", [mr.SocialWelfare()]),
+            ("pareto", [mr.PrincipalImprovement(), mr.Pareto()]),
+            ("pareto_and_welfare", [mr.PrincipalImprovement(), mr.Pareto(), mr.SocialWelfare()]),
+            ("custom", [mr.Threshold(1, F(5)), mr.Pareto()]),
+        ],
+    )
+    def test_clauses_per_mode(self, mode, clauses):
+        config = mr.ExperimentConfig(mode=mode, custom_clauses=(mr.Threshold(1, F(5)), mr.Pareto()))
+        assert config.clauses() == clauses
+
+    @pytest.mark.parametrize(
+        "policy, principals", [("player1_only", (1,)), ("both_players", (1, 2))]
+    )
+    def test_principals_per_policy(self, policy, principals):
+        assert mr.ExperimentConfig(principal_policy=policy).principals() == principals
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                mr.ExperimentConfig(mode="utilitarian", principal_policy="nobody"),
+                "unknown mode 'utilitarian'; expected one of "
+                "single_agent, social_welfare, pareto, pareto_and_welfare, custom",
+            ),
+            (mr.ExperimentConfig(mode=["pareto"]), "unknown mode ['pareto']; expected one of "
+             "single_agent, social_welfare, pareto, pareto_and_welfare, custom"),
+            (mr.ExperimentConfig(mode="custom", principal_policy="nobody"),
+             "custom mode needs custom_clauses"),
+            (mr.ExperimentConfig(principal_policy="nobody"), "unknown principal policy 'nobody'"),
+            (mr.ExperimentConfig(principal_policy=["both_players"]),
+             "unknown principal policy ['both_players']"),
+        ],
+        ids=["mode", "unhashable-mode", "custom-without-clauses", "policy", "unhashable-policy"],
+    )
+    def test_bad_config_is_an_invalid_params_error(self, config, message):
+        with pytest.raises(mr.InvalidParamsError) as info:
+            mr.run_experiment([one_round_game("g0", 0, 0)], config)
+        assert str(info.value) == message
 
 
 class TestSingleRoundStructure:
@@ -519,6 +550,21 @@ class TestRendering:
     def test_short_csv_row_is_a_parse_error(self):
         text = mr.render_report(self.sample_report(), "csv") + "table9,1,2\n"
         with pytest.raises(mr.ParseError, match="line 4: expected 9 integer counts"):
+            mr.report_from_csv(text)
+
+    def test_repeated_csv_scope_is_a_parse_error(self):
+        text = report_csv() + report_csv().splitlines(keepends=True)[2]
+        with pytest.raises(mr.ParseError) as info:
+            mr.report_from_csv(text)
+        assert str(info.value) == "line 4: report CSV gives scope 'table2' more than once"
+        overall_twice = report_csv().replace("table2", "overall")
+        with pytest.raises(mr.ParseError, match="^line 3: report CSV gives scope 'overall' more than once$"):
+            mr.report_from_csv(overall_twice)
+
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(0, 3, 2)], ids=["header-only", "no-overall"])
+    def test_csv_without_overall_row_is_a_parse_error(self, rows):
+        text = "".join(report_csv().splitlines(keepends=True)[rows])
+        with pytest.raises(mr.ParseError, match="^report CSV has no 'overall' row$"):
             mr.report_from_csv(text)
 
     def test_rendering_deterministic(self):
