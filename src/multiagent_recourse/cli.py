@@ -140,6 +140,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:  # --jobs is accepted for old scripts and changes nothing
+        raise InvalidParamsError("jobs must be at least 1")
     games = parse_game_log(args.log) if args.log else _synthetic_games(args)
     kept = filter_single_round(games)
     dropped = len(games) - len(kept)
@@ -155,8 +157,6 @@ def _cmd_experiment(args) -> int:
         exclude_identity=not args.include_identity,
     )
     matrices = _load_matrix_files(args.matrix_file) if args.matrix_file else None
-    if args.jobs < 1:  # --jobs is accepted for old scripts and changes nothing
-        raise InvalidParamsError("jobs must be at least 1")
     report = run_experiment(kept, config, matrices=matrices)
     _emit(render_report(report, args.format), args.output)
     return EXIT_OK

@@ -487,9 +487,8 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
     """
     _check_query(query)
     outcome_vars = set(query.agents.values())
-    exogenous_part = {
-        name: value for name, value in query.factual.items() if name not in query.scm.endogenous_names
-    }
+    endogenous = query.scm.endogenous_names
+    exogenous_part = {name: value for name, value in query.factual.items() if name not in endogenous}
     factual_state = query.scm.evaluate(exogenous_part)
     for name, value in query.factual.items():
         if factual_state[name] != value:
@@ -532,7 +531,7 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
         shifted = dict(factual_state)
         for name, amount in shift.items():
             new_value = factual_state[name] + amount
-            position = scm._index[name].get(new_value)
+            position = scm.decl(name)._index.get(new_value)
             if position is None:
                 raise DomainError(
                     f"shifting {name!r} by {format_value(amount)} leaves its domain"

@@ -392,6 +392,8 @@ def run_experiment(
     cell (matrix, p1 action, p2 action) share their outcome, so each cell is
     solved once per principal.
     """
+    if matrices and "overall" in matrices:
+        raise InvalidParamsError("matrices cannot name a matrix 'overall': reports use it for the totals")
     clauses = config.clauses()
     principals = config.principals()
     scms: dict[str, Scm] = {}
@@ -518,12 +520,7 @@ def render_report(report: ExperimentReport, fmt: str = "table") -> str:
 
 
 def report_from_json(text: str) -> ExperimentReport:
-    try:
-        data = decode_json(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"report JSON: line {exc.lineno}: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # a count beyond the digit limit, or deep nesting
-        raise ParseError(f"report JSON: {exc}") from None
+    data = decode_json(text, "report JSON")
     data = read_object(data, "report JSON", allowed=_REPORT_FIELDS, required=_REPORT_FIELDS)
     per_matrix = read_object(data["per_matrix"], "report JSON", "per_matrix")
     return ExperimentReport(

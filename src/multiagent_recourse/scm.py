@@ -50,7 +50,7 @@ from .errors import (
     ParseError,
     ScmValidationError,
 )
-from .values import Record, as_value, load_json_exact, value_to_json
+from .values import Record, as_value, format_value, load_json_exact, value_to_json
 from .values import read_list, read_object, read_str, read_value, read_values
 
 EXOGENOUS = "exogenous"
@@ -77,13 +77,16 @@ class VariableDecl(Record):
         self._index = {value: i for i, value in enumerate(self.domain)}
 
 
-class StructuralEquation:
+class StructuralEquation(Record):
     """Total lookup table assigning ``target`` from an ordered tuple of parent values.
 
     An equation read from a model file holds positions instead: the parent
     and target domains it was read against and the target's position for each
     parent row.  ``table`` is then built the first time it is asked for.
     """
+
+    __slots__ = ("target", "parents", "_table", "_positions")
+    _fields = ("target", "parents", "table")
 
     def __init__(
         self, target: str, parents: tuple[str, ...], table: Mapping[tuple[Any, ...], Any]
@@ -114,17 +117,6 @@ class StructuralEquation:
             self._table = dict(zip(product(*domains[:-1]), map(domains[-1].__getitem__, outputs)))
         return self._table
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.target, self.parents, self.table) == (other.target, other.parents, other.table)
-
-    def __repr__(self) -> str:
-        return (
-            f"StructuralEquation(target={self.target!r}, parents={self.parents!r}, "
-            f"table={self.table!r})"
-        )
-
 
 class CausalGraph(Record):
     """Directed graph induced by the equations: one edge per parent-of-target pair."""
@@ -146,10 +138,9 @@ class Scm(Record):
     other slots hold what ``_validate`` compiles from them.
     """
 
-    # _index: per variable, domain value -> its position in the declared domain.
     # _compiled: per equation target, ((parent, its domain size), ...) and the
     # target's position for each parent row.
-    __slots__ = ("variables", "equations", "_decls", "_order", "_index", "_compiled")
+    __slots__ = ("variables", "equations", "_decls", "_order", "_compiled")
     _fields = ("variables", "equations")
 
     def __init__(
@@ -168,7 +159,6 @@ class Scm(Record):
 
     def _validate(self) -> None:
         decls: dict[str, VariableDecl] = {}
-        index: dict[str, dict[Fraction, int]] = {}
         for decl in self.variables:
             if decl.name in decls:
                 raise ScmValidationError(f"variable {decl.name!r} declared twice")
@@ -181,9 +171,7 @@ class Scm(Record):
             if len(decl._index) != len(decl.domain):
                 raise ScmValidationError(f"variable {decl.name!r} repeats a domain value")
             decls[decl.name] = decl
-            index[decl.name] = decl._index
         self._decls = decls
-        self._index = index
 
         compiled = {}
         for eq in self.equations:
@@ -225,7 +213,7 @@ class Scm(Record):
             read_against, outputs = eq._positions
             if read_against == (*domains, self._decls[eq.target].domain):
                 return radix, outputs
-        targets = self._index[eq.target]
+        targets = self._decls[eq.target]._index
         table = eq.table
         try:
             outputs = tuple(targets[table[row]] for row in product(*domains))
@@ -244,18 +232,18 @@ class Scm(Record):
         if stray:
             raise DomainError(
                 f"table for {eq.target!r} has a row outside the parent domains: "
-                f"{sorted(stray)[0]}"
+                f"{_row_text(min(stray))}"
             )
         missing = expected - seen
         if missing:
             raise IncompleteTableError(
                 f"table for {eq.target!r} is missing {len(missing)} row(s), "
-                f"e.g. parents={sorted(missing)[0]}"
+                f"e.g. parents={_row_text(min(missing))}"
             )
         for key, out in eq.table.items():
-            if out not in self._index[eq.target]:
+            if out not in self._decls[eq.target]._index:
                 raise DomainError(
-                    f"table for {eq.target!r} maps {key} to {out}, "
+                    f"table for {eq.target!r} maps {_row_text(key)} to {format_value(out)}, "
                     f"outside the declared domain"
                 )
         raise AssertionError(f"table for {eq.target!r} compiles")  # unreachable
@@ -314,8 +302,7 @@ class Scm(Record):
         out: Positions = {}
         for name, raw in assignment.items():
             value = as_value(raw)
-            self.decl(name)  # rejects an unknown name
-            position = self._index[name].get(value)
+            position = self.decl(name)._index.get(value)  # decl rejects an unknown name
             if position is None:
                 raise DomainError(f"value {value} is outside the domain of {name!r}")
             out[name] = position
@@ -453,7 +440,7 @@ class Scm(Record):
         if not pins:
             return self
         variables = tuple(
-            VariableDecl(d.name, ENDOGENOUS if d.name in pins else d.kind, d.domain)
+            VariableDecl(d.name, ENDOGENOUS, d.domain) if d.name in pins else d
             for d in self.variables
         )
         equations = [eq for eq in self.equations if eq.target not in pins]
@@ -481,6 +468,11 @@ class Scm(Record):
             for parent in eq.parents:
                 edges.append((parent, eq.target))
         return CausalGraph(tuple(d.name for d in self.variables), tuple(edges))
+
+
+def _row_text(row: tuple[Fraction, ...]) -> str:
+    """A row of parent values the way a model file writes its ``in``: ``[0, 1/2]``."""
+    return f"[{', '.join(map(format_value, row))}]"
 
 
 def graph_to_dot(graph: CausalGraph) -> str:

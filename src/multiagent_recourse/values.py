@@ -154,33 +154,39 @@ def _json_int(text: str) -> int:
     return int(bounded_literal(text))
 
 
-def decode_json(text: str, **options: Any) -> Any:
-    """``json.loads(text, **options)``, but a JSON integer of more than
-    MAX_LITERAL_DIGITS digits is refused with ``bounded_literal``'s message.
+def decode_json(text: str, where: str, **options: Any) -> Any:
+    """``json.loads(text, **options)``; a document that does not decode is a
+    ParseError that ``where`` names.
 
-    Only a document that fails is read again with each integer checked: a
-    ``parse_int`` on every read would double the decoding time of a model.
+    A JSON integer of more than MAX_LITERAL_DIGITS digits is refused with
+    ``bounded_literal``'s message.  Only a document that fails is read again
+    with each integer checked: a ``parse_int`` on every read would double the
+    decoding time of a model.
     """
     try:
-        return json.loads(text, **options)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        json.loads(text, parse_int=_json_int, **options)
-        raise
+        try:
+            return json.loads(text, **options)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            json.loads(text, parse_int=_json_int, **options)
+            raise
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # a number beyond the digit limit, or deep nesting
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def load_json_exact(path: str | Path, noun: str) -> Any:
     """Read a JSON file, float literals as exact Fractions; ``noun`` names it in errors."""
     path = Path(path)
     try:
-        return decode_json(path.read_text(), parse_float=as_value)
+        text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # a number beyond the digit limit, or deep nesting
+    except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    return decode_json(text, str(path), parse_float=as_value)
 
 
 # ------------------------------------------------------------- JSON fields
@@ -243,13 +249,8 @@ def read_value(raw: Any, where: str, field: str | None = None) -> Fraction:
 
 
 def read_values(raw: Any, where: str, field: str | None = None) -> tuple:
-    """A JSON list of exact values, each read as ``read_value`` reads one."""
-    if not isinstance(raw, list):  # checked here, not by read_list: one call less per table row
-        _reject(raw, where, field, "a list")
-    try:
-        return tuple(map(as_value, raw))
-    except ValueError as exc:
-        raise ParseError(f"{_place(where, field)}: {exc}") from None
+    """A JSON list of exact values, each read by ``read_value``."""
+    return tuple(read_value(item, where, field) for item in read_list(raw, where, field))
 
 
 def read_agent(raw: Any, where: str, field: str | None = None) -> int | str:

@@ -416,18 +416,13 @@ class TestExperiment:
         assert set(report.per_matrix) == {"table2", "table3"}
         assert report.overall.recommendations == 8
 
-    def test_jobs_zero_exit_1(self, capsys):
-        args = [
-            "experiment",
-            "--synthetic", "n=4", "silent=2",
-            "--matrix", "table2",
-            "--jobs", "0",
-        ]
-        assert main(args) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: jobs must be at least 1" in captured.err
-        assert "Traceback" not in captured.err
+    def test_jobs_zero_exit_1(self, tmp_path, capsys):
+        # --jobs is checked before the log is read or generated: no note line.
+        for source in (["--synthetic", "n=4", "silent=2"], ["--log", str(tmp_path / "absent.csv")]):
+            assert main(["experiment", *source, "--matrix", "table2", "--jobs", "0"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: jobs must be at least 1\n"
 
     def test_mode_choices_are_the_paper_modes_in_order(self, capsys):
         assert main(["experiment", "--synthetic", "n=4", "silent=2", "--mode", "custom"]) == 1
@@ -455,6 +450,36 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["experiment", "generate"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--synthetic", "n=5", "quiet=2"], "--synthetic takes n=<total> silent=<count>, got 'quiet=2'"),
+            (["--synthetic", "n=5", "silent"], "--synthetic takes n=<total> silent=<count>, got 'silent'"),
+            (["--synthetic", "n=five", "silent=2"], "--synthetic n must be an integer"),
+            (["--synthetic", "n=5", "silent=2", "--matrix", "table2=1/2,table3"], "bad --matrix entry 'table3'"),
+            (["--synthetic", "n=5", "silent=2", "--matrix", "table2=1/2,=1/2"], "bad --matrix entry '=1/2'"),
+            (
+                ["--synthetic", "n=5", "silent=2", "--matrix", "table2=half,table3=1/2"],
+                "bad proportion in --matrix entry 'table2=half'",
+            ),
+        ],
+        ids=["synthetic-key", "synthetic-no-value", "synthetic-not-integer", "matrix-no-proportion",
+             "matrix-no-name", "matrix-proportion"],
+    )
+    def test_bad_parameter_exit_1(self, capsys, command, args, message):
+        assert main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_matrix_file_without_name_exit_1(self, capsys):
+        args = ["experiment", "--synthetic", "n=4", "silent=2", "--matrix-file", "mine.csv"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[1:] == ["error: --matrix-file takes NAME=PATH, got 'mine.csv'"]
 
     def test_custom_matrix_file(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
@@ -714,6 +739,6 @@ class TestHashSeed:
         errors = [err for argv, code, _, err in first if argv[0] == "graph" and code == 1]
         assert errors == [
             "error: causal graph has a cycle through: a, b, c, d\n",
-            "error: table for 'h' has a row outside the parent domains: (Fraction(0, 1), Fraction(4, 1))\n",
-            "error: table for 'h' is missing 6 row(s), e.g. parents=(Fraction(0, 1), Fraction(1, 1))\n",
+            "error: table for 'h' has a row outside the parent domains: [0, 4]\n",
+            "error: table for 'h' is missing 6 row(s), e.g. parents=[0, 1]\n",
         ]

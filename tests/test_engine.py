@@ -153,6 +153,22 @@ class TestConstraintSemantics:
         )
         assert mr.solve(query) is None
 
+    def test_plausible_clause_gives_the_predicates_verdict(self, pd1):
+        query = pd_query(
+            pd1,
+            principal=1,
+            factual={"x1": 0, "x2": 1},
+            feasible=[{"x1": 1}, {"x2": 0}],
+            constraints=[mr.Plausible()],
+            plausible=lambda state: state["x1"] == 0,
+        )
+        rows = mr.enumerate_feasible(query)
+        assert [(row.action, row.plausible, row.clauses) for row in rows] == [
+            ({"x1": F(1)}, False, (("plausible", False),)),
+            ({"x2": F(0)}, True, (("plausible", True),)),
+        ]
+        assert mr.solve(query).action == {"x2": F(0)}
+
     def test_factual_can_be_outcome_observation(self, pd1):
         query = pd_query(
             pd1,
@@ -411,6 +427,26 @@ class TestBaseline:
         assert outcome.per_agent[2].after == F("3.5")
         assert outcome.flags.pareto_violated
 
+    def test_threshold_on_another_agent_rejected(self, pd1):
+        query = pd_query(
+            pd1,
+            principal=1,
+            factual={"x1": 0, "x2": 1},
+            feasible=[{"x1": 1}],
+            constraints=[mr.Threshold(agent=2, t=F(1))],
+        )
+        with pytest.raises(mr.InvalidQueryError) as caught:
+            mr.solve_cfe_baseline(query)
+        assert str(caught.value) == "the additive baseline only supports thresholds on the principal"
+
+    def test_plausible_clause_is_left_to_the_predicate(self, pd1):
+        given = dict(principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": 1}])
+        with_clause = mr.solve_cfe_baseline(pd_query(pd1, **given, constraints=[mr.Plausible()]))
+        assert with_clause is not None
+        assert with_clause == mr.solve_cfe_baseline(pd_query(pd1, **given, constraints=[]))
+        blocked = pd_query(pd1, **given, constraints=[mr.Plausible()], plausible=lambda state: state["x1"] == 0)
+        assert mr.solve_cfe_baseline(blocked) is None
+
     def test_shift_leaving_domain(self, pd1):
         query = pd_query(
             pd1,
@@ -602,6 +638,23 @@ class TestFileForms:
             "constraints[0] has unknown kind 'paretto'; expected one of "
             "pareto, plausible, principal_improvement, social_welfare, threshold"
         )
+
+    @pytest.mark.parametrize("source", [{}, {"scm_file": "model.json"}], ids=["neither", "both"])
+    def test_exactly_one_model_source(self, source):
+        data = self.query_data()
+        if not source:
+            del data["scm"]
+        data.update(source)
+        with pytest.raises(mr.ParseError) as caught:
+            mr.query_from_dict(data)
+        assert str(caught.value) == "query must contain exactly one of 'scm' or 'scm_file'"
+
+    def test_unknown_solver(self):
+        data = self.query_data()
+        data["solver"] = "exhaustive"
+        with pytest.raises(mr.ParseError) as caught:
+            mr.query_from_dict(data)
+        assert str(caught.value) == "query field 'solver' names unknown solver 'exhaustive'"
 
     @pytest.mark.parametrize("raw", ["false", "no", 0, None])
     def test_booleans_must_be_json_true_or_false(self, raw):

@@ -72,6 +72,36 @@ class TestParsing:
         with pytest.raises(mr.ParseError, match="duplicate round"):
             parse_game_log_text(text)
 
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            ([], mr.ParseError, "log is empty; expected a header line"),
+            (["g1,table2,test,0,1,0"], mr.ParseError, "line 2: expected 7 fields, got 6"),
+            ([",table2,test,0,1,0,1"], mr.ParseError, "line 2: empty game_id"),
+            (["g1,table2,treated,0,1,0,1"], mr.ParseError, "line 2: group must be 'test' or 'control'"),
+            (["g1,table2,test,,1,0,1"], mr.ParseError, "line 2: test rows need a continuation probability"),
+            (["g1,table2,test,half,1,0,1"], mr.ParseError, "line 2: test rows need a continuation probability"),
+            (["g1,table2,test,0,one,0,1"], mr.ParseError, "line 2: round must be an integer"),
+            (["g1,table2,test,0,0,0,1"], mr.ParseError, "line 2: round numbers start at 1"),
+            (["g1,table2,test,0,1,0,x"], mr.DomainError, "line 2: p2_action must be 0 or 1"),
+            (
+                ["g1,table2,test,0,1,0,1", "g1,table2,test,0,3,0,1"],
+                mr.ParseError,
+                "game 'g1' has non-contiguous round numbers",
+            ),
+        ],
+        ids=[
+            "empty", "field-count", "empty-game-id", "bad-group", "no-delta", "unreadable-delta",
+            "round-not-integer", "round-zero", "action-not-integer", "round-gap",
+        ],
+    )
+    def test_log_errors(self, rows, error, message):
+        text = "\n".join([SAMPLE_LOG.splitlines()[0], *rows]) + "\n" if rows else ""
+        with pytest.raises(error) as caught:
+            parse_game_log_text(text)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
     def test_one_game_may_spell_its_delta_two_ways(self):
         text = (
             "game_id,matrix_id,group,delta,round,p1_action,p2_action\n"
@@ -307,6 +337,15 @@ class TestRunExperiment:
         games = [one_round_game("g0", 0, 0, "tableX")]
         with pytest.raises(mr.UnknownMatrixError):
             mr.run_experiment(games, mr.ExperimentConfig(mode="single_agent"))
+
+    def test_matrix_named_overall_rejected(self, monkeypatch):
+        # Reports use the scope 'overall' for the totals; the name is refused
+        # before any cell is solved.
+        monkeypatch.setattr(experiment, "solve", None)
+        matrices = {"overall": mr.builtin_matrix("table2")}
+        with pytest.raises(mr.InvalidParamsError) as caught:
+            mr.run_experiment(self.four_profile_log("overall"), mr.ExperimentConfig(), matrices=matrices)
+        assert str(caught.value) == "matrices cannot name a matrix 'overall': reports use it for the totals"
 
     def test_custom_mode_requires_clauses(self):
         with pytest.raises(mr.InvalidParamsError):

@@ -137,3 +137,18 @@ class TestMatrixFiles:
         path.write_text("row_action,col_action,p1,p2\n\n0,0,x,1\n")
         with pytest.raises(mr.ParseError, match=r"m\.csv: line 3: cannot interpret 'x'"):
             mr.load_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,0,1,1", "0,1,1"], "line 3: expected 4 fields, got 3"),
+            (["0,0,1,1", "0,1,1,1", "0,0,2,2"], "line 4: duplicate cell (0, 0)"),
+        ],
+        ids=["field-count", "duplicate-cell"],
+    )
+    def test_bad_rows(self, tmp_path, rows, message):
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(["row_action,col_action,p1,p2", *rows]) + "\n")
+        with pytest.raises(mr.ParseError) as caught:
+            mr.load_matrix_csv(path)
+        assert str(caught.value) == f"{path}: {message}"

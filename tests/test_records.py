@@ -1,8 +1,10 @@
 """The package's record types, and what importing the command line loads."""
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -49,6 +51,12 @@ CASES = [
         mr.VariableDecl,
         {"name": "x", "kind": mr.EXOGENOUS, "domain": (F(0), F(1))},
         {"name": "z", "kind": mr.ENDOGENOUS, "domain": (F(1), F(0))},
+        {},
+    ),
+    (
+        mr.StructuralEquation,
+        {"target": "y", "parents": ("x",), "table": {(F(0),): F(0), (F(1),): F(1)}},
+        {"target": "z", "parents": ("w",), "table": {(F(0),): F(1), (F(1),): F(0)}},
         {},
     ),
     (
@@ -238,8 +246,9 @@ def test_record(cls, values, others, defaults):
         changed = cls(**{**values, name: other})
         assert changed != record and not changed == record, name
 
-    # What a record computes from its fields does not take part in ==.
-    for name in set(cls.__slots__) - values.keys():
+    # What a record computes from its fields does not take part in ==; a
+    # slot that holds a field under its private name is the field itself.
+    for name in set(cls.__slots__) - values.keys() - {f"_{field}" for field in values}:
         stripped = cls(**values)
         setattr(stripped, name, None)
         assert stripped == record, name
@@ -277,3 +286,31 @@ def test_constructors_check_their_arguments():
         mr.OutcomeCounts(*range(10))
     with pytest.raises(TypeError):
         mr.GameRecord("g1", "table1", "test", F(0), [], extra=1)
+
+
+def test_equation_read_from_a_file_equals_the_same_equation_built_in_code():
+    read = mr.scm_from_dict(mr.scm_to_dict(SCM)).equations[0]
+    assert read._table is None  # read as positions; the table is built when asked for
+    assert read == COPY_X[0] and COPY_X[0] == read and not read != COPY_X[0]
+    assert read != OTHER_SCM.equations[0]
+    assert repr(read) == repr(COPY_X[0])
+    assert copy.deepcopy(read) == read
+    assert pickle.loads(pickle.dumps(read)) == read
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(read)
+
+
+def test_only_record_writes_eq_and_repr():
+    # Every record type takes ``==`` and ``repr`` from ``values.Record``.
+    modules = [
+        importlib.import_module(f"{mr.__name__}.{info.name}") for info in pkgutil.iter_modules(mr.__path__)
+    ]
+    classes = {
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+    }
+    assert mr.StructuralEquation in classes and mr.values.Record in classes
+    writers = {cls.__qualname__ for cls in classes if {"__eq__", "__repr__"} & vars(cls).keys()}
+    assert writers == {"Record"}

@@ -84,7 +84,7 @@ class TestBuild:
             )
 
     def test_missing_table_row(self):
-        message = "table for 'h1' is missing 1 row(s), e.g. parents=(Fraction(1, 1), Fraction(1, 1))"
+        message = "table for 'h1' is missing 1 row(s), e.g. parents=[1, 1]"
         with pytest.raises(mr.IncompleteTableError, match=re.escape(message)):
             mr.Scm(
                 (
@@ -111,7 +111,7 @@ class TestBuild:
             mr.Scm((mr.VariableDecl("h1", mr.ENDOGENOUS, (0, 1)),), (eq, eq))
 
     def test_out_of_domain_table_output(self):
-        message = "table for 'h1' maps () to 7, outside the declared domain"
+        message = "table for 'h1' maps [] to 7, outside the declared domain"
         with pytest.raises(mr.DomainError, match=re.escape(message)):
             mr.Scm(
                 (mr.VariableDecl("h1", mr.ENDOGENOUS, (0, 1)),),
@@ -119,7 +119,7 @@ class TestBuild:
             )
 
     def test_stray_table_row(self):
-        message = "table for 'h1' has a row outside the parent domains: (Fraction(2, 1),)"
+        message = "table for 'h1' has a row outside the parent domains: [2]"
         with pytest.raises(mr.DomainError, match=re.escape(message)):
             mr.Scm(
                 (
@@ -134,32 +134,54 @@ class TestBuild:
             )
 
     @pytest.mark.parametrize(
-        "table, error, message",
+        "domain, table, error, message",
         [
             # (1,) is missing, (3,) and (2,) are stray, and (0,) maps outside {0, 1}
             (
+                (0, 1),
                 {(F(0),): F(5), (F(3),): F(0), (F(2),): F(1)},
                 mr.DomainError,
-                "table for 'h1' has a row outside the parent domains: (Fraction(2, 1),)",
+                "table for 'h1' has a row outside the parent domains: [2]",
             ),
             # (1,) is missing and (0,) maps outside {0, 1}
             (
+                (0, 1),
                 {(F(0),): F(5)},
                 mr.IncompleteTableError,
-                "table for 'h1' is missing 1 row(s), e.g. parents=(Fraction(1, 1),)",
+                "table for 'h1' is missing 1 row(s), e.g. parents=[1]",
+            ),
+            # Rows and outputs are written as a model file writes them.
+            (
+                (0, F(1, 2)),
+                {(F(0),): F(0), (F(1, 2),): F(0), (F(1, 3),): F(0)},
+                mr.DomainError,
+                "table for 'h1' has a row outside the parent domains: [1/3]",
+            ),
+            (
+                (0, F(1, 2)),
+                {(F(0),): F(0)},
+                mr.IncompleteTableError,
+                "table for 'h1' is missing 1 row(s), e.g. parents=[0.5]",
+            ),
+            (
+                (0, F(1, 2)),
+                {(F(0),): F(7, 2), (F(1, 2),): F(0)},
+                mr.DomainError,
+                "table for 'h1' maps [0] to 3.5, outside the declared domain",
             ),
         ],
-        ids=["stray-first", "missing-before-output"],
+        ids=["stray-first", "missing-before-output", "stray-fraction", "missing-decimal", "output-decimal"],
     )
-    def test_table_errors_reported_in_order(self, table, error, message):
-        with pytest.raises(error, match=re.escape(message)):
+    def test_table_errors_reported_in_order(self, domain, table, error, message):
+        with pytest.raises(error) as caught:
             mr.Scm(
                 (
-                    mr.VariableDecl("x1", mr.EXOGENOUS, (0, 1)),
+                    mr.VariableDecl("x1", mr.EXOGENOUS, domain),
                     mr.VariableDecl("h1", mr.ENDOGENOUS, (0, 1)),
                 ),
                 (mr.StructuralEquation("h1", ("x1",), table),),
             )
+        assert str(caught.value) == message
 
     def test_unknown_parent(self):
         with pytest.raises(mr.DomainError):
@@ -381,9 +403,9 @@ class TestFiles:
             ([0, 1, "1"], [[0, 1], [1, 0], ["1", 0]], mr.ParseError, "table[2] repeats inputs ['1']"),
             ([0, 0], [[0, 1], [1, 0]], mr.ScmValidationError, "'x1' repeats a domain value"),
             ([0, 1], [[0, 1], [1, 0], [2, 0], [1, 5]], mr.ParseError, "table[3] repeats inputs [1]"),
-            ([0, 1], [[0, 5], [2, 0]], mr.DomainError, "row outside the parent domains: (Fraction(2, 1),)"),
-            ([0, 1], [[0, 5]], mr.IncompleteTableError, "missing 1 row(s), e.g. parents=(Fraction(1, 1),)"),
-            ([0, 1], [[0, 5], ["2/2", 0]], mr.DomainError, "maps (Fraction(0, 1),) to 5, outside"),
+            ([0, 1], [[0, 5], [2, 0]], mr.DomainError, "row outside the parent domains: [2]"),
+            ([0, 1], [[0, 5]], mr.IncompleteTableError, "missing 1 row(s), e.g. parents=[1]"),
+            ([0, 1], [[0, 5], ["2/2", 0]], mr.DomainError, "maps [0] to 5, outside"),
             ([0, 1], [[0, 1], [1, "1/0"]], mr.ParseError, "table[1] field 'out': cannot interpret '1/0'"),
         ],
         ids=["respelled-repeat", "repeated-domain", "repeat-after-stray", "stray", "missing", "output", "bad-out"],
@@ -400,6 +422,20 @@ class TestFiles:
         }
         with pytest.raises(error, match=re.escape(message)):
             mr.scm_from_dict(data)
+
+    def test_row_with_wrong_arity(self):
+        data = {
+            "variables": [
+                {"name": "x1", "kind": "exogenous", "domain": [0, 1]},
+                {"name": "h1", "kind": "endogenous", "domain": [0, 1]},
+            ],
+            "equations": [
+                {"target": "h1", "parents": ["x1"], "table": [{"in": [0], "out": 0}, {"in": [1, 0], "out": 1}]}
+            ],
+        }
+        with pytest.raises(mr.ParseError) as caught:
+            mr.scm_from_dict(data)
+        assert str(caught.value) == "equations[0].table[1] has 2 inputs for 1 parent(s)"
 
     def test_fractional_values_survive(self, pd1):
         data = mr.scm_to_dict(pd1)
