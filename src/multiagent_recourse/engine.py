@@ -6,7 +6,12 @@ plausibility predicate.  The factual world is abducted once per query and
 mapped once to positions in the variables' domains.  An action's cost depends
 only on the action and the factual state, so every candidate is ranked before
 any is predicted, on integer keys: the count, and the weighted change as a
-numerator over the query's common denominator.  Candidates are then predicted
+numerator over the query's common denominator, built from each variable's
+domain on its integer scale (``VariableDecl._integer_scale``) and the
+weights' numerators and denominators, with no ``Fraction`` arithmetic.
+Values are mapped to positions through maps keyed by ``int`` for integral
+values (``scm._key``), and each literal of a query file is read once.
+Candidates are then predicted
 in rank order, each as a pin overlay on the model's compiled index tables (no
 mutilated model is built), and the first whose clauses all hold is returned;
 only its state is turned back into values.  ``enumerate_feasible`` shares the
@@ -29,7 +34,7 @@ from math import lcm
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union, get_args
 
 from .errors import DomainError, InvalidQueryError, ParseError
-from .scm import ENDOGENOUS, Assignment, Positions, Scm, scm_from_dict, load_scm
+from .scm import ENDOGENOUS, Assignment, Positions, Scm, _key, scm_from_dict, load_scm
 from .values import FrozenRecord, Record, as_value, format_value, load_json_exact, value_to_json
 from .values import read_agent, read_bool, read_list, read_object, read_str, read_value
 
@@ -215,15 +220,22 @@ class RecourseQuery(Record):
         constraints: list[Clause] | None = None, cost: CostModel | None = None,
         plausible: Callable[[Assignment], bool] | None = None, exclude_identity: bool = False,
     ) -> None:
-        self.scm = scm
-        self.principal = principal
-        self.agents = agents
-        self.factual = {name: as_value(v) for name, v in factual.items()}
-        self.feasible = [{name: as_value(v) for name, v in action.items()} for action in feasible]
-        self.constraints = [] if constraints is None else constraints
-        self.cost = CostModel() if cost is None else cost
-        self.plausible = plausible
-        self.exclude_identity = exclude_identity
+        self._set(
+            scm, principal, agents,
+            {name: as_value(v) for name, v in factual.items()},
+            [{name: as_value(v) for name, v in action.items()} for action in feasible],
+            [] if constraints is None else constraints,
+            CostModel() if cost is None else cost,
+            plausible, exclude_identity,
+        )
+
+    @classmethod
+    def _exact(cls, *fields: Any) -> "RecourseQuery":
+        """The query of ``fields``, in ``_fields`` order, taken as they are: the
+        values already exact and no default left to fill in."""
+        query = cls.__new__(cls)
+        query._set(*fields)
+        return query
 
 
 class AgentDelta(FrozenRecord):
@@ -347,28 +359,41 @@ def _action_key(positions: Mapping[str, int]) -> tuple:
     return (names, tuple(positions[name] for name in names))
 
 
-def _rank_keys(cost: CostModel, candidates: list[tuple], factual: Assignment) -> Callable[[tuple], tuple]:
+def _rank_keys(
+    scm: Scm, cost: CostModel, candidates: list[tuple], world: Positions
+) -> Callable[[tuple], tuple]:
     """Sort key of a candidate (action, pins, ...): its cost as ints, then ``_action_key``.
 
     The count is an int.  The weighted change is a sum of terms w*|v - f|, one
-    per pinned (variable, position); each distinct term is computed once and
-    scaled to the terms' common denominator, so changes compare as numerators.
+    per pinned (variable, position), with f the variable's value at the
+    factual positions ``world``.  On the variable's integer scale (values
+    n_i/d) and with w = a/b, a term is a*|n_v - n_f| / (b*d).  Every term is
+    taken over the least common multiple of the pinned variables' b*d, so a
+    change is an integer numerator and changes compare exactly as the
+    rational sums do: the same order and the same ties.
     """
-    scaled = {}
+    terms = {}  # pinned variable -> (a * (common // (b*d)), its numerators, n_f)
     if cost.kind != COST_COUNT:
-        terms = {}
-        for action, pins, *_ in candidates:
-            for name, position in pins.items():
-                if (name, position) not in terms:
-                    terms[name, position] = cost.weight(name) * abs(action[name] - factual[name])
-        scale = lcm(*(term.denominator for term in terms.values()))
-        scaled = {item: t.numerator * (scale // t.denominator) for item, t in terms.items()}
+        for _, pins, *_ in candidates:
+            for name in pins:
+                if name not in terms:
+                    w = cost.weight(name)
+                    d, numerators = scm._decls[name]._integer_scale()
+                    terms[name] = (w.numerator, w.denominator * d, numerators, numerators[world[name]])
+        common = lcm(*(den for _, den, _, _ in terms.values()))
+        terms = {
+            name: (a * (common // den), numerators, at)
+            for name, (a, den, numerators, at) in terms.items()
+        }
 
     def key(candidate: tuple) -> tuple:
         pins = candidate[1]
         if cost.kind == COST_COUNT:
             return (len(pins), *_action_key(pins))
-        change = sum(map(scaled.__getitem__, pins.items()))
+        change = 0
+        for name, position in pins.items():
+            factor, numerators, at = terms[name]
+            change += factor * abs(numerators[position] - at)
         if cost.kind == COST_WEIGHTED:
             return (change, *_action_key(pins))
         return (len(pins), change, *_action_key(pins))
@@ -398,7 +423,7 @@ def _rank(
         clause_label(clause)  # rejects an unknown clause
     if query.exclude_identity:
         candidates = [c for c in candidates if any(world[n] != p for n, p in c[1].items())]
-    candidates.sort(key=_rank_keys(query.cost, candidates, factual))
+    candidates.sort(key=_rank_keys(scm, query.cost, candidates, world))
     before = {agent: factual[var] for agent, var in query.agents.items()}
 
     def predict(pins: Positions) -> tuple[Positions, bool, Iterator[bool]]:
@@ -531,7 +556,7 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
         shifted = dict(factual_state)
         for name, amount in shift.items():
             new_value = factual_state[name] + amount
-            position = scm.decl(name)._index.get(new_value)
+            position = scm.decl(name)._index.get(_key(new_value))
             if position is None:
                 raise DomainError(
                     f"shifting {name!r} by {format_value(amount)} leaves its domain"
@@ -552,7 +577,7 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
         passing.append((assigned, pins, shift, shifted))
     if not passing:
         return None
-    assigned, _, shift, shifted = min(passing, key=_rank_keys(query.cost, passing, factual_state))
+    assigned, _, shift, shifted = min(passing, key=_rank_keys(scm, query.cost, passing, world))
     return _assemble_outcome(query, factual_state, shift, shifted, query.cost.scalar(assigned, factual_state))
 
 
@@ -658,19 +683,20 @@ def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuer
     solver = read_str(data.get("solver", SOLVER_STRUCTURAL), "query", "solver")
     if solver not in (SOLVER_STRUCTURAL, SOLVER_BASELINE):
         raise ParseError(f"query field 'solver' names unknown solver {solver!r}")
-    return RecourseQuery(
-        scm=scm,
-        principal=read_agent(data["principal"], "query", "principal"),
-        agents=agents,
-        factual=_assignment(data["factual"], "query", "factual"),
-        feasible=[
+    # Every value is read exactly once here, so the query takes them as they are.
+    return RecourseQuery._exact(
+        scm,
+        read_agent(data["principal"], "query", "principal"),
+        agents,
+        _assignment(data["factual"], "query", "factual"),
+        [
             _assignment(action, f"feasible[{j}]")
             for j, action in enumerate(read_list(data["feasible"], "query", "feasible"))
         ],
-        constraints=constraints,
-        cost=cost,
-        plausible=plausible,
-        exclude_identity=read_bool(data.get("exclude_identity", False), "query", "exclude_identity"),
+        constraints,
+        cost,
+        plausible,
+        read_bool(data.get("exclude_identity", False), "query", "exclude_identity"),
     ), solver
 
 

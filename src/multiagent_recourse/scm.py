@@ -17,7 +17,12 @@ becomes a flat tuple of the target's positions, one per parent row, rows
 numbered in mixed radix over the parent domains (the order of
 ``itertools.product``).  Evaluation and abduction run on these positions,
 so they hash no values; values are converted to positions and back only
-where an operation takes or returns them.
+where an operation takes or returns them.  The maps key an integral value
+by its ``int`` (``_key``), which hashes and compares equal to the
+``Fraction`` but costs no Python-level ``Fraction.__hash__``; an int literal
+is looked up as it is.  Each declaration also gives its domain on one
+integer scale, numerators over a common denominator (``_integer_scale``),
+from which the solver's cost terms are built as ints.
 
 A model file is read straight into these tuples: each row literal is mapped
 to its domain position through a per-variable memo, so no table of values is
@@ -35,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from operator import getitem, mul
 from pathlib import Path
 from typing import Any, Mapping, NoReturn
@@ -50,7 +55,7 @@ from .errors import (
     ParseError,
     ScmValidationError,
 )
-from .values import Record, as_value, format_value, load_json_exact, value_to_json
+from .values import Record, as_value, format_value, load_json_exact, shown_value, value_to_json
 from .values import read_list, read_object, read_str, read_value, read_values
 
 EXOGENOUS = "exogenous"
@@ -62,19 +67,56 @@ Assignment = dict[str, Fraction]
 Positions = dict[str, int]
 
 
+def _key(value: Fraction) -> int | Fraction:
+    """``value``'s key in a value->position map: its ``int`` when integral,
+    which has the same hash and equality as the ``Fraction`` but is hashed in
+    C; otherwise the value itself."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _literal_key(raw: Any) -> int | Fraction:
+    """The map key of a literal: an int is its own key (a bool is not an int
+    here), and anything else is read by ``as_value`` first."""
+    kind = type(raw)
+    if kind is int:
+        return raw
+    return _key(raw if kind is Fraction else as_value(raw))
+
+
 class VariableDecl(Record):
     """One variable: its kind and its ordered finite domain."""
 
-    __slots__ = ("name", "kind", "domain", "_index")
+    __slots__ = ("name", "kind", "domain", "_index", "_scale")
     _fields = ("name", "kind", "domain")
 
     def __init__(self, name: str, kind: str, domain: tuple[Fraction, ...]) -> None:
+        self._build(name, kind, tuple(map(as_value, domain)))
+
+    @classmethod
+    def _exact(cls, name: str, kind: str, domain: tuple[Fraction, ...]) -> "VariableDecl":
+        """A declaration whose domain is already a tuple of exact values, read no further."""
+        decl = cls.__new__(cls)
+        decl._build(name, kind, domain)
+        return decl
+
+    def _build(self, name: str, kind: str, domain: tuple[Fraction, ...]) -> None:
         self.name = name
         self.kind = kind
-        self.domain = tuple(map(as_value, domain))
-        # Domain value -> its position; it has fewer entries than the domain
-        # when a value repeats.
-        self._index = {value: i for i, value in enumerate(self.domain)}
+        self.domain = domain
+        # Domain value, as its _key (inlined: a model file builds one map per
+        # variable) -> its position; fewer entries than the domain when a
+        # value repeats.
+        self._index = {(v.numerator if v.denominator == 1 else v): i for i, v in enumerate(domain)}
+        self._scale: tuple[int, tuple[int, ...]] | None = None
+
+    def _integer_scale(self) -> tuple[int, tuple[int, ...]]:
+        """The domain on one integer scale: ``(d, numerators)``, where ``d`` is
+        the least common denominator and value i is ``numerators[i] / d``.
+        Computed on first use and kept."""
+        if self._scale is None:
+            d = lcm(*(v.denominator for v in self.domain))
+            self._scale = d, tuple(v.numerator * (d // v.denominator) for v in self.domain)
+        return self._scale
 
 
 class StructuralEquation(Record):
@@ -216,7 +258,7 @@ class Scm(Record):
         targets = self._decls[eq.target]._index
         table = eq.table
         try:
-            outputs = tuple(targets[table[row]] for row in product(*domains))
+            outputs = tuple(targets[_key(table[row])] for row in product(*domains))
         except KeyError:
             self._reject_table(eq)
         if len(outputs) != len(table):
@@ -241,7 +283,7 @@ class Scm(Record):
                 f"e.g. parents={_row_text(min(missing))}"
             )
         for key, out in eq.table.items():
-            if out not in self._decls[eq.target]._index:
+            if _key(out) not in self._decls[eq.target]._index:
                 raise DomainError(
                     f"table for {eq.target!r} maps {_row_text(key)} to {format_value(out)}, "
                     f"outside the declared domain"
@@ -298,13 +340,18 @@ class Scm(Record):
 
     def _positions(self, assignment: Mapping[str, Any]) -> Positions:
         """Domain positions of a partial assignment; an unknown name or a value
-        outside its variable's domain is a DomainError."""
+        outside its variable's domain is a DomainError.
+
+        Each value is read once, by ``_literal_key``.
+        """
         out: Positions = {}
         for name, raw in assignment.items():
-            value = as_value(raw)
-            position = self.decl(name)._index.get(value)  # decl rejects an unknown name
+            key = _literal_key(raw)  # a bad literal is refused before the name is checked
+            position = self.decl(name)._index.get(key)
             if position is None:
-                raise DomainError(f"value {value} is outside the domain of {name!r}")
+                raise DomainError(
+                    f"value {shown_value(as_value(raw))} is outside the domain of {name!r}"
+                )
             out[name] = position
         return out
 
@@ -440,7 +487,7 @@ class Scm(Record):
         if not pins:
             return self
         variables = tuple(
-            VariableDecl(d.name, ENDOGENOUS, d.domain) if d.name in pins else d
+            VariableDecl._exact(d.name, ENDOGENOUS, d.domain) if d.name in pins else d
             for d in self.variables
         )
         equations = [eq for eq in self.equations if eq.target not in pins]
@@ -540,14 +587,14 @@ class _PositionMemo(dict):
         self._index = decl._index
 
     def __missing__(self, raw: Any) -> int:
-        position = self[raw] = self._index[as_value(raw)]
+        position = self[raw] = self._index[_literal_key(raw)]
         return position
 
 
 def _variable_from_dict(item: Any, index: int) -> VariableDecl:
     where = f"variables[{index}]"
     item = read_object(item, where, allowed=_VARIABLE_FIELDS, required=_VARIABLE_FIELDS)
-    return VariableDecl(
+    return VariableDecl._exact(
         read_str(item["name"], where, "name"),
         read_str(item["kind"], where, "kind"),
         read_values(item["domain"], where, "domain"),

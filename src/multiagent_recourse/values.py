@@ -145,6 +145,30 @@ def format_value(v: Fraction) -> str:
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 
+def shown_value(v: Fraction) -> str:
+    """``v`` quoted for an error message: as ``format_value`` writes it, cut like
+    a quoted literal (``_shown``).
+
+    A value past the digit limit is quoted as the head of ``n/d`` (or ``n``),
+    cut the same way, rather than refused with a ValueRangeError.
+    """
+    try:
+        return _shown(format_value(v))
+    except ValueRangeError:
+        if v.denominator == 1:
+            return _shown(_head(v.numerator))
+        return _shown(f"{_head(v.numerator)}/{_head(v.denominator)}")
+
+
+def _head(n: int) -> str:
+    """The leading digits of ``n``'s decimal text, at least 44 of them (all when
+    fewer): the digits past those are divided off first, so even an ``n`` too
+    long for ``str`` is converted in time linear in its size."""
+    # At least 44 digits are left: bit_length * 0.30103 exceeds the digit count by under 1.
+    excess = max(0, int(abs(n).bit_length() * 0.30103) - 45)
+    return ("-" if n < 0 else "") + str(abs(n) // 10**excess)
+
+
 def value_to_json(v: Fraction) -> int | str:
     """JSON form that round-trips through as_value: int when integral, string otherwise."""
     return _writable(v.numerator) if v.denominator == 1 else format_value(v)
@@ -182,10 +206,8 @@ def load_json_exact(path: str | Path, noun: str) -> Any:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
     return decode_json(text, str(path), parse_float=as_value)
 
 
@@ -277,6 +299,11 @@ class Record:
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    def _set(self, *values: Any) -> None:
+        """Set the ``_fields``, in order, to ``values``."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -292,10 +319,6 @@ class FrozenRecord(Record):
     sets them through ``_set``."""
 
     __slots__ = ()
-
-    def _set(self, *values: Any) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._key())

@@ -287,6 +287,28 @@ class TestSolve:
         stderr = GOLDEN / f"{name}.stderr"
         assert captured.err == (stderr.read_bytes() if stderr.exists() else b"")
 
+    def test_out_of_domain_action_quoted_as_a_file_writes_it(self, workdir, capsys):
+        data = dict(QUERY_CASE1, feasible=[{"x1": "7/2"}])
+        (workdir / "bad_action.json").write_text(json.dumps(data))
+        code = main(["solve", str(workdir / "bad_action.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: value 3.5 is outside the domain of 'x1'\n"
+
+    @pytest.mark.parametrize("which", ["query", "model"])
+    def test_json_file_not_utf8_exit_1(self, workdir, capsys, which):
+        bad = workdir / ("query.json" if which == "query" else "model.json")
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        code = main(["solve", str(workdir / "query.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read {which} file {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
+
     def test_baseline_solver_mode(self, workdir, capsys):
         data = dict(QUERY_CASE1)
         data["solver"] = "baseline"
@@ -616,6 +638,19 @@ class TestGenerateAndGraph:
         err = capsys.readouterr().err
         assert code == 1
         assert "cycle" in err
+
+    def test_graph_model_not_utf8_exit_1(self, workdir, capsys):
+        bad = workdir / "model.json"
+        bad.write_bytes(bad.read_bytes() + b"\xe9")
+        size = bad.stat().st_size
+        code = main(["graph", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot read model file {bad}: 'utf-8' codec can't decode byte 0xe9 "
+            f"in position {size - 1}: unexpected end of data\n"
+        )
 
     def test_graph_deeply_nested_model_exit_1(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

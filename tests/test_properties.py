@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import accumulate, product
-from math import ceil
+from math import ceil, lcm
 from unittest import mock
 
 import pytest
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multiagent_recourse as mr
+from multiagent_recourse import engine, scm as scm_module
 from multiagent_recourse.experiment import ALLOWED_DELTAS
 import oracle
 from conftest import build_scm_from_plain, plain_clauses_to_engine
@@ -743,3 +744,172 @@ def test_synthetic_log_draws_as_game_by_game(seed):
     ])
     expected = generate_log_game_by_game(n_total, n_silent, mix, seed)
     assert mr.generate_synthetic_log(n_total, n_silent, mix, seed) == expected
+
+
+# ------------------------------------------------- integer keys and cost terms
+
+# Numeric hashes are taken modulo 2**61 - 1, so ints around it collide with
+# small ones; a value->position map must still tell them apart.
+HASH_MODULUS = 2**61 - 1
+DOMAIN_VALUES = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([HASH_MODULUS - 1, HASH_MODULUS, HASH_MODULUS + 1, 2**64, -HASH_MODULUS, -(2**64) - 1]),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.fractions(max_denominator=2**62),
+).map(F)
+
+
+def spellings(value):
+    """Ways a file or a caller writes ``value``: the Fraction, its int, and
+    strings as a file writes them."""
+    out = [value, mr.format_value(value), f"{value.numerator * 2}/{value.denominator * 2}", f" {value} "]
+    if value.denominator == 1:
+        out.append(value.numerator)
+    return out
+
+
+def plain_lookup(domain, raw):
+    """The position of ``raw`` in a plain {Fraction: position} map of ``domain``
+    (the last one when a value repeats), or None; a literal that does not read
+    raises as ``as_value`` does."""
+    return {v: i for i, v in enumerate(domain)}.get(mr.as_value(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DOMAIN_VALUES, min_size=1, max_size=8), st.data())
+def test_int_keyed_domain_maps_look_up_as_a_fraction_map(domain, data):
+    # Repeat some values, spelled as ints where they are integral.
+    domain = domain + data.draw(st.lists(st.sampled_from(domain), max_size=2))
+    decl = mr.VariableDecl("v", mr.EXOGENOUS, domain)
+    probes = domain + data.draw(st.lists(DOMAIN_VALUES, max_size=4))
+    repeats = len(set(domain)) != len(domain)
+    scm = None if repeats else mr.Scm((decl,), ())
+    # A model file's memo, starting from the domain's own JSON literals.
+    memo = None if repeats else scm_module._PositionMemo(decl, [mr.value_to_json(v) for v in domain])
+    for value in probes:
+        for raw in spellings(value):
+            expected = plain_lookup(domain, raw)
+            assert decl._index.get(scm_module._literal_key(raw)) == expected
+            if scm is None:
+                continue
+            if expected is None:
+                with pytest.raises(mr.DomainError, match="is outside the domain of 'v'"):
+                    scm._positions({"v": raw})
+                with pytest.raises(KeyError):
+                    memo[raw]
+            else:
+                assert scm._positions({"v": raw}) == {"v": expected}
+                assert memo[raw] == expected
+    if scm is not None:
+        with pytest.raises(ValueError, match="cannot interpret bool value True as a rational"):
+            scm._positions({"v": True})
+
+
+def rank_keys_by_fractions(cost, candidates, factual):
+    """Sort key of a candidate (action, pins, ...) as it was built before integer
+    cost terms, kept as the oracle: each term w*|v - f| a Fraction, scaled to
+    the terms' common denominator."""
+    scaled = {}
+    if cost.kind != engine.COST_COUNT:
+        terms = {}
+        for action, pins, *_ in candidates:
+            for name, position in pins.items():
+                if (name, position) not in terms:
+                    terms[name, position] = cost.weight(name) * abs(action[name] - factual[name])
+        scale = lcm(*(term.denominator for term in terms.values()))
+        scaled = {item: t.numerator * (scale // t.denominator) for item, t in terms.items()}
+
+    def key(candidate):
+        pins = candidate[1]
+        if cost.kind == engine.COST_COUNT:
+            return (len(pins), *engine._action_key(pins))
+        change = sum(map(scaled.__getitem__, pins.items()))
+        if cost.kind == engine.COST_WEIGHTED:
+            return (change, *engine._action_key(pins))
+        return (len(pins), change, *engine._action_key(pins))
+
+    return key
+
+
+def ranked_by_fractions(scm, cost, candidates, world):
+    """``engine._rank_keys`` replaced by the oracle, for the same call."""
+    return rank_keys_by_fractions(cost, candidates, scm._values(world))
+
+
+def random_cost(rng, names):
+    kind = rng.choice([engine.COST_COUNT, engine.COST_WEIGHTED, engine.COST_COMPOSITE])
+    weights = None
+    if rng.random() < 0.7:
+        pool = [F(0), F(1), F(3), F(1, 2), F(2, 3), F(5, 7), F(10**20, 3)]
+        weights = {n: rng.choice(pool) for n in rng.sample(names, rng.randint(1, len(names)))}
+    return mr.CostModel(kind, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_integer_cost_terms_rank_as_fraction_terms(seed):
+    rng = random.Random(seed)
+    pool = [F(k, d) for k in range(-12, 13) for d in (1, 2, 3, 4, 6, 10)] + [F(2**64 + 1), F(-(10**30), 7)]
+    names = [f"v{i}" for i in range(rng.randint(1, 5))]
+    decls = tuple(mr.VariableDecl(n, mr.EXOGENOUS, rng.sample(sorted(set(pool)), rng.randint(1, 6))) for n in names)
+    scm = mr.Scm(decls, ())
+    world = {d.name: rng.randrange(len(d.domain)) for d in decls}
+    candidates = []
+    for _ in range(rng.randint(1, 30)):
+        pins = {n: rng.randrange(len(scm.domain(n))) for n in rng.sample(names, rng.randint(0, len(names)))}
+        candidates.append(({n: scm.domain(n)[p] for n, p in pins.items()}, pins))
+    cost = random_cost(rng, names)
+    new = engine._rank_keys(scm, cost, candidates, world)
+    old = rank_keys_by_fractions(cost, candidates, scm._values(world))
+    assert sorted(candidates, key=new) == sorted(candidates, key=old)
+    # The same ties: two candidates share a key under one ranking iff under the other.
+    for a, b in product(candidates, repeat=2):
+        assert (new(a) == new(b)) == (old(a) == old(b))
+        assert (new(a) < new(b)) == (old(a) < old(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_solvers_choose_as_with_fraction_cost_terms(seed):
+    rng = random.Random(seed)
+    variables, equations = oracle.random_plain_scm(rng)
+    scm = build_scm_from_plain(variables, equations)
+    parts = oracle.random_query_parts(rng, variables, equations)
+    names = [name for name, _, _ in variables]
+    structural = mr.RecourseQuery(
+        scm, parts["principal"], parts["agents"], parts["factual"], parts["feasible"],
+        plain_clauses_to_engine(parts["clauses"]), random_cost(rng, names), parts["plausible"],
+        parts["exclude_identity"],
+    )
+    # The baseline from a complete factual state, shifting the variables no agent reads out.
+    outcomes = set(parts["agents"].values())
+    state = scm.evaluate({n: rng.choice(scm.domain(n)) for n in scm.exogenous_names})
+    shiftable = [n for n in names if n not in outcomes]
+    shifts = [
+        {n: rng.choice(scm.domain(n)) - state[n] for n in rng.sample(shiftable, rng.randint(0, min(2, len(shiftable))))}
+        for _ in range(rng.randint(1, 12))
+    ]
+    principal = parts["principal"]
+    thresholds = [mr.Threshold(principal, rng.choice(scm.domain(parts["agents"][principal])), rng.random() < 0.5)]
+    baseline = mr.RecourseQuery(
+        scm, principal, parts["agents"], state, shifts, thresholds if rng.random() < 0.5 else [],
+        random_cost(rng, names), exclude_identity=rng.random() < 0.5,
+    )
+
+    def outcome(solver, query):
+        try:
+            return solver(query)
+        except mr.RecourseError as exc:
+            return type(exc), str(exc)
+
+    for solver, query in ((mr.solve, structural), (mr.solve_cfe_baseline, baseline)):
+        chosen = outcome(solver, query)
+        with mock.patch.object(engine, "_rank_keys", ranked_by_fractions):
+            assert outcome(solver, query) == chosen
+    try:
+        rows = mr.enumerate_feasible(structural)
+    except mr.NonInvertibleError:
+        return
+    with mock.patch.object(engine, "_rank_keys", ranked_by_fractions):
+        assert mr.enumerate_feasible(structural) == rows

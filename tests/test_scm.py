@@ -245,6 +245,48 @@ class TestEvaluate:
             pd1.evaluate({"x1": 0, "x2": 0, "zz": 1})
 
 
+# An out-of-domain value is quoted as a model file writes it (format_value),
+# cut to 40 characters like any quoted literal, however it was spelled.
+OUT_OF_DOMAIN = [
+    ("7/2", "3.5"),
+    (F(7, 2), "3.5"),
+    ("0.25", "0.25"),
+    ("1e2", "100"),
+    (2, "2"),
+    ("-1/3", "-1/3"),
+    (F(10**50), "1" + "0" * 36 + "..."),
+    # No decimal text within the digit limit: the head of n/d, still cut.
+    (F(10**5000), "1" + "0" * 36 + "..."),
+    (F(-(10**5000) + 1), "-" + "9" * 36 + "..."),
+    (F(3, 2**14000), "3/26299003673253117803893412934407213..."),
+]
+
+
+class TestOutOfDomainMessage:
+    @pytest.mark.parametrize("value, shown", OUT_OF_DOMAIN)
+    def test_evaluate(self, pd1, value, shown):
+        with pytest.raises(mr.DomainError) as info:
+            pd1.evaluate({"x1": value, "x2": 0})
+        assert str(info.value) == f"value {shown} is outside the domain of 'x1'"
+
+    # 3.5 is a payoff of table1.
+    @pytest.mark.parametrize("value, shown", [case for case in OUT_OF_DOMAIN if case[1] != "3.5"])
+    def test_abduct(self, pd1, value, shown):
+        with pytest.raises(mr.DomainError) as info:
+            pd1.abduct({"h1": value})
+        assert str(info.value) == f"value {shown} is outside the domain of 'h1'"
+
+    @pytest.mark.parametrize("value, shown", OUT_OF_DOMAIN)
+    def test_intervene(self, pd1, value, shown):
+        with pytest.raises(mr.DomainError) as info:
+            pd1.intervene({"x2": value})
+        assert str(info.value) == f"value {shown} is outside the domain of 'x2'"
+
+    def test_a_bool_is_still_refused_as_a_literal(self, pd1):
+        with pytest.raises(ValueError, match="cannot interpret bool value True as a rational"):
+            pd1.evaluate({"x1": True, "x2": 0})
+
+
 class TestAbduct:
     def test_unique_from_payoffs(self, pd1):
         # Independent derivation: enumerate the four exogenous assignments
