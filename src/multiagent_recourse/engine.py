@@ -1,14 +1,17 @@
 """Recourse solvers: exact enumeration over a finite action set.
 
-Two solvers share the query type.  ``solve`` returns the cheapest candidate
-action whose counterfactual state satisfies every constraint clause plus the
-plausibility predicate.  The factual world is abducted once per query and
-mapped once to positions in the variables' domains.  An action's cost depends
+Two solvers share the query type, the ranking and the loop that picks an
+action; they differ only in how a candidate is predicted.  ``solve`` returns
+the cheapest candidate action whose counterfactual state satisfies every
+constraint clause plus the plausibility predicate.  The factual world is
+abducted once per query and mapped once to positions in the variables'
+domains.  An action's cost depends
 only on the action and the factual state, so every candidate is ranked before
 any is predicted, on integer keys: the count, and the weighted change as a
 numerator over the query's common denominator, built from each variable's
 domain on its integer scale (``VariableDecl._integer_scale``) and the
 weights' numerators and denominators, with no ``Fraction`` arithmetic.
+The reported cost is the ranking's own value, made exact.
 Values are mapped to positions through maps keyed by ``int`` for integral
 values (``scm._key``), and each literal of a query file is read once.
 Candidates are then predicted
@@ -131,10 +134,15 @@ _CLAUSE_TYPES = get_args(Clause)
 _CLAUSE_KINDS = {cls.kind: cls for cls in _CLAUSE_TYPES}
 
 
-def clause_label(clause: Clause) -> str:
+def _known(clause: Any) -> Clause:
+    """``clause``, if it is one of the clause classes; else an InvalidQueryError."""
     if not isinstance(clause, _CLAUSE_TYPES):
         raise InvalidQueryError(f"unknown constraint clause {clause!r}")
-    return clause.label
+    return clause
+
+
+def clause_label(clause: Clause) -> str:
+    return _known(clause).label
 
 
 # ---------------------------------------------------------------- cost model
@@ -179,18 +187,6 @@ class CostModel(FrozenRecord):
         if self.weights is None:
             return Fraction(1)
         return self.weights.get(name, Fraction(1))
-
-    def scalar(self, assigned: Mapping[str, Fraction], factual: Mapping[str, Fraction]) -> Fraction:
-        """The reported cost: the count for the count model, the weighted change otherwise.
-
-        Actions are ranked on the same quantities, as integers (``_rank_keys``).
-        """
-        if self.kind == COST_COUNT:
-            return Fraction(len(assigned))
-        return sum(
-            (self.weight(name) * abs(value - factual[name]) for name, value in assigned.items()),
-            Fraction(0),
-        )
 
 
 # ------------------------------------------------------------------- queries
@@ -361,20 +357,24 @@ def _action_key(positions: Mapping[str, int]) -> tuple:
 
 def _rank_keys(
     scm: Scm, cost: CostModel, candidates: list[tuple], world: Positions
-) -> Callable[[tuple], tuple]:
-    """Sort key of a candidate (action, pins, ...): its cost as ints, then ``_action_key``.
+) -> tuple[Callable[[tuple], tuple], Callable[[Positions], Fraction]]:
+    """Sort key of a candidate (action, pins): its cost as ints, then
+    ``_action_key``; and the reported cost of pins: the count for the count
+    model, the weighted change otherwise.
 
     The count is an int.  The weighted change is a sum of terms w*|v - f|, one
     per pinned (variable, position), with f the variable's value at the
     factual positions ``world``.  On the variable's integer scale (values
     n_i/d) and with w = a/b, a term is a*|n_v - n_f| / (b*d).  Every term is
-    taken over the least common multiple of the pinned variables' b*d, so a
-    change is an integer numerator and changes compare exactly as the
-    rational sums do: the same order and the same ties.
+    taken over the least common multiple ``common`` of the pinned variables'
+    b*d, so a change is an integer numerator and changes compare exactly as
+    the rational sums do: the same order and the same ties.  The reported
+    weighted change is that numerator over ``common``.
     """
     terms = {}  # pinned variable -> (a * (common // (b*d)), its numerators, n_f)
+    common = 1
     if cost.kind != COST_COUNT:
-        for _, pins, *_ in candidates:
+        for _, pins in candidates:
             for name in pins:
                 if name not in terms:
                     w = cost.weight(name)
@@ -386,33 +386,58 @@ def _rank_keys(
             for name, (a, den, numerators, at) in terms.items()
         }
 
+    def change(pins: Positions) -> int:
+        total = 0
+        for name, position in pins.items():
+            factor, numerators, at = terms[name]
+            total += factor * abs(numerators[position] - at)
+        return total
+
     def key(candidate: tuple) -> tuple:
         pins = candidate[1]
         if cost.kind == COST_COUNT:
             return (len(pins), *_action_key(pins))
-        change = 0
-        for name, position in pins.items():
-            factor, numerators, at = terms[name]
-            change += factor * abs(numerators[position] - at)
         if cost.kind == COST_WEIGHTED:
-            return (change, *_action_key(pins))
-        return (len(pins), change, *_action_key(pins))
+            return (change(pins), *_action_key(pins))
+        return (len(pins), change(pins), *_action_key(pins))
 
-    return key
+    def reported(pins: Positions) -> Fraction:
+        return Fraction(len(pins)) if cost.kind == COST_COUNT else Fraction(change(pins), common)
+
+    return key, reported
 
 
-def _rank(
-    query: RecourseQuery,
-) -> tuple[Assignment, list[tuple[dict[str, Fraction], Positions]], Callable]:
+def _ranked(
+    query: RecourseQuery, factual: Assignment, world: Positions, candidates: list[tuple],
+    clauses: Sequence[Clause], evaluate: Callable[[Positions], Positions],
+) -> tuple:
+    """The factual state, the candidates as (action, pins) cheapest first,
+    ``predict`` and the reported cost of pins (``_rank_keys``).
+
+    ``predict``: pins -> the counterfactual state as positions (by
+    ``evaluate``), the plausibility predicate's verdict on it, and each
+    clause's verdict, computed as it is drawn.
+    """
+    scm = query.scm
+    key, cost = _rank_keys(scm, query.cost, candidates, world)
+    candidates.sort(key=key)
+    before = {agent: factual[var] for agent, var in query.agents.items()}
+
+    def predict(pins: Positions) -> tuple[Positions, bool, Iterator[bool]]:
+        state = evaluate(pins)
+        after = {agent: scm.domain(var)[state[var]] for agent, var in query.agents.items()}
+        plausible_ok = query.plausible(scm._values(state)) if query.plausible else True
+        return state, plausible_ok, (
+            c.holds(query.principal, before, after, plausible_ok) for c in clauses
+        )
+
+    return factual, candidates, predict, cost
+
+
+def _rank(query: RecourseQuery) -> tuple:
     """Check the query, abduct its factual world, and rank its candidate actions
     without predicting any: a cost depends only on the action and the factual
-    state.
-
-    Returns the factual state, the candidates as (action, pins) cheapest
-    first, and ``predict``: pins -> the counterfactual state as positions, the
-    plausibility predicate's verdict on it, and each clause's verdict,
-    computed as it is drawn.
-    """
+    state.  A candidate is predicted as a pin overlay on the whole model."""
     _check_query(query)
     scm = query.scm
     # Mapping each action to positions checks it against the domains.
@@ -420,21 +445,91 @@ def _rank(
     factual = scm.abduct(query.factual)
     world = scm._positions(factual)
     for clause in query.constraints:
-        clause_label(clause)  # rejects an unknown clause
+        _known(clause)
     if query.exclude_identity:
         candidates = [c for c in candidates if any(world[n] != p for n, p in c[1].items())]
-    candidates.sort(key=_rank_keys(scm, query.cost, candidates, world))
-    before = {agent: factual[var] for agent, var in query.agents.items()}
+    return _ranked(
+        query, factual, world, candidates, query.constraints,
+        lambda pins: scm._evaluate_exact(world, pins),
+    )
 
-    def predict(pins: Positions) -> tuple[Positions, bool, Iterator[bool]]:
-        state = scm._evaluate_exact(world, pins)
-        after = {agent: scm.domain(var)[state[var]] for agent, var in query.agents.items()}
-        plausible_ok = query.plausible(scm._values(state)) if query.plausible else True
-        return state, plausible_ok, (
-            c.holds(query.principal, before, after, plausible_ok) for c in query.constraints
-        )
 
-    return factual, candidates, predict
+def _rank_shifts(query: RecourseQuery) -> tuple:
+    """``_rank`` for ``solve_cfe_baseline``; every shift is checked, in
+    feasible order, before any candidate is predicted."""
+    _check_query(query)
+    scm = query.scm
+    outcome_vars = set(query.agents.values())
+    endogenous = scm.endogenous_names
+    factual = scm.evaluate({name: v for name, v in query.factual.items() if name not in endogenous})
+    for name, value in query.factual.items():
+        if factual[name] != value:
+            raise InvalidQueryError(
+                f"factual value of {name!r} disagrees with the outcome models"
+            )
+
+    thresholds: list[Threshold] = []
+    for clause in query.constraints:
+        if isinstance(clause, Threshold):
+            if clause.agent != query.principal:
+                raise InvalidQueryError(
+                    "the additive baseline only supports thresholds on the principal"
+                )
+            thresholds.append(clause)
+        elif not isinstance(clause, Plausible):
+            raise InvalidQueryError(
+                f"the additive baseline does not support the {clause_label(clause)} clause"
+            )
+    if not thresholds:
+        thresholds = [Threshold(query.principal, factual[query.agents[query.principal]], strict=True)]
+
+    candidates = []
+    for delta in query.feasible:
+        # Look every name up first: an unknown one is a DomainError, even unshifted.
+        for name in delta:
+            scm.decl(name)
+        shift = {name: value for name, value in delta.items() if value != 0}
+        if outcome_vars & set(shift):
+            raise InvalidQueryError("baseline shifts cannot target an agent's outcome variable")
+        if query.exclude_identity and not shift:
+            continue
+        pins: Positions = {}
+        for name, amount in shift.items():
+            position = scm.decl(name)._index.get(_key(factual[name] + amount))
+            if position is None:
+                raise DomainError(
+                    f"shifting {name!r} by {format_value(amount)} leaves its domain"
+                )
+            pins[name] = position
+        candidates.append((shift, pins))
+
+    world = scm._positions(factual)
+
+    def evaluate(pins: Positions) -> Positions:
+        # Parents that are themselves outcomes read their factual values (no propagation).
+        shifted = {**world, **pins}
+        return {**shifted, **{var: scm._output(var, shifted) for var in outcome_vars}}
+
+    return _ranked(query, factual, world, candidates, thresholds, evaluate)
+
+
+def _first_passing(query: RecourseQuery, ranked: tuple) -> RecourseOutcome | None:
+    """The outcome of the first candidate, in rank order, whose clauses all
+    hold, or None if none does; none ranked after it is predicted."""
+    factual, candidates, predict, cost = ranked
+    for action, pins in candidates:
+        state, plausible_ok, verdicts = predict(pins)
+        if plausible_ok and all(verdicts):
+            counterfactual = query.scm._values(state)
+            per_agent = {
+                agent: AgentDelta(factual[query.agents[agent]], counterfactual[query.agents[agent]])
+                for agent in sorted(query.agents, key=str)
+            }
+            return RecourseOutcome(
+                dict(action), counterfactual, cost(pins), query.principal, per_agent,
+                _flags(query.principal, per_agent),
+            )
+    return None
 
 
 def enumerate_feasible(query: RecourseQuery) -> list[FeasibleRow]:
@@ -442,7 +537,7 @@ def enumerate_feasible(query: RecourseQuery) -> list[FeasibleRow]:
 
     ``solve`` returns exactly the first row here whose clauses all hold.
     """
-    factual, candidates, predict = _rank(query)
+    _, candidates, predict, cost = _rank(query)
     labels = [clause_label(c) for c in query.constraints]
     rows = []
     for action, pins in candidates:
@@ -451,7 +546,7 @@ def enumerate_feasible(query: RecourseQuery) -> list[FeasibleRow]:
             FeasibleRow(
                 action=dict(action),
                 counterfactual=query.scm._values(state),
-                cost=query.cost.scalar(action, factual),
+                cost=cost(pins),
                 plausible=plausible_ok,
                 clauses=tuple(zip(labels, verdicts)),
             )
@@ -459,45 +554,9 @@ def enumerate_feasible(query: RecourseQuery) -> list[FeasibleRow]:
     return rows
 
 
-def _assemble_outcome(
-    query: RecourseQuery,
-    factual: Assignment,
-    action: dict[str, Fraction],
-    counterfactual: Assignment,
-    cost: Fraction,
-) -> RecourseOutcome:
-    per_agent = {
-        agent: AgentDelta(factual[query.agents[agent]], counterfactual[query.agents[agent]])
-        for agent in sorted(query.agents, key=str)
-    }
-    return RecourseOutcome(
-        action=action,
-        counterfactual=counterfactual,
-        cost=cost,
-        principal=query.principal,
-        per_agent=per_agent,
-        flags=_flags(query.principal, per_agent),
-    )
-
-
 def solve(query: RecourseQuery) -> RecourseOutcome | None:
-    """Cheapest feasible action satisfying every clause, or None if there is none.
-
-    Candidates are predicted in rank order, and the first one whose clauses
-    all hold is returned; none ranked after it is predicted.
-    """
-    factual, candidates, predict = _rank(query)
-    for action, pins in candidates:
-        state, plausible_ok, verdicts = predict(pins)
-        if plausible_ok and all(verdicts):
-            return _assemble_outcome(
-                query,
-                factual,
-                dict(action),
-                query.scm._values(state),
-                query.cost.scalar(action, factual),
-            )
-    return None
+    """Cheapest feasible action satisfying every clause, or None if there is none."""
+    return _first_passing(query, _rank(query))
 
 
 def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
@@ -508,77 +567,10 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
     only the agents' outcome models are re-predicted from the shifted vector;
     every other variable keeps its factual value.  Only threshold constraints
     on the principal are supported; when none is given the principal must
-    strictly improve on its factual prediction.
+    strictly improve on its factual prediction.  Candidates are ranked and
+    picked as in ``solve``.
     """
-    _check_query(query)
-    outcome_vars = set(query.agents.values())
-    endogenous = query.scm.endogenous_names
-    exogenous_part = {name: value for name, value in query.factual.items() if name not in endogenous}
-    factual_state = query.scm.evaluate(exogenous_part)
-    for name, value in query.factual.items():
-        if factual_state[name] != value:
-            raise InvalidQueryError(
-                f"factual value of {name!r} disagrees with the outcome models"
-            )
-    before = {agent: factual_state[var] for agent, var in query.agents.items()}
-
-    thresholds: list[Threshold] = []
-    for clause in query.constraints:
-        if isinstance(clause, Threshold):
-            if clause.agent != query.principal:
-                raise InvalidQueryError(
-                    "the additive baseline only supports thresholds on the principal"
-                )
-            thresholds.append(clause)
-        elif isinstance(clause, Plausible):
-            continue
-        else:
-            raise InvalidQueryError(
-                f"the additive baseline does not support the {clause_label(clause)} clause"
-            )
-    if not thresholds:
-        thresholds = [Threshold(query.principal, before[query.principal], strict=True)]
-
-    scm = query.scm
-    world = scm._positions(factual_state)
-    passing = []
-    for delta in query.feasible:
-        # Look every name up first: an unknown one is a DomainError, even unshifted.
-        for name in delta:
-            scm.decl(name)
-        shift = {name: value for name, value in delta.items() if value != 0}
-        if outcome_vars & set(shift):
-            raise InvalidQueryError("baseline shifts cannot target an agent's outcome variable")
-        if query.exclude_identity and not shift:
-            continue
-        assigned: dict[str, Fraction] = {}
-        pins: Positions = {}
-        shifted = dict(factual_state)
-        for name, amount in shift.items():
-            new_value = factual_state[name] + amount
-            position = scm.decl(name)._index.get(_key(new_value))
-            if position is None:
-                raise DomainError(
-                    f"shifting {name!r} by {format_value(amount)} leaves its domain"
-                )
-            shifted[name] = assigned[name] = new_value
-            pins[name] = position
-        # Re-predict the outcome models from the shifted vector; parents that
-        # are themselves outcomes read their factual values (no propagation).
-        positions = {**world, **pins}
-        for var in outcome_vars:
-            shifted[var] = scm.domain(var)[scm._output(var, positions)]
-        after = {agent: shifted[var] for agent, var in query.agents.items()}
-        plausible_ok = query.plausible(shifted) if query.plausible else True
-        if not plausible_ok:
-            continue
-        if not all(t.holds(query.principal, before, after, plausible_ok) for t in thresholds):
-            continue
-        passing.append((assigned, pins, shift, shifted))
-    if not passing:
-        return None
-    assigned, _, shift, shifted = min(passing, key=_rank_keys(scm, query.cost, passing, world))
-    return _assemble_outcome(query, factual_state, shift, shifted, query.cost.scalar(assigned, factual_state))
+    return _first_passing(query, _rank_shifts(query))
 
 
 # ---------------------------------------------------------------- file forms

@@ -36,7 +36,7 @@ from .engine import (
 from .errors import DomainError, InvalidParamsError, ParseError, RecourseError
 from .games import BETRAY, SILENT, PayoffMatrix, builtin_matrix, pd_scm
 from .scm import Scm
-from .values import Record, as_value, decode_json, format_value, read_int, read_object
+from .values import Record, as_value, decode_json, format_value, read_file, read_int, read_object
 
 GROUP_TEST = "test"
 GROUP_CONTROL = "control"
@@ -183,10 +183,7 @@ _LOG_HEADER = ["game_id", "matrix_id", "group", "delta", "round", "p1_action", "
 def parse_game_log(source: str | Path) -> list[GameRecord]:
     """Read and validate a log file; records keep their first-seen order."""
     path = Path(source)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read log file {path}: {exc}") from exc
+    text = read_file(path, "log")
     try:
         return parse_game_log_text(text)
     except ParseError as exc:

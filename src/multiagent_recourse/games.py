@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import AsymmetricMatrixError, DomainError, InvalidParamsError, ParseError, UnknownMatrixError
 from .scm import ENDOGENOUS, EXOGENOUS, Scm, StructuralEquation, VariableDecl
-from .values import Record, as_value, format_value
+from .values import Record, as_value, format_value, read_file
 
 BETRAY = 1
 SILENT = 0
@@ -142,11 +142,7 @@ _MATRIX_HEADER = ["row_action", "col_action", "p1", "p2"]
 def load_matrix_csv(path: str | Path, matrix_id: str = "custom") -> PayoffMatrix:
     """Read a matrix from CSV with header row_action,col_action,p1,p2."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(read_file(path, "matrix")))
     try:
         rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:

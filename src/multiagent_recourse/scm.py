@@ -55,7 +55,7 @@ from .errors import (
     ParseError,
     ScmValidationError,
 )
-from .values import Record, as_value, format_value, load_json_exact, shown_value, value_to_json
+from .values import Record, as_value, load_json_exact, shown_value, value_to_json
 from .values import read_list, read_object, read_str, read_value, read_values
 
 EXOGENOUS = "exogenous"
@@ -285,7 +285,7 @@ class Scm(Record):
         for key, out in eq.table.items():
             if _key(out) not in self._decls[eq.target]._index:
                 raise DomainError(
-                    f"table for {eq.target!r} maps {_row_text(key)} to {format_value(out)}, "
+                    f"table for {eq.target!r} maps {_row_text(key)} to {shown_value(out)}, "
                     f"outside the declared domain"
                 )
         raise AssertionError(f"table for {eq.target!r} compiles")  # unreachable
@@ -519,7 +519,7 @@ class Scm(Record):
 
 def _row_text(row: tuple[Fraction, ...]) -> str:
     """A row of parent values the way a model file writes its ``in``: ``[0, 1/2]``."""
-    return f"[{', '.join(map(format_value, row))}]"
+    return f"[{', '.join(map(shown_value, row))}]"
 
 
 def graph_to_dot(graph: CausalGraph) -> str:

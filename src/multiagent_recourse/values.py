@@ -201,14 +201,19 @@ def decode_json(text: str, where: str, **options: Any) -> Any:
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def read_file(path: Path, noun: str) -> str:
+    """The text of ``path``; a file that cannot be read or decoded is a
+    ParseError that calls it a ``noun`` file."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
+
+
 def load_json_exact(path: str | Path, noun: str) -> Any:
     """Read a JSON file, float literals as exact Fractions; ``noun`` names it in errors."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
-    return decode_json(text, str(path), parse_float=as_value)
+    return decode_json(read_file(path, noun), str(path), parse_float=as_value)
 
 
 # ------------------------------------------------------------- JSON fields

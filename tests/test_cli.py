@@ -63,6 +63,20 @@ def workdir(tmp_path, pd1):
 
 
 class TestSolve:
+    def test_threshold_past_the_digit_limit(self, workdir, capsys):
+        outputs = []
+        for solver in ("structural", "baseline"):
+            query = dict(QUERY_CASE1, feasible=[{"x1": 1}], solver=solver)
+            query["constraints"] = [{"kind": "threshold", "agent": 1, "t": "3/" + str(2**14000)}]
+            (workdir / "large.json").write_text(json.dumps(query))
+            assert main(["solve", str(workdir / "large.json")]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0])
+        assert (payload["found"], payload["action"], payload["cost"]) == (True, {"x1": 1}, 1)
+
     def test_recommendation_found(self, workdir, capsys):
         code = main(["solve", str(workdir / "query.json")])
         out = capsys.readouterr().out
@@ -564,6 +578,22 @@ class TestExperiment:
         assert len(errors) == 1 and errors[0].startswith("error: " + message.format(path=path))
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("noun", ["query", "model", "log", "matrix"])
+    def test_missing_input_file_exit_1(self, tmp_path, capsys, noun):
+        path = tmp_path / "absent" / f"{noun}.file"
+        args = {
+            "query": ["solve", str(path)],
+            "model": ["graph", str(path)],
+            "log": ["experiment", "--log", str(path)],
+            "matrix": ["experiment", "--synthetic", "n=2", "silent=1", "--matrix", "mine", "--matrix-file", f"mine={path}"],
+        }[noun]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if not line.startswith("note: ")] == [
+            f"error: cannot read {noun} file {path}: [Errno 2] No such file or directory: '{path}'"
+        ]
+
 
 class TestGenerateAndGraph:
     def test_generate_writes_stable_file(self, tmp_path):
@@ -638,6 +668,29 @@ class TestGenerateAndGraph:
         err = capsys.readouterr().err
         assert code == 1
         assert "cycle" in err
+
+    TINY = "3/" + str(2**14000)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (("equations", 0, "table", 0, "out"), TINY,
+             "table for 'h1' maps [0] to {shown}, outside the declared domain"),
+            (("variables", 0, "domain"), [0, TINY],
+             "table for 'h1' is missing 1 row(s), e.g. parents=[{shown}]"),
+        ],
+        ids=["output", "missing-row"],
+    )
+    def test_graph_table_error_cuts_a_long_value(self, tmp_path, capsys, field, value, message):
+        model = small_model_with(field, value)
+        if field[0] == "variables":  # the table still gives x1 = 0 and 1: drop the row for 1
+            del model["equations"][0]["table"][1]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["graph", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + message.format(shown=self.TINY[:37] + "...") + "\n"
 
     def test_graph_model_not_utf8_exit_1(self, workdir, capsys):
         bad = workdir / "model.json"

@@ -183,15 +183,34 @@ class TestConstraintSemantics:
 
 class TestCostAndTies:
     def test_count_model(self, pd1):
-        cost = mr.CostModel(kind="count")
-        assert cost.scalar({"x1": F(1)}, {"x1": F(0)}) == F(1)
-        assert cost.scalar({}, {"x1": F(0)}) == F(0)
+        query = pd_query(
+            pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": 1}, {}],
+            constraints=[], cost=mr.CostModel(kind="count"),
+        )
+        rows = mr.enumerate_feasible(query)
+        assert [(row.action, row.cost) for row in rows] == [({}, F(0)), ({"x1": F(1)}, F(1))]
+        assert mr.solve(query).cost == F(0)
 
     def test_weighted_model(self):
-        cost = mr.CostModel(kind="weighted", weights={"a": F(3)})
-        factual = {"a": F(0), "b": F(0)}
-        assert cost.scalar({"a": F(2)}, factual) == F(6)
-        assert cost.scalar({"a": F(2), "b": F(1)}, factual) == F(7)
+        scm = mr.Scm(
+            (
+                mr.VariableDecl("a", mr.EXOGENOUS, (0, 1, 2)),
+                mr.VariableDecl("b", mr.EXOGENOUS, (0, 1)),
+                mr.VariableDecl("y", mr.ENDOGENOUS, (0,)),
+            ),
+            (mr.StructuralEquation("y", (), {(): F(0)}),),
+        )
+        query = mr.RecourseQuery(
+            scm=scm, principal=1, agents={1: "y"}, factual={"a": 0, "b": 0},
+            feasible=[{"a": 2, "b": 1}, {"a": 2}],
+            cost=mr.CostModel(kind="weighted", weights={"a": F(3)}),
+        )
+        rows = mr.enumerate_feasible(query)
+        assert [(row.action, row.cost) for row in rows] == [
+            ({"a": F(2)}, F(6)),
+            ({"a": F(2), "b": F(1)}, F(7)),
+        ]
+        assert mr.solve(query).cost == F(6)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(mr.InvalidQueryError):
@@ -518,6 +537,27 @@ class TestBaseline:
         with pytest.raises(mr.InvalidQueryError):
             mr.solve_cfe_baseline(query)
 
+    def test_predicate_runs_after_every_shift_is_checked(self, pd1):
+        calls = []
+        query = pd_query(
+            pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": 1}, {"x2": 5}],
+            constraints=[], plausible=lambda state: calls.append(state) or True,
+        )
+        with pytest.raises(mr.DomainError, match="shifting 'x2' by 5 leaves its domain"):
+            mr.solve_cfe_baseline(query)
+        assert calls == []
+
+    def test_predicate_runs_only_until_the_first_passing_candidate(self, pd1):
+        # In rank order: {} keeps h1 at 1 and fails the default strict
+        # improvement, {x1: 1} passes, and {x1: 1, x2: -1} is never predicted.
+        calls = []
+        query = pd_query(
+            pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": 1, "x2": -1}, {"x1": 1}, {}],
+            constraints=[], plausible=lambda state: calls.append(state) or True,
+        )
+        assert mr.solve_cfe_baseline(query).action == {"x1": F(1)}
+        assert [(state["x1"], state["x2"]) for state in calls] == [(0, 1), (1, 1)]
+
     def test_no_propagation_through_features(self):
         # u feeds m feeds y; a baseline shift of u must leave m at its factual
         # value even though the structural route would update it
@@ -565,6 +605,19 @@ class TestBaseline:
         )
         assert structural.counterfactual["m"] == F(1)
         assert structural.counterfactual["y"] == F(2)
+
+
+class TestLargeThreshold:
+    """A threshold whose label text is past the digit limit of ``format_value``."""
+
+    def test_solvers_agree(self, pd1):
+        query = pd_query(
+            pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": 1}],
+            constraints=[mr.Threshold(1, F(3, 2**14000))],
+        )
+        outcome = mr.solve(query)
+        assert outcome is not None and outcome.action == {"x1": F(1)}
+        assert mr.solve_cfe_baseline(query) == outcome
 
 
 class TestFileForms:

@@ -832,9 +832,26 @@ def rank_keys_by_fractions(cost, candidates, factual):
     return key
 
 
+def scalar_cost(cost, assigned, factual):
+    """The reported cost as ``CostModel.scalar`` computed it before the ranking
+    gave it, kept as the oracle: the count for the count model, the weighted
+    change as a sum of Fractions otherwise."""
+    if cost.kind == engine.COST_COUNT:
+        return F(len(assigned))
+    return sum((cost.weight(name) * abs(value - factual[name]) for name, value in assigned.items()), F(0))
+
+
 def ranked_by_fractions(scm, cost, candidates, world):
-    """``engine._rank_keys`` replaced by the oracle, for the same call."""
-    return rank_keys_by_fractions(cost, candidates, scm._values(world))
+    """``engine._rank_keys`` replaced by the oracle, for the same call: the
+    sort key, and the reported cost of pins.  A candidate's action may be a
+    baseline shift, so the oracle reads the pinned values from the pins."""
+    factual = scm._values(world)
+
+    def assigned(pins):
+        return {n: scm.domain(n)[p] for n, p in pins.items()}
+
+    pinned = [(assigned(pins), pins) for _, pins in candidates]
+    return rank_keys_by_fractions(cost, pinned, factual), lambda pins: scalar_cost(cost, assigned(pins), factual)
 
 
 def random_cost(rng, names):
@@ -860,9 +877,11 @@ def test_integer_cost_terms_rank_as_fraction_terms(seed):
         pins = {n: rng.randrange(len(scm.domain(n))) for n in rng.sample(names, rng.randint(0, len(names)))}
         candidates.append(({n: scm.domain(n)[p] for n, p in pins.items()}, pins))
     cost = random_cost(rng, names)
-    new = engine._rank_keys(scm, cost, candidates, world)
-    old = rank_keys_by_fractions(cost, candidates, scm._values(world))
+    new, new_cost = engine._rank_keys(scm, cost, candidates, world)
+    old, old_cost = ranked_by_fractions(scm, cost, candidates, world)
     assert sorted(candidates, key=new) == sorted(candidates, key=old)
+    for _, pins in candidates:
+        assert new_cost(pins) == old_cost(pins)
     # The same ties: two candidates share a key under one ranking iff under the other.
     for a, b in product(candidates, repeat=2):
         assert (new(a) == new(b)) == (old(a) == old(b))
@@ -913,3 +932,142 @@ def test_solvers_choose_as_with_fraction_cost_terms(seed):
         return
     with mock.patch.object(engine, "_rank_keys", ranked_by_fractions):
         assert mr.enumerate_feasible(structural) == rows
+
+
+def baseline_by_passing_list(query):
+    """``solve_cfe_baseline`` as it was before it shared ``solve``'s loop, kept
+    as the oracle: every shift is predicted as it is validated, the passing
+    ones are collected, and the cheapest is taken by ``min``."""
+    engine._check_query(query)
+    scm = query.scm
+    outcome_vars = set(query.agents.values())
+    exogenous_part = {n: v for n, v in query.factual.items() if n not in scm.endogenous_names}
+    factual_state = scm.evaluate(exogenous_part)
+    for name, value in query.factual.items():
+        if factual_state[name] != value:
+            raise mr.InvalidQueryError(f"factual value of {name!r} disagrees with the outcome models")
+    before = {agent: factual_state[var] for agent, var in query.agents.items()}
+    thresholds = []
+    for clause in query.constraints:
+        if isinstance(clause, mr.Threshold):
+            if clause.agent != query.principal:
+                raise mr.InvalidQueryError("the additive baseline only supports thresholds on the principal")
+            thresholds.append(clause)
+        elif isinstance(clause, mr.Plausible):
+            continue
+        else:
+            raise mr.InvalidQueryError(
+                f"the additive baseline does not support the {mr.clause_label(clause)} clause"
+            )
+    if not thresholds:
+        thresholds = [mr.Threshold(query.principal, before[query.principal], strict=True)]
+    world = scm._positions(factual_state)
+    passing = []
+    for delta in query.feasible:
+        for name in delta:
+            scm.decl(name)
+        shift = {name: value for name, value in delta.items() if value != 0}
+        if outcome_vars & set(shift):
+            raise mr.InvalidQueryError("baseline shifts cannot target an agent's outcome variable")
+        if query.exclude_identity and not shift:
+            continue
+        assigned, pins, shifted = {}, {}, dict(factual_state)
+        for name, amount in shift.items():
+            new_value = factual_state[name] + amount
+            position = scm.decl(name)._index.get(scm_module._key(new_value))
+            if position is None:
+                raise mr.DomainError(f"shifting {name!r} by {mr.format_value(amount)} leaves its domain")
+            shifted[name] = assigned[name] = new_value
+            pins[name] = position
+        positions = {**world, **pins}
+        for var in outcome_vars:
+            shifted[var] = scm.domain(var)[scm._output(var, positions)]
+        after = {agent: shifted[var] for agent, var in query.agents.items()}
+        plausible_ok = query.plausible(shifted) if query.plausible else True
+        if plausible_ok and all(t.holds(query.principal, before, after, True) for t in thresholds):
+            passing.append((assigned, pins, shift, shifted))
+    if not passing:
+        return None
+    key = rank_keys_by_fractions(query.cost, passing, factual_state)
+    assigned, _, shift, shifted = min(passing, key=key)
+    per_agent = {
+        agent: mr.AgentDelta(factual_state[query.agents[agent]], shifted[query.agents[agent]])
+        for agent in sorted(query.agents, key=str)
+    }
+    return mr.RecourseOutcome(
+        shift, shifted, scalar_cost(query.cost, assigned, factual_state), query.principal,
+        per_agent, engine._flags(query.principal, per_agent),
+    )
+
+
+def random_baseline_query(rng):
+    """A baseline query over a random model.  About one in four carries one
+    fault of a kind the baseline reports, placed at random."""
+    variables, equations = oracle.random_plain_scm(rng)
+    scm = build_scm_from_plain(variables, equations)
+    parts = oracle.random_query_parts(rng, variables, equations)
+    names = [name for name, _, _ in variables]
+    agents, principal = parts["agents"], parts["principal"]
+    state = scm.evaluate({n: rng.choice(scm.domain(n)) for n in scm.exogenous_names})
+    factual = {n: v for n, v in state.items() if n in scm.exogenous_names or rng.random() < 0.5}
+    outcomes = sorted(set(agents.values()))
+    shiftable = [n for n in names if n not in outcomes]
+    feasible = []
+    for _ in range(rng.randint(1, 10)):
+        if feasible and rng.random() < 0.2:
+            feasible.append(dict(rng.choice(feasible)))  # a duplicate shift
+            continue
+        targets = rng.sample(shiftable, rng.randint(0, min(3, len(shiftable))))
+        feasible.append({n: F(0) if rng.random() < 0.2 else rng.choice(scm.domain(n)) - state[n] for n in targets})
+    if rng.random() < 0.2:
+        rng.choice(feasible)[rng.choice(outcomes)] = F(0)  # a zero shift of an outcome is dropped
+    constraints = [
+        mr.Threshold(principal, rng.choice(scm.domain(agents[principal])) + rng.choice([F(0), F(1, 2), F(-1, 3)]),
+                     rng.random() < 0.5)
+        for _ in range(rng.randint(0, 2))
+    ]
+    if rng.random() < 0.2:
+        constraints.append(mr.Plausible())
+    fault = rng.randrange(32)
+    if fault == 0:
+        factual.pop(rng.choice(scm.exogenous_names))
+    elif fault == 1:
+        factual[rng.choice(scm.endogenous_names)] = F(99)  # disagrees with its outcome model
+    elif fault == 2:
+        rng.choice(feasible)[rng.choice(outcomes)] = F(1)
+    elif fault == 3:
+        rng.choice(feasible)["unknown"] = F(0)
+    elif fault == 4:
+        rng.choice(feasible)[rng.choice(names)] = F(1, 7)  # leaves every domain the generator draws
+    elif fault == 5:
+        constraints.append(mr.Threshold(rng.choice(list(agents)), F(0)))
+    elif fault == 6:
+        constraints.append(rng.choice([mr.Pareto(), mr.SocialWelfare(), mr.PrincipalImprovement(), "pareto"]))
+    rng.shuffle(constraints)
+    plausible = None
+    if rng.random() < 0.4:
+        exogenous = scm.exogenous_names
+        entries = [
+            {n: v for n, v in scm.evaluate({u: rng.choice(scm.domain(u)) for u in exogenous}).items() if rng.random() < 0.4}
+            for _ in range(rng.randint(1, 4))
+        ]
+        plausible = engine._allowlist_predicate(entries)
+    return mr.RecourseQuery(
+        scm, principal, agents, factual, feasible, constraints, random_cost(rng, names), plausible,
+        rng.random() < 0.4,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(SEEDS)
+def test_baseline_matches_its_passing_list_oracle(seed):
+    query = random_baseline_query(random.Random(seed))
+
+    def outcome(solver):
+        try:
+            found = solver(query)
+        except mr.RecourseError as exc:
+            return type(exc), str(exc)
+        return found, found and json.dumps(mr.outcome_to_dict(found))
+
+    assert outcome(mr.solve_cfe_baseline) == outcome(baseline_by_passing_list)

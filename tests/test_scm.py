@@ -8,6 +8,10 @@ import pytest
 
 import multiagent_recourse as mr
 
+# A value whose text is past format_value's digit limit, as messages quote it.
+TINY = F(3, 2**14000)
+TINY_SHOWN = "3/" + str(2**14000)[:35] + "..."
+
 # Inline payoff lookup for the classic matrix, used as an independent check
 # against the model's equations: (own action, other action) -> own payoff.
 PAYOFF = {(0, 1): F(1), (1, 1): F("3.5"), (0, 0): F(5), (1, 0): F(10)}
@@ -169,8 +173,25 @@ class TestBuild:
                 mr.DomainError,
                 "table for 'h1' maps [0] to 3.5, outside the declared domain",
             ),
+            # A value past format_value's digit limit is quoted as the head of
+            # its n/d, cut to 40 characters like every quoted value.
+            (
+                (0, 1),
+                {(F(0),): TINY, (F(1),): F(0)},
+                mr.DomainError,
+                f"table for 'h1' maps [0] to {TINY_SHOWN}, outside the declared domain",
+            ),
+            (
+                (0, TINY),
+                {(F(0),): F(0)},
+                mr.IncompleteTableError,
+                f"table for 'h1' is missing 1 row(s), e.g. parents=[{TINY_SHOWN}]",
+            ),
         ],
-        ids=["stray-first", "missing-before-output", "stray-fraction", "missing-decimal", "output-decimal"],
+        ids=[
+            "stray-first", "missing-before-output", "stray-fraction", "missing-decimal", "output-decimal",
+            "output-long", "missing-long",
+        ],
     )
     def test_table_errors_reported_in_order(self, domain, table, error, message):
         with pytest.raises(error) as caught:
