@@ -36,10 +36,11 @@ from pathlib import Path
 from math import lcm
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union, get_args
 
-from .errors import DomainError, InvalidQueryError, ParseError
+from .errors import DomainError, InvalidQueryError, ParseError, ValueRangeError
 from .scm import ENDOGENOUS, Assignment, Positions, Scm, _key, scm_from_dict, load_scm
-from .values import FrozenRecord, Record, as_value, format_value, load_json_exact, value_to_json
-from .values import read_agent, read_bool, read_list, read_object, read_str, read_value
+from .values import FrozenRecord, Record, as_value, format_value, load_json_exact, shown_value
+from .values import read_agent, read_bool, read_list, read_object, read_str, read_value, read_values
+from .values import value_to_json
 
 AgentId = Union[int, str]
 
@@ -64,7 +65,11 @@ class Threshold(FrozenRecord):
 
     @property
     def label(self) -> str:
-        return f"threshold[{self.agent}]{'>' if self.strict else '>='}{format_value(self.t)}"
+        try:
+            t = format_value(self.t)
+        except ValueRangeError:  # past the digit limit: the head of its n/d
+            t = shown_value(self.t)
+        return f"threshold[{self.agent}]{'>' if self.strict else '>='}{t}"
 
     def holds(self, principal: AgentId, before: Outcomes, after: Outcomes, plausible: bool) -> bool:
         value = after[self.agent]
@@ -498,7 +503,7 @@ def _rank_shifts(query: RecourseQuery) -> tuple:
             position = scm.decl(name)._index.get(_key(factual[name] + amount))
             if position is None:
                 raise DomainError(
-                    f"shifting {name!r} by {format_value(amount)} leaves its domain"
+                    f"shifting {name!r} by {shown_value(amount)} leaves its domain"
                 )
             pins[name] = position
         candidates.append((shift, pins))
@@ -605,7 +610,12 @@ _QUERY_FIELDS = {
 
 def _assignment(raw: Any, where: str, field: str | None = None) -> dict[str, Fraction]:
     """A JSON object of exact values; a bad value is named by the object's place."""
-    return {name: read_value(v, where, field) for name, v in read_object(raw, where, field).items()}
+    items = read_object(raw, where, field)
+    try:
+        return {name: as_value(v) for name, v in items.items()}
+    except ValueError:
+        read_values([*items.values()], where, field)  # the first non-number's ParseError
+        raise
 
 
 def _clause_from_dict(item: Any, index: int) -> Clause:

@@ -24,12 +24,16 @@ is looked up as it is.  Each declaration also gives its domain on one
 integer scale, numerators over a common denominator (``_integer_scale``),
 from which the solver's cost terms are built as ints.
 
-A model file is read straight into these tuples: each row literal is mapped
-to its domain position through a per-variable memo, so no table of values is
-built.  Such an equation builds its ``table`` of values only when asked for
-it (``scm_to_dict``, equality, ``repr``).  A table that does not read cleanly
-this way is built as values, and its errors are reported exactly as for a
-model built in code.
+A model file is read straight into these tuples.  Each variable's domain
+literals are read once, and its value->position map is keyed from them (an
+int literal is its own key).  Each row literal is then mapped to its domain
+position through a per-variable memo that starts as a copy of that map, so
+no table of values is built.  A row is checked and looked up with no
+iterator of its own: a one- or two-parent table unpacks the row's inputs,
+and any other sums position times stride.  Such an equation builds its
+``table`` of values only when asked for it (``scm_to_dict``, equality,
+``repr``).  A table that does not read cleanly this way is built as values,
+and its errors are reported exactly as for a model built in code.
 
 All values are exact rationals; models are treated as immutable after
 construction and are safe to share across workers.
@@ -90,23 +94,28 @@ class VariableDecl(Record):
     _fields = ("name", "kind", "domain")
 
     def __init__(self, name: str, kind: str, domain: tuple[Fraction, ...]) -> None:
-        self._build(name, kind, tuple(map(as_value, domain)))
+        domain = tuple(map(as_value, domain))
+        self._build(name, kind, domain, {_key(v): i for i, v in enumerate(domain)})
 
     @classmethod
-    def _exact(cls, name: str, kind: str, domain: tuple[Fraction, ...]) -> "VariableDecl":
-        """A declaration whose domain is already a tuple of exact values, read no further."""
+    def _exact(
+        cls, name: str, kind: str, domain: tuple[Fraction, ...], index: dict[int | Fraction, int]
+    ) -> "VariableDecl":
+        """A declaration whose domain is already a tuple of exact values, and
+        ``index`` its map from value to position, read no further."""
         decl = cls.__new__(cls)
-        decl._build(name, kind, domain)
+        decl._build(name, kind, domain, index)
         return decl
 
-    def _build(self, name: str, kind: str, domain: tuple[Fraction, ...]) -> None:
+    def _build(
+        self, name: str, kind: str, domain: tuple[Fraction, ...], index: dict[int | Fraction, int]
+    ) -> None:
         self.name = name
         self.kind = kind
         self.domain = domain
-        # Domain value, as its _key (inlined: a model file builds one map per
-        # variable) -> its position; fewer entries than the domain when a
-        # value repeats.
-        self._index = {(v.numerator if v.denominator == 1 else v): i for i, v in enumerate(domain)}
+        # Domain value, as its _key -> its position; fewer entries than the
+        # domain when a value repeats.
+        self._index = index
         self._scale: tuple[int, tuple[int, ...]] | None = None
 
     def _integer_scale(self) -> tuple[int, tuple[int, ...]]:
@@ -487,7 +496,7 @@ class Scm(Record):
         if not pins:
             return self
         variables = tuple(
-            VariableDecl._exact(d.name, ENDOGENOUS, d.domain) if d.name in pins else d
+            VariableDecl(d.name, ENDOGENOUS, d.domain) if d.name in pins else d
             for d in self.variables
         )
         equations = [eq for eq in self.equations if eq.target not in pins]
@@ -561,9 +570,7 @@ def scm_from_dict(data: Any) -> Scm:
     equations = read_list(data.get("equations", []), "model", "equations")
     variables = tuple(_variable_from_dict(item, i) for i, item in enumerate(raw_variables))
     memos = {
-        decl.name: _PositionMemo(decl, item["domain"])
-        for decl, item in zip(variables, raw_variables)
-        if len(decl._index) == len(decl.domain)
+        decl.name: _PositionMemo(decl) for decl in variables if len(decl._index) == len(decl.domain)
     }
     return Scm(
         variables,
@@ -574,15 +581,18 @@ def scm_from_dict(data: Any) -> Scm:
 class _PositionMemo(dict):
     """Raw JSON literal -> its position in one variable's domain.
 
-    Starts with the domain's own literals; any other literal is read by
-    ``as_value`` and looked up on first use.  A literal that is not a number, or whose value is
+    Starts as a copy of the declaration's ``_index``, so an int or ``Fraction``
+    literal is found as it is; any other literal is read by ``as_value`` and
+    looked up on first use.  A literal that is not a number, or whose value is
     outside the domain, raises KeyError (ValueError for a number literal that
     is too long).  Only for a domain that repeats no value, so that equal
     values always share a position.
     """
 
-    def __init__(self, decl: VariableDecl, literals: list):
-        super().__init__(zip(literals, range(len(decl.domain))))
+    __slots__ = ("domain", "_index")
+
+    def __init__(self, decl: VariableDecl):
+        super().__init__(decl._index)
         self.domain = decl.domain
         self._index = decl._index
 
@@ -594,11 +604,16 @@ class _PositionMemo(dict):
 def _variable_from_dict(item: Any, index: int) -> VariableDecl:
     where = f"variables[{index}]"
     item = read_object(item, where, allowed=_VARIABLE_FIELDS, required=_VARIABLE_FIELDS)
-    return VariableDecl._exact(
-        read_str(item["name"], where, "name"),
-        read_str(item["kind"], where, "kind"),
-        read_values(item["domain"], where, "domain"),
-    )
+    name = read_str(item["name"], where, "name")
+    kind = read_str(item["kind"], where, "kind")
+    literals = item["domain"]
+    domain = read_values(literals, where, "domain")
+    # An int literal is its value's _key, found with no Fraction attribute read.
+    index = {
+        (raw if type(raw) is int else _key(value)): i
+        for i, (raw, value) in enumerate(zip(literals, domain))
+    }
+    return VariableDecl._exact(name, kind, domain, index)
 
 
 def _equation_from_dict(
@@ -607,10 +622,10 @@ def _equation_from_dict(
     where = f"equations[{index}]"
     item = read_object(item, where, allowed=_EQUATION_FIELDS, required=_EQUATION_FIELDS)
     target = read_str(item["target"], where, "target")
-    parents = tuple(
-        read_str(parent, f"{where}.parents[{k}]")
-        for k, parent in enumerate(read_list(item["parents"], where, "parents"))
-    )
+    parents = tuple(read_list(item["parents"], where, "parents"))
+    for k, parent in enumerate(parents):
+        if type(parent) is not str:  # its place is written only for the error
+            read_str(parent, f"{where}.parents[{k}]")
     rows = read_list(item["table"], where, "table")
     positions = _table_positions(rows, parents, target, memos)
     if positions is not None:
@@ -635,27 +650,39 @@ def _table_positions(
     except KeyError:
         return None
     sizes = [len(memo.domain) for memo in parent_memos]
-    # A row's number in the mixed radix: the sum of position times stride.
-    strides = [prod(sizes[k + 1 :]) for k in range(len(sizes))]
     if len(rows) != prod(sizes):
         return None
     arity = len(parents)
+    # A row's number in the mixed radix: the sum of position times stride.
+    strides = [prod(sizes[k + 1 :]) for k in range(arity)]
+    first, second = (*parent_memos, None, None)[:2]  # for the unrolled bodies
     outputs = [-1] * len(rows)
+    # Only literals of a number type are looked up, since a memo hit needs only
+    # equality (True == 1) and a miss is read by as_value.  One and two parents
+    # (every table of the benchmark's chain models and of ``pd_scm``'s file
+    # form) unpack the row's inputs; a wrong arity fails to unpack, with a
+    # ValueError.
     try:
         for row in rows:
             if type(row) is not dict or len(row) != 2:
                 return None
             ins, out = row["in"], row["out"]  # with two fields, a KeyError unless these
-            # Only literals of a number type, since a memo hit needs only equality
-            # (True == 1) and a miss is read by as_value.
-            if (
-                type(ins) is not list
-                or len(ins) != arity
-                or type(out) not in _LITERAL_TYPES
-                or not _LITERAL_TYPES.issuperset(map(type, ins))
-            ):
+            if type(ins) is not list or type(out) not in _LITERAL_TYPES:
                 return None
-            outputs[sum(map(mul, map(getitem, parent_memos, ins), strides))] = out_memo[out]
+            if arity == 2:
+                a, b = ins
+                if type(a) not in _LITERAL_TYPES or type(b) not in _LITERAL_TYPES:
+                    return None
+                outputs[first[a] * sizes[1] + second[b]] = out_memo[out]
+            elif arity == 1:
+                (a,) = ins
+                if type(a) not in _LITERAL_TYPES:
+                    return None
+                outputs[first[a]] = out_memo[out]
+            else:
+                if len(ins) != arity or not _LITERAL_TYPES.issuperset(map(type, ins)):
+                    return None
+                outputs[sum(map(mul, map(getitem, parent_memos, ins), strides))] = out_memo[out]
     except (KeyError, ValueError):
         return None
     if -1 in outputs:  # a repeated row leaves another one out

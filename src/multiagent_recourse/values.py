@@ -276,8 +276,15 @@ def read_value(raw: Any, where: str, field: str | None = None) -> Fraction:
 
 
 def read_values(raw: Any, where: str, field: str | None = None) -> tuple:
-    """A JSON list of exact values, each read by ``read_value``."""
-    return tuple(read_value(item, where, field) for item in read_list(raw, where, field))
+    """A JSON list of exact values, each read once by ``as_value``; the first
+    non-number is read again by ``read_value`` for its ParseError."""
+    items = read_list(raw, where, field)
+    try:
+        return tuple(map(as_value, items))
+    except ValueError:
+        for item in items:
+            read_value(item, where, field)
+        raise
 
 
 def read_agent(raw: Any, where: str, field: str | None = None) -> int | str:

@@ -547,6 +547,22 @@ class TestBaseline:
             mr.solve_cfe_baseline(query)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "amount, shown",
+        [
+            (F(3, 2**14000), "3/26299003673253117803893412934407213..."),  # past the digit limit
+            (F(10**45), "1000000000000000000000000000000000000..."),  # writable, cut at 40
+            (F(5, 2), "2.5"),
+        ],
+    )
+    def test_shift_leaving_the_domain_is_quoted_by_shown_value(self, pd1, amount, shown):
+        query = pd_query(
+            pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": amount}], constraints=[],
+        )
+        with pytest.raises(mr.DomainError) as caught:
+            mr.solve_cfe_baseline(query)
+        assert str(caught.value) == f"shifting 'x1' by {shown} leaves its domain"
+
     def test_predicate_runs_only_until_the_first_passing_candidate(self, pd1):
         # In rank order: {} keeps h1 at 1 and fails the default strict
         # improvement, {x1: 1} passes, and {x1: 1, x2: -1} is never predicted.
@@ -618,6 +634,21 @@ class TestLargeThreshold:
         outcome = mr.solve(query)
         assert outcome is not None and outcome.action == {"x1": F(1)}
         assert mr.solve_cfe_baseline(query) == outcome
+
+    def test_audit_rows_label_it_by_its_head(self, pd1):
+        query = pd_query(
+            pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{}, {"x1": 1}],
+            constraints=[mr.Threshold(1, 1 + F(3, 2**14000))],  # h1 is 1, and 3.5 after x1=1
+        )
+        rows = mr.enumerate_feasible(query)
+        first = next(row for row in rows if row.satisfies_all)
+        outcome = mr.solve(query)
+        assert (first.action, first.counterfactual, first.cost) == (
+            outcome.action, outcome.counterfactual, outcome.cost,
+        )
+        label = "threshold[1]>=2629900367325311780389341293440721322..."
+        assert [row.clauses for row in rows] == [((label, False),), ((label, True),)]
+        assert json.loads(mr.rows_to_json(rows)) == [row.to_dict() for row in rows]
 
 
 class TestFileForms:

@@ -361,6 +361,117 @@ def test_model_tables_read_as_positions(seed):
         assert loaded.evaluate(u) == scm.evaluate(u)
 
 
+TABLE_VALUES = [F(0), F(1), F(-2), F(1, 2), F(7, 3), F(5)]
+# Literals no table may hold: bools, non-numbers, and a number past the literal bound.
+NOT_NUMBERS = [True, False, None, "x", "", [], {}, [1], {"in": 1}, "1e999999"]
+
+
+def literal(rng, value):
+    """``value`` spelled as ``respell`` does, or as the Fraction a decoded float is."""
+    return value if rng.random() < 0.2 else respell(rng, value)
+
+
+def damaged_table(rng, table, domains):
+    """``table`` (a list of rows) with one defect of a kind drawn at random."""
+    defect = rng.choice(
+        ["repeat", "drop", "stray", "out", "arity", "extra", "not-object", "not-number",
+         "bool", "missing-key", "in-not-list"]
+    )
+    intact = [
+        j for j, row in enumerate(table)
+        if isinstance(row, dict) and isinstance(row.get("in"), list) and "out" in row
+    ]
+    if not intact:
+        return table
+    j = rng.choice(intact)
+    row = table[j]
+    # The domain of each input of the row (an input past the parents gets the
+    # last parent's), then of its output.
+    spots = [domains[min(k, len(domains) - 2)] for k in range(len(row["in"]))] + [domains[-1]]
+    if defect == "repeat":
+        table.insert(rng.randrange(len(table) + 1), copy.deepcopy(row))
+    elif defect == "drop":
+        del table[j]
+    elif defect == "stray" and row["in"]:
+        k = rng.randrange(len(row["in"]))
+        row["in"][k] = literal(rng, rng.choice([v for v in TABLE_VALUES if v not in spots[k]] or [F(9)]))
+    elif defect == "out":
+        row["out"] = literal(rng, rng.choice([v for v in TABLE_VALUES if v not in domains[-1]] or [F(9)]))
+    elif defect == "arity":
+        shorter = row["in"] and rng.random() < 0.5
+        row["in"] = row["in"][:-1] if shorter else row["in"] + [literal(rng, F(0))]
+    elif defect == "extra":
+        row[rng.choice(["x", "In", "parents"])] = 0
+    elif defect == "not-object":
+        table[j] = rng.choice([[row["in"], row["out"]], 0, None, "row", list(row.items())])
+    elif defect in ("not-number", "bool"):
+        spot = rng.randrange(len(spots))
+        if defect == "bool":  # equal to a domain value where it can be (True == 1), so a lookup finds it
+            bad = F(1) in spots[spot] if rng.random() < 0.8 else rng.random() < 0.5
+        else:
+            bad = rng.choice(NOT_NUMBERS)
+        if spot == len(row["in"]):
+            row["out"] = bad
+        else:
+            row["in"][spot] = bad
+    elif defect == "missing-key":
+        del row[rng.choice(["in", "out"])]
+    elif defect == "in-not-list":
+        row["in"] = rng.choice([tuple(row["in"]), {"a": 0}, "01", 0])
+    return table
+
+
+def random_table_document(rng, arity):
+    """A model with one equation of ``arity`` parents, its literals spelled at
+    random and, most of the time, one or two defects somewhere in its table or
+    domains."""
+    domains = [rng.sample(TABLE_VALUES, rng.randint(1, 3)) for _ in range(arity + 1)]
+    if rng.random() < 0.1:  # a domain that repeats a value, so it gets no memo
+        repeated = rng.choice(domains)
+        repeated.append(rng.choice(repeated))
+    variables = [
+        {"name": f"u{k}", "kind": "exogenous", "domain": [literal(rng, v) for v in domain]}
+        for k, domain in enumerate(domains[:-1])
+    ]
+    variables.append({"name": "y", "kind": "endogenous", "domain": [literal(rng, v) for v in domains[-1]]})
+    table = [
+        {"in": [literal(rng, v) for v in combo], "out": literal(rng, rng.choice(domains[-1]))}
+        for combo in product(*domains[:-1])
+    ]
+    rng.shuffle(table)
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        table = damaged_table(rng, table, domains)
+    parents = [f"u{k}" for k in range(arity)]
+    if parents and rng.random() < 0.05:
+        parents[rng.randrange(arity)] = "undeclared"
+    return {"variables": variables, "equations": [{"target": "y", "parents": parents, "table": table}]}
+
+
+def read_or_error(document):
+    try:
+        return mr.scm_from_dict(copy.deepcopy(document))
+    except mr.RecourseError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])  # the general loop, both unrolled bodies, general again
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_model_reader_matches_the_value_path(arity, seed):
+    # A table read straight into positions gives the model, or the error,
+    # that reading it as values (_read_table, StructuralEquation, Scm) gives.
+    document = random_table_document(random.Random(seed), arity)
+    fast = read_or_error(document)
+    with mock.patch.object(scm_module, "_table_positions", return_value=None):
+        slow = read_or_error(document)
+    assert type(fast) is type(slow)
+    if isinstance(slow, mr.Scm):
+        assert fast.equations[0]._table is None  # read as positions
+        assert slow.equations[0]._positions is None  # read as values
+        assert fast._compiled == slow._compiled and fast._order == slow._order
+    assert fast == slow
+
+
 @settings(max_examples=120, deadline=None)
 @given(SEEDS)
 def test_json_query_with_respelled_literals_matches_brute_force(seed):
@@ -785,8 +896,8 @@ def test_int_keyed_domain_maps_look_up_as_a_fraction_map(domain, data):
     probes = domain + data.draw(st.lists(DOMAIN_VALUES, max_size=4))
     repeats = len(set(domain)) != len(domain)
     scm = None if repeats else mr.Scm((decl,), ())
-    # A model file's memo, starting from the domain's own JSON literals.
-    memo = None if repeats else scm_module._PositionMemo(decl, [mr.value_to_json(v) for v in domain])
+    # A model file's memo, starting from the domain's own value->position map.
+    memo = None if repeats else scm_module._PositionMemo(decl)
     for value in probes:
         for raw in spellings(value):
             expected = plain_lookup(domain, raw)
