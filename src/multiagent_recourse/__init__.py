@@ -93,6 +93,7 @@ from .experiment import (
     report_from_csv,
     report_from_json,
     run_experiment,
+    synthetic_log_text,
     write_game_log,
 )
 

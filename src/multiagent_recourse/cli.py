@@ -30,7 +30,7 @@ from .experiment import (
     parse_game_log,
     render_report,
     run_experiment,
-    write_game_log,
+    synthetic_log_text,
 )
 from .games import load_matrix_csv
 from .scm import graph_to_dot, load_scm
@@ -103,9 +103,10 @@ def _parse_matrix_mix(spec: str) -> dict:
     return mix
 
 
-def _synthetic_games(args) -> list:
+def _synthetic_args(args) -> tuple:
+    """The arguments of ``generate_synthetic_log`` and ``synthetic_log_text``."""
     n_total, n_silent = _parse_synthetic(args.synthetic)
-    return generate_synthetic_log(n_total, n_silent, _parse_matrix_mix(args.matrix), args.seed)
+    return n_total, n_silent, _parse_matrix_mix(args.matrix), args.seed
 
 
 def _load_matrix_files(pairs: list[str]) -> dict:
@@ -142,7 +143,7 @@ def _cmd_solve(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.jobs < 1:  # --jobs is accepted for old scripts and changes nothing
         raise InvalidParamsError("jobs must be at least 1")
-    games = parse_game_log(args.log) if args.log else _synthetic_games(args)
+    games = parse_game_log(args.log) if args.log else generate_synthetic_log(*_synthetic_args(args))
     kept = filter_single_round(games)
     dropped = len(games) - len(kept)
     print(
@@ -163,7 +164,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    _emit(write_game_log(_synthetic_games(args)), args.output)
+    _emit(synthetic_log_text(*_synthetic_args(args)), args.output)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import ceil
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .engine import (
     Clause,
@@ -284,6 +284,12 @@ class _RowText:
         return text
 
 
+def _row_tail(row_text, fields: tuple) -> str:
+    """The text ``row_text`` writes after an alphanumeric game id, which the
+    CSV writer leaves as it is, in a row whose other fields are ``fields``."""
+    return row_text(["g", *fields])[1:]
+
+
 def write_game_log(records: Iterable[GameRecord]) -> str:
     """Canonical CSV form of a log (the inverse of parse_game_log_text).
 
@@ -312,8 +318,8 @@ def write_game_log(records: Iterable[GameRecord]) -> str:
                 continue
             key = (matrix_id, group, delta_text, round_no, p1, p2)
             tail = tails.get(key)
-            if tail is None:  # an alphanumeric id is written as it is
-                tail = tails[key] = row_text([game_id, *key])[len(game_id):]
+            if tail is None:
+                tail = tails[key] = _row_tail(row_text, key)
             lines.append(game_id + tail)
     return "".join(lines)
 
@@ -329,18 +335,14 @@ def filter_single_round(games: Sequence[GameRecord]) -> list[GameRecord]:
     ]
 
 
-def generate_synthetic_log(
+def _synthetic_draws(
     n_total: int,
     n_principal_silent: int,
     matrix_mix: Mapping[str, Fraction | int | float | str],
     seed: int,
-) -> list[GameRecord]:
-    """Deterministic synthetic log of single-round games.
-
-    Exactly n_principal_silent games have player 1 silent; player 2's actions
-    and the matrix assignment are drawn from the seeded generator, matrices in
-    proportion to matrix_mix.
-    """
+) -> Iterator[tuple[str, int, int]]:
+    """Check a synthetic log's arguments, then draw its games lazily: one
+    (matrix id, p1 action, p2 action) per game, in game order."""
     if n_total < 0:
         raise InvalidParamsError("n_total must be nonnegative")
     if not 0 <= n_principal_silent <= n_total:
@@ -363,15 +365,52 @@ def generate_synthetic_log(
     for i in rng.sample(range(n_total), n_principal_silent):
         p1_actions[i] = SILENT
     roll, coin = rng.random, rng.randrange
-    # Arguments are evaluated left to right: each game rolls its matrix, then p2.
-    records = [
-        GameRecord(
-            "g%05d" % i, ids[bisect_right(bounds, int(roll() * 2**53))], GROUP_TEST,
-            _NO_CONTINUATION, [(p1, coin(2))],
+    # A tuple is evaluated left to right: each game rolls its matrix, then p2.
+    return ((ids[bisect_right(bounds, int(roll() * 2**53))], p1, coin(2)) for p1 in p1_actions)
+
+
+def generate_synthetic_log(
+    n_total: int,
+    n_principal_silent: int,
+    matrix_mix: Mapping[str, Fraction | int | float | str],
+    seed: int,
+) -> list[GameRecord]:
+    """Deterministic synthetic log of single-round games.
+
+    Exactly n_principal_silent games have player 1 silent; player 2's actions
+    and the matrix assignment are drawn from the seeded generator, matrices in
+    proportion to matrix_mix.
+    """
+    return [
+        GameRecord("g%05d" % i, matrix_id, GROUP_TEST, _NO_CONTINUATION, [(p1, p2)])
+        for i, (matrix_id, p1, p2) in enumerate(
+            _synthetic_draws(n_total, n_principal_silent, matrix_mix, seed)
         )
-        for i, p1 in enumerate(p1_actions)
     ]
-    return records
+
+
+def synthetic_log_text(
+    n_total: int,
+    n_principal_silent: int,
+    matrix_mix: Mapping[str, Fraction | int | float | str],
+    seed: int,
+) -> str:
+    """``write_game_log(generate_synthetic_log(...))`` of the same arguments,
+    byte for byte, written from the draws without building the records."""
+    draws = _synthetic_draws(n_total, n_principal_silent, matrix_mix, seed)
+    row_text = csv.writer(_RowText, lineterminator="\n").writerow
+    delta_text = format_value(_NO_CONTINUATION)
+    lines = [row_text(_LOG_HEADER)]
+    # (matrix id, p1, p2) -> ",...\n".  Ids are distinct keys of the mix,
+    # so no two equal ids of other types can share a tail.
+    tails: dict[tuple, str] = {}
+    for i, cell in enumerate(draws):
+        tail = tails.get(cell)
+        if tail is None:
+            matrix_id, p1, p2 = cell
+            tail = tails[cell] = _row_tail(row_text, (matrix_id, GROUP_TEST, delta_text, 1, p1, p2))
+        lines.append("g%05d" % i + tail)
+    return "".join(lines)
 
 
 # ------------------------------------------------------------------ the runs

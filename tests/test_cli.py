@@ -334,6 +334,18 @@ class TestSolve:
         assert json.loads(out)["action"] == {"x1": 1}
 
 
+# Arguments that parse but that the draws refuse, with the message.
+BAD_DRAW_ARGS = [
+    (["--synthetic", "n=-1", "silent=0"], "n_total must be nonnegative"),
+    (["--synthetic", "n=5", "silent=9"], "n_principal_silent must lie between 0 and n_total"),
+    (["--synthetic", "n=5", "silent=-1"], "n_principal_silent must lie between 0 and n_total"),
+    (["--synthetic", "n=5", "silent=2", "--matrix", "table1=-1/2,table2=3/2"],
+     "matrix proportions must be nonnegative"),
+    (["--synthetic", "n=5", "silent=2", "--matrix", "table2=1/2"], "matrix proportions must sum to 1"),
+]
+BAD_DRAW_IDS = ["negative-n", "silent-above-n", "negative-silent", "negative-proportion", "proportions-not-one"]
+
+
 class TestExperiment:
     def test_synthetic_counts(self, capsys):
         code = main(
@@ -500,15 +512,39 @@ class TestExperiment:
                 ["--synthetic", "n=5", "silent=2", "--matrix", "table2=half,table3=1/2"],
                 "bad proportion in --matrix entry 'table2=half'",
             ),
+            *BAD_DRAW_ARGS,
         ],
         ids=["synthetic-key", "synthetic-no-value", "synthetic-not-integer", "matrix-no-proportion",
-             "matrix-no-name", "matrix-proportion"],
+             "matrix-no-name", "matrix-proportion", *BAD_DRAW_IDS],
     )
     def test_bad_parameter_exit_1(self, capsys, command, args, message):
         assert main([command, *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    # An empty mix cannot be spelled here: --matrix "" names the matrix "".
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["n=5", "quiet=2"], "--synthetic takes n=<total> silent=<count>, got 'quiet=2'"),
+            (["n=5", "silent=2", "n=7"], "--synthetic gives n more than once"),
+            (["n=5"], "--synthetic needs both n=<total> and silent=<count>"),
+            (["n=5", "silent=x"], "--synthetic silent must be an integer"),
+            (["n=5", "silent=2", "--matrix", "table2=1/2,table2=1/2"], "--matrix gives 'table2' more than once"),
+            (["n=5", "silent=2", "--matrix", "table2=1/2,=1/2"], "bad --matrix entry '=1/2'"),
+            (["n=5", "silent=2", "--matrix", "table2=half,table3=1/2"], "bad proportion in --matrix entry 'table2=half'"),
+            *((args[1:], message) for args, message in BAD_DRAW_ARGS),
+        ],
+        ids=["synthetic-key", "synthetic-repeated", "synthetic-missing", "synthetic-not-integer",
+             "matrix-repeated", "matrix-no-name", "matrix-proportion", *BAD_DRAW_IDS],
+    )
+    def test_generate_refusal_writes_no_file(self, tmp_path, capsys, args, message):
+        out = tmp_path / "log.csv"
+        assert main(["generate", "--synthetic", *args, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
 
     def test_matrix_file_without_name_exit_1(self, capsys):
         args = ["experiment", "--synthetic", "n=4", "silent=2", "--matrix-file", "mine.csv"]
@@ -614,6 +650,8 @@ class TestGenerateAndGraph:
 
     # SHA-256 of the generated log for the benchmark's two argument sets, as
     # the row-by-row writer wrote it: sharing row tails must not change a byte.
+    # The third, written from GameRecords, has six-digit game ids and a
+    # matrix id the CSV writer quotes.
     @pytest.mark.parametrize(
         "args, digest",
         [
@@ -621,13 +659,28 @@ class TestGenerateAndGraph:
              "7e5a7c0b66c1205ac825bf38b0e45bce0827894629981f5d79670c20fc854ecc"),
             (["n=3294", "silent=434", "--matrix", "table2"],
              "9c72b4b445c9a4868dae74c614ee9a353a071985ea86220a821985252730457e"),
+            (["n=100001", "silent=13000", "--matrix", 'say "t"=1/3,table2=2/3'],
+             "15b8c2247f899db51c3cd9a008414cfe01c8e079e5e3509c522649ec7837c358"),
         ],
-        ids=["log_ingest", "paper"],
+        ids=["log_ingest", "paper", "six-digit-ids-quoted-matrix"],
     )
     def test_generate_golden_digest(self, tmp_path, args, digest):
         out = tmp_path / "log.csv"
         assert main(["generate", "--synthetic", *args, "--seed", "401", "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args",
+        [["n=0", "silent=0"], ["n=60", "silent=25", "--matrix", 'say "t"=1/4,t 3=1/4,tableé=1/2']],
+        ids=["empty", "quoted-matrix-ids"],
+    )
+    def test_generate_stdout_and_file_are_the_same_bytes(self, tmp_path, capsysbinary, args):
+        out = tmp_path / "log.csv"
+        assert main(["generate", "--synthetic", *args, "--seed", "7"]) == 0
+        printed = capsysbinary.readouterr().out
+        assert main(["generate", "--synthetic", *args, "--seed", "7", "-o", str(out)]) == 0
+        assert out.read_bytes() == printed
+        assert printed.startswith(b"game_id,matrix_id,group,delta,round,p1_action,p2_action\n")
 
     @pytest.mark.parametrize("command", ["generate", "experiment"])
     @pytest.mark.parametrize(

@@ -172,6 +172,28 @@ class TestGenerator:
         with pytest.raises(mr.InvalidParamsError):
             mr.generate_synthetic_log(-1, 0, {"table2": 1}, seed=0)
 
+    @pytest.mark.parametrize("make", [mr.generate_synthetic_log, mr.synthetic_log_text])
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((-1, 0, {"table2": 1}), mr.InvalidParamsError, "n_total must be nonnegative"),
+            ((5, 9, {"table2": 1}), mr.InvalidParamsError, "n_principal_silent must lie between 0 and n_total"),
+            ((5, -1, {"table2": 1}), mr.InvalidParamsError, "n_principal_silent must lie between 0 and n_total"),
+            ((5, 2, {}), mr.InvalidParamsError, "matrix_mix must name at least one matrix"),
+            ((5, 2, {"table1": F(-1, 2), "table2": F(3, 2)}), mr.InvalidParamsError,
+             "matrix proportions must be nonnegative"),
+            ((5, 2, {"table2": F(1, 2)}), mr.InvalidParamsError, "matrix proportions must sum to 1"),
+            ((5, 2, {"table2": "half"}), ValueError, "cannot interpret 'half' as a rational value"),
+        ],
+        ids=["negative-n", "silent-above-n", "negative-silent", "empty-mix", "negative-proportion",
+             "proportions-not-one", "proportion-not-a-number"],
+    )
+    def test_both_paths_refuse_alike(self, make, args, error, message):
+        with pytest.raises(error) as caught:
+            make(*args, seed=0)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
 
 ALL_PROFILES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

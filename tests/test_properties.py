@@ -857,6 +857,32 @@ def test_synthetic_log_draws_as_game_by_game(seed):
     assert mr.generate_synthetic_log(n_total, n_silent, mix, seed) == expected
 
 
+# Ids of one mix must sort together: strings the CSV writer quotes or not
+# (a quote, a comma, a line break, a space, non-ASCII, nothing), or ids of
+# another type, which the log writer sends through the CSV writer whole.
+GENERATED_MATRIX_IDS = [
+    ["table1", "table2", "table3", 'say "t"', "my, matrix", "t\n1", "t 3", "tableé", "ß", ""],
+    [1, 2, -3, 10**20],
+    [True],
+    [("a", 1), ("b", 2)],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_synthetic_log_text_equals_the_written_records(seed):
+    rng = random.Random(seed)
+    n_total = rng.choice([0, rng.randint(0, 300)])
+    n_silent = rng.randint(0, n_total)
+    ids = rng.choice(GENERATED_MATRIX_IDS)
+    ids = rng.sample(ids, rng.randint(1, len(ids)))
+    weights = [rng.randint(0, 3) for _ in ids]
+    weights[0] += sum(weights) == 0
+    mix = {mid: rng.choice([F(w, sum(weights)), str(F(w, sum(weights)))]) for mid, w in zip(ids, weights)}
+    expected = mr.write_game_log(generate_log_game_by_game(n_total, n_silent, mix, seed))
+    assert mr.synthetic_log_text(n_total, n_silent, mix, seed) == expected
+
+
 # ------------------------------------------------- integer keys and cost terms
 
 # Numeric hashes are taken modulo 2**61 - 1, so ints around it collide with
