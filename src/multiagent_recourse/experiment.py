@@ -18,7 +18,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, permutations
 from math import ceil
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -192,14 +192,18 @@ def parse_game_log(source: str | Path) -> list[GameRecord]:
         raise
 
 
-# Each pair of canonical action texts -> its actions; other texts are read by int().
-_ACTION_PAIRS = {(str(a), str(b)): (a, b) for a in (SILENT, BETRAY) for b in (SILENT, BETRAY)}
-
-
 def parse_game_log_text(text: str) -> list[GameRecord]:
     """Read and validate a log; an error names the line of the first bad row.
-    Each distinct delta text is read once: a game's delta is the element of
-    ALLOWED_DELTAS itself.  Round numbers are checked for gaps after the last row."""
+
+    Each distinct row tail (the fields after the game id) is checked once per
+    call, for its group, delta, round and actions in that order, and what the
+    check gives is kept for the call: the game's (matrix, group, delta) head
+    as one shared tuple, its delta the element of ALLOWED_DELTAS itself, the
+    round number and the action pair.  A row that fails is never kept.  Every
+    row is checked for an empty id, a changed head and a repeated round.  A
+    game whose rounds arrive out of order, or start past round 1, is sorted
+    and checked for gaps after the last row, in first-seen game order.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader, None)
@@ -207,72 +211,93 @@ def parse_game_log_text(text: str) -> list[GameRecord]:
             raise ParseError("log is empty; expected a header line")
         if header != _LOG_HEADER:
             raise ParseError(f"log header must be '{','.join(_LOG_HEADER)}'")
-        games: dict[str, tuple[GameRecord, dict[int, tuple[int, int]]]] = {}
-        deltas: dict[str, Fraction] = {}
+        records: list[GameRecord] = []
+        # Game id -> [head, rounds, round -> actions once its rounds come out of order].
+        games: dict[str, list] = {}
+        tails: dict[tuple[str, ...], tuple] = {}  # row tail -> (head, round, actions)
+        heads: dict[tuple, tuple] = {}
+        disordered = False
         for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(_LOG_HEADER):
-                raise ParseError(
-                    f"line {lineno}: expected {len(_LOG_HEADER)} fields, got {len(row)}"
-                )
-            game_id, matrix_id, group, delta_text, round_text, p1_text, p2_text = row
-            if not game_id:
-                raise ParseError(f"line {lineno}: empty game_id")
-            if group not in (GROUP_TEST, GROUP_CONTROL):
-                raise ParseError(f"line {lineno}: group must be 'test' or 'control'")
-            delta: Fraction | None = None
-            if group == GROUP_TEST:
-                delta = deltas.get(delta_text)
-                if delta is None:
-                    try:
-                        value = as_value(delta_text)
-                    except ValueError:
-                        raise ParseError(
-                            f"line {lineno}: test rows need a continuation probability"
-                        ) from None
-                    if value not in ALLOWED_DELTAS:
-                        raise ParseError(
-                            f"line {lineno}: continuation probability must be 0, 1/2, or 3/4"
-                        )
-                    delta = deltas[delta_text] = ALLOWED_DELTAS[ALLOWED_DELTAS.index(value)]
             try:
-                round_no = int(round_text)
+                game_id, matrix_id, group, delta_text, round_text, p1_text, p2_text = row
             except ValueError:
-                raise ParseError(f"line {lineno}: round must be an integer") from None
-            if round_no < 1:
-                raise ParseError(f"line {lineno}: round numbers start at 1")
-            actions = _ACTION_PAIRS.get((p1_text, p2_text))
-            if actions is None:
-                for label, text_value in (("p1_action", p1_text), ("p2_action", p2_text)):
-                    try:
-                        action = int(text_value)
-                    except ValueError:
-                        raise DomainError(f"line {lineno}: {label} must be 0 or 1") from None
-                    if action not in (SILENT, BETRAY):
-                        raise DomainError(f"line {lineno}: {label} must be 0 or 1")
-                actions = (int(p1_text), int(p2_text))
+                if not row:
+                    continue
+                raise ParseError(
+                    f"line {reader.line_num}: expected {len(_LOG_HEADER)} fields, got {len(row)}"
+                ) from None
+            if not game_id:
+                raise ParseError(f"line {reader.line_num}: empty game_id")
+            tail = (matrix_id, group, delta_text, round_text, p1_text, p2_text)
+            checked = tails.get(tail)
+            if checked is None:
+                checked = tails[tail] = _checked_tail(tail, reader.line_num, heads)
+            head, round_no, actions = checked
             game = games.get(game_id)
             if game is None:
-                record, by_round = games[game_id] = (GameRecord(game_id, matrix_id, group, delta, []), {})
-            else:
-                record, by_round = game
-                if (record.matrix_id, record.group, record.delta) != (matrix_id, group, delta):
-                    raise ParseError(
-                        f"line {lineno}: game {game_id!r} changes matrix, group, or delta"
-                    )
+                record = GameRecord(game_id, *head, [])
+                records.append(record)
+                game = games[game_id] = [head, record.rounds, None]
+            game_head, rounds, by_round = game
+            if game_head is not head:
+                raise ParseError(
+                    f"line {reader.line_num}: game {game_id!r} changes matrix, group, or delta"
+                )
+            if by_round is None:
+                if round_no == len(rounds) + 1:
+                    rounds.append(actions)
+                    continue
+                by_round = game[2] = dict(enumerate(rounds, 1))
+                disordered = True
             if round_no in by_round:
-                raise ParseError(f"line {lineno}: duplicate round {round_no} in game {game_id!r}")
+                raise ParseError(
+                    f"line {reader.line_num}: duplicate round {round_no} in game {game_id!r}"
+                )
             by_round[round_no] = actions
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from exc
-    for record, by_round in games.values():
-        numbers = sorted(by_round)
-        if numbers != list(range(1, len(numbers) + 1)):
-            raise ParseError(f"game {record.game_id!r} has non-contiguous round numbers")
-        record.rounds = [by_round[n] for n in numbers]
-    return [record for record, _ in games.values()]
+    if disordered:
+        for game_id, (_, rounds, by_round) in games.items():
+            if by_round is not None:
+                numbers = sorted(by_round)
+                if numbers != list(range(1, len(numbers) + 1)):
+                    raise ParseError(f"game {game_id!r} has non-contiguous round numbers")
+                rounds[:] = [by_round[n] for n in numbers]
+    return records
+
+
+def _checked_tail(tail: tuple[str, ...], lineno: int, heads: dict[tuple, tuple]) -> tuple:
+    """(head, round number, action pair) of a log row whose fields after the
+    game id are ``tail``; ``heads`` gives each distinct head one tuple."""
+    matrix_id, group, delta_text, round_text, p1_text, p2_text = tail
+    if group not in (GROUP_TEST, GROUP_CONTROL):
+        raise ParseError(f"line {lineno}: group must be 'test' or 'control'")
+    delta: Fraction | None = None
+    if group == GROUP_TEST:
+        try:
+            value = as_value(delta_text)
+        except ValueError:
+            raise ParseError(f"line {lineno}: test rows need a continuation probability") from None
+        if value not in ALLOWED_DELTAS:
+            raise ParseError(f"line {lineno}: continuation probability must be 0, 1/2, or 3/4")
+        delta = ALLOWED_DELTAS[ALLOWED_DELTAS.index(value)]
+    try:
+        round_no = int(round_text)
+    except ValueError:
+        raise ParseError(f"line {lineno}: round must be an integer") from None
+    if round_no < 1:
+        raise ParseError(f"line {lineno}: round numbers start at 1")
+    actions = []
+    for label, action_text in (("p1_action", p1_text), ("p2_action", p2_text)):
+        try:
+            action = int(action_text)
+        except ValueError:
+            raise DomainError(f"line {lineno}: {label} must be 0 or 1") from None
+        if action not in (SILENT, BETRAY):
+            raise DomainError(f"line {lineno}: {label} must be 0 or 1")
+        actions.append(action)
+    head = (matrix_id, group, delta)
+    return heads.setdefault(head, head), round_no, tuple(actions)
 
 
 class _RowText:
@@ -349,7 +374,23 @@ def _synthetic_draws(
         raise InvalidParamsError("n_principal_silent must lie between 0 and n_total")
     if not matrix_mix:
         raise InvalidParamsError("matrix_mix must name at least one matrix")
-    proportions = [(mid, as_value(p)) for mid, p in sorted(matrix_mix.items())]
+    try:
+        entries = sorted(matrix_mix.items())
+    except TypeError:
+        for a, b in permutations(matrix_mix, 2):
+            try:
+                a < b  # the comparison that sorted() makes
+            except TypeError:
+                raise InvalidParamsError(
+                    f"matrix_mix ids {a!r} and {b!r} cannot be sorted together"
+                ) from None
+        raise
+    proportions = []
+    for mid, p in entries:
+        try:
+            proportions.append((mid, as_value(p)))
+        except ValueError as exc:
+            raise InvalidParamsError(f"matrix_mix entry {mid!r}: {exc}") from None
     if any(p < 0 for _, p in proportions):
         raise InvalidParamsError("matrix proportions must be nonnegative")
     if sum(p for _, p in proportions) != 1:

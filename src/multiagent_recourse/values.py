@@ -109,9 +109,14 @@ def _convert(raw: Any) -> Fraction:
 _read_literal = lru_cache(maxsize=_LITERAL_MEMO_SIZE)(_convert)
 
 
+def _fits(n: int) -> bool:
+    """Whether ``n``'s decimal text has at most MAX_LITERAL_DIGITS digits."""
+    return n.bit_length() < _TOO_MANY_DIGITS_BITS or abs(n) < _TOO_MANY_DIGITS
+
+
 def _writable(n: int) -> int:
     """``n`` unless its decimal text would need more than MAX_LITERAL_DIGITS digits."""
-    if n.bit_length() >= _TOO_MANY_DIGITS_BITS and abs(n) >= _TOO_MANY_DIGITS:
+    if not _fits(n):
         raise ValueRangeError(
             f"a result is out of range (more than {MAX_LITERAL_DIGITS} digits)"
         )
@@ -121,9 +126,12 @@ def _writable(n: int) -> int:
 def format_value(v: Fraction) -> str:
     """Shortest exact text: "3" for integers, "3.5" when the decimal terminates, else "7/3".
 
-    Raises ValueRangeError when an integer in the text (numerator,
-    denominator, or the digits of the decimal) would need more than
-    MAX_LITERAL_DIGITS digits, Python's limit on converting an int to text.
+    A terminating decimal whose text would have more than MAX_LITERAL_DIGITS
+    digits, leading zeros counted as the readers count them, is written "n/d"
+    when its numerator and denominator have no more.  Raises ValueRangeError
+    when an integer in the text (numerator, denominator, or the digits of the
+    decimal) would need more than MAX_LITERAL_DIGITS digits, Python's limit
+    on converting an int to text.
     """
     if v.denominator == 1:
         return str(_writable(v.numerator))
@@ -135,14 +143,17 @@ def format_value(v: Fraction) -> str:
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
-        return f"{_writable(v.numerator)}/{_writable(v.denominator)}"
-    digits = max(twos, fives)
-    # At least abs(v.numerator), since 10**digits is a multiple of the denominator.
-    scaled = _writable(abs(v.numerator) * 10**digits // v.denominator)
-    text = str(scaled).rjust(digits + 1, "0")
-    sign = "-" if v.numerator < 0 else ""
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    if den == 1:
+        digits = max(twos, fives)
+        # At least abs(v.numerator), since 10**digits is a multiple of the denominator.
+        scaled = abs(v.numerator) * 10**digits // v.denominator
+        # Its text has max(digits + 1, digits of scaled) digits, which the readers
+        # refuse past the limit: then n/d is written, unless d is past it too.
+        if _fits(scaled) and (digits < MAX_LITERAL_DIGITS or not _fits(v.denominator)):
+            text = str(scaled).rjust(digits + 1, "0")
+            sign = "-" if v.numerator < 0 else ""
+            return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    return f"{_writable(v.numerator)}/{_writable(v.denominator)}"
 
 
 def shown_value(v: Fraction) -> str:

@@ -624,12 +624,13 @@ class TestBaseline:
 
 
 class TestLargeThreshold:
-    """A threshold whose label text is past the digit limit of ``format_value``."""
+    """A threshold whose label text is past the digit limit of ``format_value``:
+    its denominator, 2**15000, has 4516 digits."""
 
     def test_solvers_agree(self, pd1):
         query = pd_query(
             pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{"x1": 1}],
-            constraints=[mr.Threshold(1, F(3, 2**14000))],
+            constraints=[mr.Threshold(1, F(3, 2**15000))],
         )
         outcome = mr.solve(query)
         assert outcome is not None and outcome.action == {"x1": F(1)}
@@ -638,7 +639,7 @@ class TestLargeThreshold:
     def test_audit_rows_label_it_by_its_head(self, pd1):
         query = pd_query(
             pd1, principal=1, factual={"x1": 0, "x2": 1}, feasible=[{}, {"x1": 1}],
-            constraints=[mr.Threshold(1, 1 + F(3, 2**14000))],  # h1 is 1, and 3.5 after x1=1
+            constraints=[mr.Threshold(1, 1 + F(3, 2**15000))],  # h1 is 1, and 3.5 after x1=1
         )
         rows = mr.enumerate_feasible(query)
         first = next(row for row in rows if row.satisfies_all)
@@ -646,7 +647,7 @@ class TestLargeThreshold:
         assert (first.action, first.counterfactual, first.cost) == (
             outcome.action, outcome.counterfactual, outcome.cost,
         )
-        label = "threshold[1]>=2629900367325311780389341293440721322..."
+        label = "threshold[1]>=2817960879631397637428637785383222308..."
         assert [row.clauses for row in rows] == [((label, False),), ((label, True),)]
         assert json.loads(mr.rows_to_json(rows)) == [row.to_dict() for row in rows]
 

@@ -183,10 +183,18 @@ class TestGenerator:
             ((5, 2, {"table1": F(-1, 2), "table2": F(3, 2)}), mr.InvalidParamsError,
              "matrix proportions must be nonnegative"),
             ((5, 2, {"table2": F(1, 2)}), mr.InvalidParamsError, "matrix proportions must sum to 1"),
-            ((5, 2, {"table2": "half"}), ValueError, "cannot interpret 'half' as a rational value"),
+            ((5, 2, {"table2": "half"}), mr.InvalidParamsError,
+             "matrix_mix entry 'table2': cannot interpret 'half' as a rational value"),
+            ((5, 2, {"table1": F(1, 2), "table2": True}), mr.InvalidParamsError,
+             "matrix_mix entry 'table2': cannot interpret bool value True as a rational"),
+            ((5, 2, {"a": F(1, 2), 1: F(1, 2)}), mr.InvalidParamsError,
+             "matrix_mix ids 'a' and 1 cannot be sorted together"),
+            ((5, 2, {(1, 2): F(1, 2), (1, "b"): F(1, 2)}), mr.InvalidParamsError,
+             "matrix_mix ids (1, 2) and (1, 'b') cannot be sorted together"),
         ],
         ids=["negative-n", "silent-above-n", "negative-silent", "empty-mix", "negative-proportion",
-             "proportions-not-one", "proportion-not-a-number"],
+             "proportions-not-one", "proportion-not-a-number", "proportion-a-bool", "ids-of-two-types",
+             "tuple-ids-that-do-not-sort"],
     )
     def test_both_paths_refuse_alike(self, make, args, error, message):
         with pytest.raises(error) as caught:

@@ -761,18 +761,36 @@ def read_log_directly(text):
 @given(SEEDS)
 def test_log_with_mixed_spellings_reads_as_row_by_row(seed):
     rng = random.Random(seed)
-    rows = []
-    for i in range(rng.randint(1, 12)):
+    # Half the logs spell every value one way, so that their games share row tails.
+    canonical = rng.random() < 0.5
+    spell = (lambda options: options[0]) if canonical else rng.choice
+    games = []
+    for i in range(rng.choice([rng.randint(1, 12), rng.randint(20, 80)])):
         game_id = rng.choice([f"g{i}", f"g,{i}", f'g "{i}"', f"g\n{i}"])
         matrix_id = rng.choice(["table1", "table2", "my, matrix"])
         group = rng.choice(["test", "control"])
         delta = rng.choice(list(DELTA_SPELLINGS)) if group == "test" else None
+        rows = []
         for round_no in range(1, rng.randint(1, 4) + 1):
-            delta_text = "" if delta is None else rng.choice(DELTA_SPELLINGS[delta])
-            actions = [rng.choice(ACTION_SPELLINGS[rng.randrange(2)]) for _ in range(2)]
-            round_text = rng.choice([str(round_no), f"0{round_no}", f"+{round_no}"])
+            delta_text = "" if delta is None else spell(DELTA_SPELLINGS[delta])
+            actions = [spell(ACTION_SPELLINGS[rng.randrange(2)]) for _ in range(2)]
+            round_text = spell([str(round_no), f"0{round_no}", f"+{round_no}"])
             rows.append([game_id, matrix_id, group, delta_text, round_text, *actions])
-    rng.shuffle(rows)  # games interleave and their rounds come in any order
+        games.append(rows)
+    order = rng.choice(["any", "games", "interleaved"])
+    if order == "any":  # games interleave and their rounds come in any order
+        rows = [row for game in games for row in game]
+        rng.shuffle(rows)
+    elif order == "games":  # one game after another, its rounds in any order
+        for game in games:
+            rng.shuffle(game)
+        rows = [row for game in games for row in game]
+    else:  # games interleave, each starting past round 1 when it has more than one
+        for game in games:
+            game[:] = game[1:] + game[:1]
+        rows = []
+        while any(games):
+            rows.append(rng.choice([game for game in games if game]).pop(0))
     out = io.StringIO()
     out.write("game_id,matrix_id,group,delta,round,p1_action,p2_action\n")
     for row in rows:

@@ -1,5 +1,6 @@
 """Exact values: the literal memo of ``as_value`` and the digit limit on what can be written."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -36,6 +37,38 @@ def test_more_than_4300_digits_is_out_of_range(value):
         mr.format_value(value)
     with pytest.raises(mr.ValueRangeError, match="out of range"):
         mr.value_to_json(value)
+
+
+# Values and the texts that read back to them.  The first four would count
+# more than 4300 digits as decimals, leading zeros included, so they are
+# written n/d; the next two are decimals of 4300 digits.
+READ_BACK = {
+    "3/2**14000": (F(3, 2**14000), "3/" + str(2**14000)),
+    "1/2**4300": (F(1, 2**4300), "1/" + str(2**4300)),
+    "7/5**6000": (F(7, 5**6000), "7/" + str(5**6000)),
+    "big/2**7000": (F(10**2000 + 1, 2**7000), f"{10**2000 + 1}/{2**7000}"),
+    "1/2**4299": (F(1, 2**4299), f"0.{str(5**4299).rjust(4299, '0')}"),
+    "-1/10**4299": (F(-1, 10**4299), "-0." + "0" * 4298 + "1"),
+    "7/2": (F(7, 2), "3.5"),
+    "1/3": (F(1, 3), "1/3"),
+}
+
+
+def pd_matrix(value):
+    return mr.PayoffMatrix("m", {(0, 0): (value, 5), (0, 1): (1, value), (1, 0): (10, 1), (1, 1): (3, 3)})
+
+
+@pytest.mark.parametrize("value, text", list(READ_BACK.values()), ids=list(READ_BACK))
+def test_every_value_that_reads_is_written_back(value, text, tmp_path):
+    assert mr.format_value(value) == text
+    assert mr.as_value(text) == value
+    # A model file: the payoffs are the domain values and table outputs of h1 and h2.
+    model = mr.pd_scm(pd_matrix(value))
+    assert mr.scm_from_dict(json.loads(json.dumps(mr.scm_to_dict(model)))) == model
+    # A matrix CSV file.
+    path = tmp_path / "m.csv"
+    path.write_text(mr.matrix_to_csv(pd_matrix(value)))
+    assert mr.load_matrix_csv(path, matrix_id="m") == pd_matrix(value)
 
 
 def test_field_readers_look_up_as_value_at_each_call(monkeypatch):
