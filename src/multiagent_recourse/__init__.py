@@ -92,7 +92,9 @@ from .experiment import (
     render_report,
     report_from_csv,
     report_from_json,
+    run_cells,
     run_experiment,
+    synthetic_cells,
     synthetic_log_text,
     write_game_log,
 )

@@ -26,10 +26,11 @@ from .experiment import (
     PLAYER1_ONLY,
     ExperimentConfig,
     filter_single_round,
-    generate_synthetic_log,
     parse_game_log,
     render_report,
+    run_cells,
     run_experiment,
+    synthetic_cells,
     synthetic_log_text,
 )
 from .games import load_matrix_csv
@@ -104,7 +105,7 @@ def _parse_matrix_mix(spec: str) -> dict:
 
 
 def _synthetic_args(args) -> tuple:
-    """The arguments of ``generate_synthetic_log`` and ``synthetic_log_text``."""
+    """The arguments of ``synthetic_cells`` and ``synthetic_log_text``."""
     n_total, n_silent = _parse_synthetic(args.synthetic)
     return n_total, n_silent, _parse_matrix_mix(args.matrix), args.seed
 
@@ -143,11 +144,16 @@ def _cmd_solve(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.jobs < 1:  # --jobs is accepted for old scripts and changes nothing
         raise InvalidParamsError("jobs must be at least 1")
-    games = parse_game_log(args.log) if args.log else generate_synthetic_log(*_synthetic_args(args))
-    kept = filter_single_round(games)
-    dropped = len(games) - len(kept)
+    if args.log:
+        games = parse_game_log(args.log)
+        source = filter_single_round(games)
+        fold, total, kept = run_experiment, len(games), len(source)
+    else:  # a synthetic log is all single-round games, counted per cell from its draws
+        params = _synthetic_args(args)
+        source = synthetic_cells(*params)
+        fold, total, kept = run_cells, params[0], params[0]
     print(
-        f"note: {dropped} of {len(games)} games filtered out (not single-round-equivalent)",
+        f"note: {total - kept} of {total} games filtered out (not single-round-equivalent)",
         file=sys.stderr,
     )
     if not kept:
@@ -158,7 +164,7 @@ def _cmd_experiment(args) -> int:
         exclude_identity=not args.include_identity,
     )
     matrices = _load_matrix_files(args.matrix_file) if args.matrix_file else None
-    report = run_experiment(kept, config, matrices=matrices)
+    report = fold(source, config, matrices=matrices)
     _emit(render_report(report, args.format), args.output)
     return EXIT_OK
 

@@ -18,7 +18,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, repeat
 from math import ceil
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -454,6 +454,20 @@ def synthetic_log_text(
     return "".join(lines)
 
 
+def synthetic_cells(
+    n_total: int,
+    n_principal_silent: int,
+    matrix_mix: Mapping[str, Fraction | int | float | str],
+    seed: int,
+) -> dict[tuple[str, int, int], tuple[int, int]]:
+    """The cells of ``generate_synthetic_log(...)`` of the same arguments,
+    counted from the draws without building the records: (matrix id, p1
+    action, p2 action) -> (index of the cell's first game, games), in
+    first-seen order.  Arguments are checked and refused as there."""
+    draws = list(_synthetic_draws(n_total, n_principal_silent, matrix_mix, seed))
+    return {cell: (draws.index(cell), n) for cell, n in Counter(draws).items()}
+
+
 # ------------------------------------------------------------------ the runs
 
 
@@ -469,6 +483,34 @@ def run_experiment(
     cell (matrix, p1 action, p2 action) share their outcome, so each cell is
     solved once per principal.
     """
+    return _fold(zip(games, repeat(1)), config, matrices)
+
+
+def run_cells(
+    cells: Mapping[tuple[str, int, int], tuple[int, int]],
+    config: ExperimentConfig,
+    *,
+    matrices: Mapping[str, PayoffMatrix] | None = None,
+) -> ExperimentReport:
+    """``run_experiment`` of the synthetic log whose cells ``synthetic_cells``
+    counted: the same report, or the same error.  Each cell's first game, as
+    ``generate_synthetic_log`` builds it, stands for the cell's games."""
+    firsts = (
+        (GameRecord("g%05d" % i, matrix_id, GROUP_TEST, _NO_CONTINUATION, [(p1, p2)]), n)
+        for (matrix_id, p1, p2), (i, n) in cells.items()
+    )
+    return _fold(firsts, config, matrices)
+
+
+def _fold(
+    weighted: Iterable[tuple[GameRecord, int]], config: ExperimentConfig,
+    matrices: Mapping[str, PayoffMatrix] | None,
+) -> ExperimentReport:
+    """The report of the (game, weight) pairs, each game counted weight times.
+
+    Each game is checked for rounds, and its matrix is resolved at its first
+    game; a game id is counted once.  An error in a cell names its first game.
+    """
     if matrices and "overall" in matrices:
         raise InvalidParamsError("matrices cannot name a matrix 'overall': reports use it for the totals")
     clauses = config.clauses()
@@ -478,7 +520,7 @@ def run_experiment(
     first_game: dict[tuple[str, int, int], str] = {}
     report = ExperimentReport()
     seen_games: set[str] = set()
-    for game in games:
+    for game, n in weighted:
         if not game.rounds:
             raise InvalidParamsError(f"game {game.game_id!r} has no rounds")
         if game.matrix_id not in scms:
@@ -487,10 +529,10 @@ def run_experiment(
             report.per_matrix[game.matrix_id] = OutcomeCounts()
         if game.game_id not in seen_games:
             seen_games.add(game.game_id)
-            report.overall.games += 1
-            report.per_matrix[game.matrix_id].games += 1
+            report.overall.games += n
+            report.per_matrix[game.matrix_id].games += n
         cell = (game.matrix_id, *game.rounds[0])
-        cells[cell] += 1
+        cells[cell] += n
         first_game.setdefault(cell, game.game_id)
 
     for cell, n in cells.items():

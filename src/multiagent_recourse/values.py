@@ -42,13 +42,17 @@ def bounded_literal(text: str) -> str:
     The check reads only the digit count and the exponent, so a literal such
     as ``1e999999999`` is rejected before any big integer is built.  Digits
     plus the exponent's size bound the digits of both numerator and
-    denominator.
+    denominator.  A mantissa with no digit before the point counts one more,
+    as if written with a leading 0: ``.5e-4299`` is refused as ``0.5e-4299``
+    is, since its value needs 4301 digits in any text that reads.
     """
     if len(text) <= MAX_LITERAL_DIGITS and "e" not in text and "E" not in text:
         return text  # at most MAX_LITERAL_DIGITS digits and no exponent
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
     digits = sum(c.isdecimal() for c in mantissa)
+    whole, point, _ = mantissa.partition(".")
+    digits += bool(point) and not any(c.isdecimal() for c in whole)
     # A malformed exponent is left for Fraction to reject.
     if exponent.isdecimal() and (
         len(exponent) > len(str(MAX_LITERAL_DIGITS))
@@ -136,13 +140,17 @@ def format_value(v: Fraction) -> str:
     if v.denominator == 1:
         return str(_writable(v.numerator))
     den = v.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    # The fives bit by bit, from the highest 5**(2**k) that divides den down.
+    fives, power, count, powers = 0, 5, 1, []
+    while den % power == 0:
+        powers.append((power, count))
+        power, count = power * power, 2 * count
+    for power, count in reversed(powers):
+        if den % power == 0:
+            den //= power
+            fives += count
     if den == 1:
         digits = max(twos, fives)
         # At least abs(v.numerator), since 10**digits is a multiple of the denominator.

@@ -1,0 +1,248 @@
+"""The synthetic experiment's cell fold, and the paper's claims over every PD matrix.
+
+``run_cells(synthetic_cells(...))`` counts a synthetic log's games per cell
+from its draws.  It must give what the records path gives,
+``run_experiment(filter_single_round(generate_synthetic_log(...)))``: an
+equal report with its matrices in the same order, or the same error type and
+message.  Each case is drawn from a seed: game counts from 0 to 400 (0
+often), silent counts in and out of range, mixes of `Fraction` and string
+proportions with zero proportions, custom matrices registered through
+``matrices``, an unknown id, ``overall`` among the matrices, every mode,
+custom clauses (one names an agent no query has), both principal policies
+and both ``exclude_identity`` settings.
+
+The tier-1 run draws a few hundred cases; to draw more:
+
+    PYTHONPATH=src:tests python3 -c "import test_cells as t; t.fuzz(20000)"
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import multiagent_recourse as mr
+from multiagent_recourse.experiment import MODE_CLAUSES
+
+SEEDS = st.integers(min_value=0, max_value=10**9)
+MODES = list(MODE_CLAUSES)
+POLICIES = [mr.PLAYER1_ONLY, mr.BOTH_PLAYERS]
+
+
+def _matrix(mid, bb, bs, sb, ss):
+    return mr.PayoffMatrix(mid, {(1, 1): bb, (1, 0): bs, (0, 1): sb, (0, 0): ss})
+
+
+# One PD-ordered rational matrix and one asymmetric matrix; "nosuch" is
+# neither builtin nor registered.
+CUSTOM = {
+    "mine": _matrix("mine", ("2", "2"), ("9/2", "1/4"), ("1/4", "9/2"), ("3", "3")),
+    "yours": _matrix("yours", ("1", "0"), ("4", "-1/3"), ("0", "7"), ("5/2", "5/2")),
+}
+MATRIX_IDS = ["table1", "table2", "table3", "mine", "yours", "nosuch"]
+CLAUSES = [
+    mr.Threshold(1, F(50)), mr.Threshold(2, F(9, 2), strict=True), mr.Threshold(3, F(1)),
+    mr.PrincipalImprovement(strict=False), mr.SocialWelfare(strict=False), mr.Pareto(), mr.Plausible(),
+]
+
+
+def draw_mix(rng: random.Random) -> dict:
+    roll = rng.random()
+    if roll < 0.02:
+        return {}
+    if roll < 0.04:
+        return {"table2": "half", "table3": F(1, 2)}
+    if roll < 0.06:
+        return {"table2": F(3, 2), "table3": F(-1, 2)}
+    if roll < 0.08:
+        return {"table2": 1, 1: 0}
+    ids = rng.sample(MATRIX_IDS, rng.randint(1, 3))
+    weights = [rng.randint(0, 3) for _ in ids]
+    weights[0] += sum(weights) == 0
+    mix = {}
+    for mid, weight in zip(ids, weights):
+        p = F(weight, sum(weights))
+        mix[mid] = rng.choice([p, f"{p.numerator}/{p.denominator}", str(p)])
+    if rng.random() < 0.03:  # proportions that do not sum to 1
+        mix[ids[0]] = F(7, 5)
+    return mix
+
+
+def draw_case(rng: random.Random) -> tuple:
+    """(the synthetic log's arguments, config, matrices)."""
+    n = rng.choice([0, 0, rng.randint(0, 12), rng.randint(0, 400)])
+    silent = rng.choice([rng.randint(0, n), rng.randint(0, n), rng.randint(0, n), -1, n + 1])
+    if rng.random() < 0.02:
+        n = -1
+    mode = rng.choice([*MODES, *MODES, "custom", "custom", "bogus"])
+    config = mr.ExperimentConfig(
+        mode=mode,
+        principal_policy=rng.choice([*POLICIES, *POLICIES, *POLICIES, "nobody"]),
+        exclude_identity=rng.random() < 0.5,
+        custom_clauses=tuple(rng.sample(CLAUSES, rng.choice([0, 1, 1, 2, 3]))),
+    )
+    matrices = rng.choice([None, {}, CUSTOM, CUSTOM, CUSTOM, {**CUSTOM, "overall": CUSTOM["mine"]}])
+    return (n, silent, draw_mix(rng), rng.randrange(2**32)), config, matrices
+
+
+def result(fold):
+    """A fold's report with the order of its matrices, or its error."""
+    try:
+        report = fold()
+    except Exception as exc:  # noqa: BLE001 - both paths must fail alike
+        return type(exc), str(exc)
+    return report, list(report.per_matrix)
+
+
+def both_folds(args, config, matrices):
+    by_records = result(lambda: mr.run_experiment(
+        mr.filter_single_round(mr.generate_synthetic_log(*args)), config, matrices=matrices))
+    by_cells = result(lambda: mr.run_cells(mr.synthetic_cells(*args), config, matrices=matrices))
+    return by_records, by_cells
+
+
+def check(seed: int) -> None:
+    by_records, by_cells = both_folds(*draw_case(random.Random(seed)))
+    assert by_cells == by_records
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_cell_fold_agrees_with_the_records_path(seed):
+    check(seed)
+
+
+def fuzz(n: int) -> None:
+    """``n`` more cases of the property above, drawn by Hypothesis."""
+    settings(max_examples=n, deadline=None, database=None)(given(SEEDS)(check))()
+
+
+# A phrase of each error the two folds raise on these cases.
+ERRORS = [
+    "n_total must be nonnegative", "n_principal_silent must lie between", "must name at least one",
+    "cannot interpret 'half'", "must be nonnegative", "must sum to 1", "cannot be sorted together",
+    "unknown payoff matrix 'nosuch'", "cannot name a matrix 'overall'", "unknown mode 'bogus'",
+    "custom mode needs custom_clauses", "unknown principal policy", "game 'g",
+]
+
+
+def test_the_cases_reach_every_error():
+    """The cases drawn above raise each error, and give reports with and without games."""
+    seen = set()
+    for seed in range(400):
+        by_records, by_cells = both_folds(*draw_case(random.Random(seed)))
+        assert by_cells == by_records
+        outcome = by_records[0]
+        if isinstance(outcome, mr.ExperimentReport):
+            seen.add("games" if outcome.total_games else "no games")
+        else:
+            seen.update(phrase for phrase in ERRORS if phrase in by_records[1])
+    assert seen == {"games", "no games", *ERRORS}
+
+
+def test_a_cell_error_names_the_cells_first_game():
+    config = mr.ExperimentConfig(mode="custom", custom_clauses=(mr.Threshold(3, F(1)),))
+    args = (40, 10, {"table1": F(1, 2), "table3": "1/2"}, 5)
+    (kind, message), by_cells = both_folds(args, config, None)
+    first = mr.generate_synthetic_log(*args)[0]
+    assert (kind, message) == by_cells
+    assert kind is mr.InvalidQueryError and message.startswith(f"game {first.game_id!r}: ")
+
+
+# ------------------------------------------------- the claims, closed form
+#
+# For a symmetric matrix with temptation T > reward R > punishment P > sucker
+# S, the principal's only action other than the identity is to switch, and
+# every mode's clauses are strict, so the identity never passes.  Then
+# single_agent recommends iff the principal is silent, pareto and
+# pareto_and_welfare never recommend, and social_welfare recommends iff the
+# switch raises W, the sum of both payoffs: from (silent, silent) iff
+# T + S > 2R, from (silent, betray) iff 2P > T + S, from (betray, silent) iff
+# 2R > T + S, and from (betray, betray) iff T + S > 2P, reading each profile
+# as (principal, opponent).
+
+
+def _positive():
+    return st.builds(F, st.integers(1, 60), st.integers(1, 12))
+
+
+@st.composite
+def pd_payoffs(draw) -> dict:
+    """(T, R, P, S) with T > R > P > S, sometimes with T + S = 2R or T + S = 2P."""
+    sucker = draw(st.builds(F, st.integers(-60, 60), st.integers(1, 12)))
+    punishment = sucker + draw(_positive())
+    reward = punishment + draw(_positive())
+    tie = draw(st.sampled_from(["none", "2R", "2P"]))
+    if tie == "2R":
+        temptation = 2 * reward - sucker
+    elif tie == "2P" and punishment - sucker > reward - punishment:
+        temptation = 2 * punishment - sucker
+    else:
+        temptation = reward + draw(_positive())
+    return {"T": temptation, "R": reward, "P": punishment, "S": sucker}
+
+
+def recommends(mode: str, own: int, other: int, pay: dict) -> bool:
+    """The rule above, for a principal playing ``own`` against ``other``."""
+    T, R, P, S = pay["T"], pay["R"], pay["P"], pay["S"]
+    if mode == "single_agent":
+        return own == mr.SILENT
+    if mode == "social_welfare":
+        return {(0, 0): T + S > 2 * R, (0, 1): 2 * P > T + S, (1, 0): 2 * R > T + S,
+                (1, 1): T + S > 2 * P}[own, other]
+    return False
+
+
+def closed_form(games, payoffs: dict, mode: str, principals) -> mr.ExperimentReport:
+    """The report of ``games`` by the rule and payoff arithmetic: no model, no solve."""
+    report = mr.ExperimentReport()
+    for game in games:
+        pay = payoffs[game.matrix_id]
+        u = {(1, 1): pay["P"], (1, 0): pay["T"], (0, 1): pay["S"], (0, 0): pay["R"]}
+        counts = report.per_matrix.setdefault(game.matrix_id, mr.OutcomeCounts())
+        for scope in (report.overall, counts):
+            scope.games += 1
+        for principal in principals:
+            own, other = game.rounds[0] if principal == 1 else game.rounds[0][::-1]
+            gain = u[1 - own, other] - u[own, other]
+            opponent_gain = u[other, 1 - own] - u[other, own]
+            made = recommends(mode, own, other, pay)
+            for scope in (report.overall, counts):
+                scope.queries += 1
+                if made:
+                    scope.recommendations += 1
+                    scope.principal_improved += gain > 0
+                    scope.principal_worsened += gain < 0
+                    scope.opponent_improved += opponent_gain > 0
+                    scope.pareto_violated += gain < 0 or opponent_gain < 0
+                    scope.welfare_increased += gain + opponent_gain > 0
+                    scope.welfare_decreased += gain + opponent_gain < 0
+    return report
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(pd_payoffs(), min_size=1, max_size=3),
+    st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    SEEDS,
+    st.booleans(),
+)
+def test_claims_hold_on_every_pd_matrix(payoffs, sizes, seed, exclude_identity):
+    ids = [f"pd{i}" for i in range(len(payoffs))]
+    payoffs = dict(zip(ids, payoffs))
+    matrices = {
+        mid: _matrix(mid, (p["P"], p["P"]), (p["T"], p["S"]), (p["S"], p["T"]), (p["R"], p["R"]))
+        for mid, p in payoffs.items()
+    }
+    assert all(mr.is_pd_ordered(m) for m in matrices.values())
+    args = (*sizes, {mid: F(1, len(ids)) for mid in ids}, seed)
+    games = mr.generate_synthetic_log(*args)
+    for mode in MODES:
+        for policy in POLICIES:
+            config = mr.ExperimentConfig(mode=mode, principal_policy=policy, exclude_identity=exclude_identity)
+            expected = closed_form(games, payoffs, mode, config.principals())
+            assert mr.run_experiment(games, config, matrices=matrices) == expected
+            assert mr.run_cells(mr.synthetic_cells(*args), config, matrices=matrices) == expected

@@ -631,6 +631,88 @@ class TestExperiment:
         ]
 
 
+# SHA-256 of the stdout and stderr of `experiment --synthetic`, recorded when
+# the synthetic log was still built game by game as GameRecords and folded
+# through run_experiment: counting the draws per cell must not change a byte.
+# The paper's runs, keyed by mode, format and principal policy:
+PAPER_DIGESTS = {
+    ("single_agent", "table", "p1"): "cdf5b161a570820324df0e7aa24ab1075b5dd084d7e8668970e64fe71794f1de",
+    ("single_agent", "table", "both"): "d914e6abcbd74b70409f8cbed40d4e680ff3370bceb703d8a9b86909b64ebb39",
+    ("single_agent", "csv", "p1"): "7bb0f423dc24bc9d8dc05a34cfbc09d75523abb0da79807c0543641c0a2c830c",
+    ("single_agent", "csv", "both"): "90441b53f5259bb9ac68c28d0e826b91a1ea3996899a2768b0574ed3ea0429bd",
+    ("single_agent", "json", "p1"): "c846be4353001897d2b458e5a3eb1595fb9944bf5228098d0b31e542f2843adf",
+    ("single_agent", "json", "both"): "a8d74add08404a37dc3adefa07dd38732c8254a4ba394c39608336054dc5c8d0",
+    ("social_welfare", "table", "p1"): "efa12b647c4fdba926a92ec5dceb514ebb749f4e71f4d258c040c21e6b19658a",
+    ("social_welfare", "table", "both"): "036f91a4b9998b9fa0b83d365a1ae12c0b68b70fc2553fea4834207e8cefbfcc",
+    ("social_welfare", "csv", "p1"): "6fd43ca40d56adc17791e6e7e210ae71cfa7a090654a6f14d9bb2bbbe3703557",
+    ("social_welfare", "csv", "both"): "fbb7524a94c42427f6f20061cf0518c2c44a32a0093fdb839ec34ccb8ff5be3b",
+    ("social_welfare", "json", "p1"): "e03fb13b45da9402484bc0bf75ea995a967537daa5c154136573cc3f23363d5d",
+    ("social_welfare", "json", "both"): "6c7b3905044335187d72a2620df099eb4a13534d19f26e1b61cbe41c799f4fec",
+    ("pareto", "table", "p1"): "911eb9a2d78a1a63888228ee65e15084839aa3c4751e41cffc1b863529a521c0",
+    ("pareto", "table", "both"): "b13432c86c7e047ce9679d9b6c29c1fbfa1c66005755e41512156c14ca292365",
+    ("pareto", "csv", "p1"): "3e0bc9b545630eb41518f514f266daa7a26b88fa6ba091fbf259d69d9e93d788",
+    ("pareto", "csv", "both"): "04c37af09c5609ade62de239fa9cc98badab110e94750d9e962ddcb6874a1e40",
+    ("pareto", "json", "p1"): "c987a0d6d45af80a6477a02a3f930b83fc10d6acfe8c7835c438b91cd4b90751",
+    ("pareto", "json", "both"): "ed2f3622ee2ee07d92d28b6049baac54a3a77eb1bafe3f190dfb8ac74c004699",
+    ("pareto_and_welfare", "table", "p1"): "911eb9a2d78a1a63888228ee65e15084839aa3c4751e41cffc1b863529a521c0",
+    ("pareto_and_welfare", "table", "both"): "b13432c86c7e047ce9679d9b6c29c1fbfa1c66005755e41512156c14ca292365",
+    ("pareto_and_welfare", "csv", "p1"): "3e0bc9b545630eb41518f514f266daa7a26b88fa6ba091fbf259d69d9e93d788",
+    ("pareto_and_welfare", "csv", "both"): "04c37af09c5609ade62de239fa9cc98badab110e94750d9e962ddcb6874a1e40",
+    ("pareto_and_welfare", "json", "p1"): "c987a0d6d45af80a6477a02a3f930b83fc10d6acfe8c7835c438b91cd4b90751",
+    ("pareto_and_welfare", "json", "both"): "ed2f3622ee2ee07d92d28b6049baac54a3a77eb1bafe3f190dfb8ac74c004699",
+}
+# A mix with a custom matrix from --matrix-file and --include-identity, in
+# table format, keyed by mode and principal policy:
+MIX_DIGESTS = {
+    ("single_agent", "p1"): "cca9bbede4480fbf177ae32cec41d665547c78e32a269e5278f4192461e16b4c",
+    ("single_agent", "both"): "ea5bdf2d639a0ef14b7855de27724b7be9ed1d13101a9d7b4ac92b37bfd2bd03",
+    ("social_welfare", "p1"): "762eac5548796b73419a765ae784b8e60af65097fa90f31fcc52919ec04f2d3c",
+    ("social_welfare", "both"): "f6299c8d4f6a0da4d8106bebe108ed81b1aa4b88a895e60ec3edada237b5f95f",
+    ("pareto", "p1"): "6bef5f5d57e152388eca3e846fab0951d80c3bebce5af08541060c24e25fc0c1",
+    ("pareto", "both"): "387bf5b833ab9b65f4a01ec1111f6f5e69f244ff9e173c6291de650014100d00",
+    ("pareto_and_welfare", "p1"): "6bef5f5d57e152388eca3e846fab0951d80c3bebce5af08541060c24e25fc0c1",
+    ("pareto_and_welfare", "both"): "387bf5b833ab9b65f4a01ec1111f6f5e69f244ff9e173c6291de650014100d00",
+}
+EMPTY_DIGEST = "a8297d4acaa7ad65a1204fbbdccf759e51f446c862f7e0f73b4e563e6503d9d1"  # n=0, csv
+# stderr, keyed by the number of games:
+NOTE_DIGESTS = {
+    3294: "2a6266362333b0098b7336c782877b7d5664608bab3dd9ff209959fe28a7ba2d",
+    600: "d866d8cf3d6651ecbd0aebe12866e68eceb7cfd62e87fb6dd34c30e2601ca0f0",
+    0: "1b85b52c06b8b014b1ad2c427e2f4a32909ed6508a2289cffcc4f629345ee955",  # and the warning
+}
+MINE = mr.PayoffMatrix(
+    "mine", {(1, 1): ("2", "2"), (1, 0): ("9/2", "1/4"), (0, 1): ("1/4", "9/2"), (0, 0): ("3", "3")}
+)
+
+
+class TestExperimentGolden:
+    def digests(self, capsysbinary, argv):
+        assert main(["experiment", *argv]) == 0
+        captured = capsysbinary.readouterr()
+        return hashlib.sha256(captured.out).hexdigest(), hashlib.sha256(captured.err).hexdigest()
+
+    @pytest.mark.parametrize("key", list(PAPER_DIGESTS), ids="-".join)
+    def test_paper(self, capsysbinary, key):
+        mode, fmt, principal = key
+        argv = ["--synthetic", "n=3294", "silent=434", "--matrix", "table2", "--seed", "401",
+                "--mode", mode, "--format", fmt, "--principal", principal]
+        assert self.digests(capsysbinary, argv) == (PAPER_DIGESTS[key], NOTE_DIGESTS[3294])
+
+    @pytest.mark.parametrize("key", list(MIX_DIGESTS), ids="-".join)
+    def test_mix_with_a_custom_matrix(self, tmp_path, capsysbinary, key):
+        mode, principal = key
+        path = tmp_path / "mine.csv"
+        path.write_text(mr.matrix_to_csv(MINE))
+        argv = ["--synthetic", "n=600", "silent=200", "--matrix", "mine=1/4,table1=1/4,table3=1/2",
+                "--matrix-file", f"mine={path}", "--include-identity", "--seed", "401",
+                "--mode", mode, "--principal", principal]
+        assert self.digests(capsysbinary, argv) == (MIX_DIGESTS[key], NOTE_DIGESTS[600])
+
+    def test_no_games(self, capsysbinary):
+        argv = ["--synthetic", "n=0", "silent=0", "--matrix", "table2", "--format", "csv"]
+        assert self.digests(capsysbinary, argv) == (EMPTY_DIGEST, NOTE_DIGESTS[0])
+
+
 class TestGenerateAndGraph:
     def test_generate_writes_stable_file(self, tmp_path):
         out = tmp_path / "log.csv"
@@ -853,6 +935,7 @@ class TestHashSeed:
             ["generate", *mix],
             ["generate", *mix, "-o", log],
             ["experiment", "--log", log, "--principal", "both", "--jobs", "2", "--format", "json"],
+            ["experiment", *mix, "--principal", "both", "--mode", "social_welfare", "--format", "csv"],
             ["graph", str(GOLDEN / "pd_table2_model.json")],
         ]
         commands += [["graph", str(tmp_path / f"{name}.json")] for name in BROKEN_MODELS]

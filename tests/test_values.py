@@ -54,6 +54,88 @@ READ_BACK = {
 }
 
 
+# Literals whose mantissa has no digit before the point count a leading 0,
+# as "0.5e-4299" does: their values need 4301 digits in any written form.
+@pytest.mark.parametrize(
+    "text",
+    [".5e-4299", "-.5e-4299", " +.5E-4299", ".1e-4299", "." + "0" * 4299 + "5", "0.5e-4299"],
+    ids=["point-5", "negative", "signed-spaced", "point-1", "long-point", "leading-zero"],
+)
+def test_a_literal_past_the_limit_is_refused(text):
+    with pytest.raises(ValueError, match=r"is out of range \(more than 4300 digits\)"):
+        mr.as_value(text)
+
+
+def near_the_limit(rng: random.Random) -> str:
+    """A literal whose digits and exponent sum to about 4300."""
+    total = 4300 + rng.randint(-3, 1)
+    before = rng.choice([0, 0, 1, rng.randint(0, 60)])
+    after = rng.choice([0, 1, rng.randint(0, 60), rng.randint(0, total)])
+    digits = [rng.choice("0000123456789") for _ in range(before + after)]
+    if digits and rng.random() < 0.7:
+        digits[-1] = rng.choice("123456789")
+    point = "." if after or rng.random() < 0.2 else ""
+    mantissa = "".join(digits[:before]) + point + "".join(digits[before:])
+    exponent = max(0, total - before - after)
+    spelled = rng.choice(["e-{}", "e{}", "E+{}", "e-{}", ""]).format(exponent)
+    return rng.choice(["", "-", "+"]) + (mantissa or "0") + spelled
+
+
+def test_every_literal_that_reads_is_written_back():
+    rng = random.Random(4300)
+    read = 0
+    for _ in range(300):
+        text = near_the_limit(rng)
+        try:
+            value = mr.as_value(text)
+        except ValueError:
+            continue
+        read += 1
+        assert mr.as_value(mr.format_value(value)) == value, text[:40]
+    assert read > 100
+
+
+def format_value_reference(v: F) -> str:
+    """``format_value`` as it was, one big-integer division per factor of 2 or 5."""
+    from multiagent_recourse.values import MAX_LITERAL_DIGITS, _fits, _writable
+
+    if v.denominator == 1:
+        return str(_writable(v.numerator))
+    den = v.denominator
+    twos = fives = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den == 1:
+        digits = max(twos, fives)
+        scaled = abs(v.numerator) * 10**digits // v.denominator
+        if _fits(scaled) and (digits < MAX_LITERAL_DIGITS or not _fits(v.denominator)):
+            text = str(scaled).rjust(digits + 1, "0")
+            sign = "-" if v.numerator < 0 else ""
+            return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    return f"{_writable(v.numerator)}/{_writable(v.denominator)}"
+
+
+def test_format_value_agrees_with_the_division_loop():
+    rng = random.Random(25)
+    for _ in range(400):
+        twos, fives = (rng.choice([0, rng.randint(0, 40), rng.randint(0, 5000)]) for _ in range(2))
+        den = 2**twos * 5**fives * rng.choice([1, 1, 1, 3, 7, 2**61 - 1])
+        num = rng.choice([1, -1, 3, rng.randint(-10**60, 10**60), 10 ** rng.randint(0, 4400)])
+        value = F(num or 1, den)
+        assert written(mr.format_value, value) == written(format_value_reference, value), value
+
+
+def written(write, value):
+    try:
+        return write(value)
+    except mr.ValueRangeError as exc:
+        return str(exc)
+
+
 def pd_matrix(value):
     return mr.PayoffMatrix("m", {(0, 0): (value, 5), (0, 1): (1, value), (1, 0): (10, 1), (1, 1): (3, 3)})
 
