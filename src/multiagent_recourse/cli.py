@@ -61,10 +61,14 @@ def _emit(text: str, output: str | None) -> None:
     if out_dir and not path.is_absolute():
         path = Path(out_dir) / path
     try:
+        # Encoded before the file is opened, so that a text UTF-8 cannot encode
+        # (a lone surrogate, as from an undecodable argument) leaves no file.
+        data = text.encode("utf-8")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    except OSError as exc:  # such as a directory, or a path under a regular file
-        raise OutputError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+        path.write_bytes(data)
+    except (OSError, UnicodeEncodeError) as exc:  # OSError: such as a directory
+        reason = getattr(exc, "strerror", None) or exc
+        raise OutputError(f"cannot write output file {path}: {reason}") from exc
 
 
 def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:

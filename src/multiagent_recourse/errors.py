@@ -64,22 +64,3 @@ class ValueRangeError(RecourseError):
 class OutputError(RecourseError):
     """An output file cannot be written."""
 
-
-__all__ = [
-    "RecourseError",
-    "ScmError",
-    "ScmValidationError",
-    "CycleError",
-    "IncompleteTableError",
-    "DuplicateEquationError",
-    "DomainError",
-    "MissingExogenousError",
-    "NonInvertibleError",
-    "InvalidQueryError",
-    "UnknownMatrixError",
-    "AsymmetricMatrixError",
-    "ParseError",
-    "InvalidParamsError",
-    "ValueRangeError",
-    "OutputError",
-]

@@ -301,51 +301,32 @@ def _checked_tail(tail: tuple[str, ...], lineno: int, heads: dict[tuple, tuple])
 
 
 class _RowText:
-    """A file for ``csv.writer`` whose ``write`` returns the text it is given,
-    so that ``writerow`` returns the row's line."""
+    r"""A file for ``csv.writer`` whose ``write`` returns the line it is given,
+    so that ``writerow`` returns the row's line.
+
+    The writer quotes a field that holds a line break only when its line
+    terminator holds that character, so it ends rows in "\r\n", and this file
+    writes "\n" for it: a field that holds a "\r" is quoted and reads back.
+    """
 
     @staticmethod
-    def write(text: str) -> str:
-        return text
+    def write(line: str) -> str:
+        return line[:-2] + "\n"
 
 
-def _row_tail(row_text, fields: tuple) -> str:
-    """The text ``row_text`` writes after an alphanumeric game id, which the
-    CSV writer leaves as it is, in a row whose other fields are ``fields``."""
-    return row_text(["g", *fields])[1:]
+# The text of one CSV row of the given fields, ended by "\n".
+_row_text = csv.writer(_RowText, lineterminator="\r\n").writerow
 
 
 def write_game_log(records: Iterable[GameRecord]) -> str:
-    """Canonical CSV form of a log (the inverse of parse_game_log_text).
-
-    Rows that differ only in their game id share the text after it, so each
-    distinct tail goes through the CSV writer once and each delta object is
-    formatted once.  A game id that is not alphanumeric, or a field of another
-    type than the parser gives, sends the row through the writer whole.
-    """
-    row_text = csv.writer(_RowText, lineterminator="\n").writerow
-    lines = [row_text(_LOG_HEADER)]
-    tails: dict[tuple, str] = {}  # (matrix, group, delta text, round, p1, p2) -> ",...\n"
-    delta, delta_text = None, ""
+    """Canonical CSV form of a log (the inverse of parse_game_log_text): one
+    row per round, each written whole by the CSV writer."""
+    lines = [_row_text(_LOG_HEADER)]
     for record in records:
-        game_id, matrix_id, group = record.game_id, record.matrix_id, record.group
-        if record.delta is not delta:
-            delta = record.delta
-            delta_text = "" if delta is None else format_value(delta)
-        # Equal keys must write equal text: 1 == True, so only exact types share a tail.
-        plain = (
-            type(game_id) is str and game_id.isalnum()
-            and type(matrix_id) is str and type(group) is str
-        )
+        delta_text = "" if record.delta is None else format_value(record.delta)
+        head = [record.game_id, record.matrix_id, record.group, delta_text]
         for round_no, (p1, p2) in enumerate(record.rounds, start=1):
-            if not (plain and type(p1) is int and type(p2) is int):
-                lines.append(row_text([game_id, matrix_id, group, delta_text, round_no, p1, p2]))
-                continue
-            key = (matrix_id, group, delta_text, round_no, p1, p2)
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = _row_tail(row_text, key)
-            lines.append(game_id + tail)
+            lines.append(_row_text([*head, round_no, p1, p2]))
     return "".join(lines)
 
 
@@ -439,9 +420,8 @@ def synthetic_log_text(
     """``write_game_log(generate_synthetic_log(...))`` of the same arguments,
     byte for byte, written from the draws without building the records."""
     draws = _synthetic_draws(n_total, n_principal_silent, matrix_mix, seed)
-    row_text = csv.writer(_RowText, lineterminator="\n").writerow
     delta_text = format_value(_NO_CONTINUATION)
-    lines = [row_text(_LOG_HEADER)]
+    lines = [_row_text(_LOG_HEADER)]
     # (matrix id, p1, p2) -> ",...\n".  Ids are distinct keys of the mix,
     # so no two equal ids of other types can share a tail.
     tails: dict[tuple, str] = {}
@@ -449,7 +429,8 @@ def synthetic_log_text(
         tail = tails.get(cell)
         if tail is None:
             matrix_id, p1, p2 = cell
-            tail = tails[cell] = _row_tail(row_text, (matrix_id, GROUP_TEST, delta_text, 1, p1, p2))
+            # Text after an alphanumeric id, which the CSV writer leaves as it is.
+            tail = tails[cell] = _row_text(["g", matrix_id, GROUP_TEST, delta_text, 1, p1, p2])[1:]
         lines.append("g%05d" % i + tail)
     return "".join(lines)
 
@@ -459,13 +440,16 @@ def synthetic_cells(
     n_principal_silent: int,
     matrix_mix: Mapping[str, Fraction | int | float | str],
     seed: int,
-) -> dict[tuple[str, int, int], tuple[int, int]]:
+) -> list[tuple[GameRecord, int]]:
     """The cells of ``generate_synthetic_log(...)`` of the same arguments,
-    counted from the draws without building the records: (matrix id, p1
-    action, p2 action) -> (index of the cell's first game, games), in
-    first-seen order.  Arguments are checked and refused as there."""
+    counted from the draws without building a record per game: each cell's
+    first game, as built there, with the cell's game count, in first-seen
+    order.  Arguments are checked and refused as there."""
     draws = list(_synthetic_draws(n_total, n_principal_silent, matrix_mix, seed))
-    return {cell: (draws.index(cell), n) for cell, n in Counter(draws).items()}
+    return [  # cell: (matrix id, p1 action, p2 action)
+        (GameRecord("g%05d" % draws.index(cell), cell[0], GROUP_TEST, _NO_CONTINUATION, [cell[1:]]), n)
+        for cell, n in Counter(draws).items()
+    ]
 
 
 # ------------------------------------------------------------------ the runs
@@ -483,30 +467,17 @@ def run_experiment(
     cell (matrix, p1 action, p2 action) share their outcome, so each cell is
     solved once per principal.
     """
-    return _fold(zip(games, repeat(1)), config, matrices)
+    return run_cells(zip(games, repeat(1)), config, matrices=matrices)
 
 
 def run_cells(
-    cells: Mapping[tuple[str, int, int], tuple[int, int]],
+    weighted: Iterable[tuple[GameRecord, int]],
     config: ExperimentConfig,
     *,
     matrices: Mapping[str, PayoffMatrix] | None = None,
 ) -> ExperimentReport:
-    """``run_experiment`` of the synthetic log whose cells ``synthetic_cells``
-    counted: the same report, or the same error.  Each cell's first game, as
-    ``generate_synthetic_log`` builds it, stands for the cell's games."""
-    firsts = (
-        (GameRecord("g%05d" % i, matrix_id, GROUP_TEST, _NO_CONTINUATION, [(p1, p2)]), n)
-        for (matrix_id, p1, p2), (i, n) in cells.items()
-    )
-    return _fold(firsts, config, matrices)
-
-
-def _fold(
-    weighted: Iterable[tuple[GameRecord, int]], config: ExperimentConfig,
-    matrices: Mapping[str, PayoffMatrix] | None,
-) -> ExperimentReport:
-    """The report of the (game, weight) pairs, each game counted weight times.
+    """The report of the (game, weight) pairs, each game counted weight times,
+    such as ``synthetic_cells`` gives.
 
     Each game is checked for rounds, and its matrix is resolved at its first
     game; a game id is counted once.  An error in a cell names its first game.
@@ -609,14 +580,10 @@ def render_report(report: ExperimentReport, fmt: str = "table") -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["scope"] + _COUNT_FIELDS)
-        writer.writerow(["overall"] + [getattr(report.overall, n) for n in _COUNT_FIELDS])
-        for mid in sorted(report.per_matrix):
-            counts = report.per_matrix[mid]
-            writer.writerow([mid] + [getattr(counts, n) for n in _COUNT_FIELDS])
-        return out.getvalue()
+        scopes = [("overall", report.overall), *sorted(report.per_matrix.items())]
+        rows = [["scope", *_COUNT_FIELDS]]
+        rows += [[scope, *(getattr(counts, n) for n in _COUNT_FIELDS)] for scope, counts in scopes]
+        return "".join(map(_row_text, rows))
     if fmt == "table":
         labels = {
             "games": "total_games",
@@ -642,6 +609,10 @@ def report_from_json(text: str) -> ExperimentReport:
     data = decode_json(text, "report JSON")
     data = read_object(data, "report JSON", allowed=_REPORT_FIELDS, required=_REPORT_FIELDS)
     per_matrix = read_object(data["per_matrix"], "report JSON", "per_matrix")
+    if "overall" in per_matrix:
+        raise ParseError(
+            "report JSON field 'per_matrix' cannot name a matrix 'overall': reports use it for the totals"
+        )
     return ExperimentReport(
         overall=_counts_from_dict(data["overall"], "overall"),
         per_matrix={mid: _counts_from_dict(c, mid) for mid, c in per_matrix.items()},

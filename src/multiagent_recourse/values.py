@@ -221,10 +221,10 @@ def decode_json(text: str, where: str, **options: Any) -> Any:
 
 
 def read_file(path: Path, noun: str) -> str:
-    """The text of ``path``; a file that cannot be read or decoded is a
-    ParseError that calls it a ``noun`` file."""
+    """The text of ``path``, read as UTF-8; a file that cannot be read or
+    decoded is a ParseError that calls it a ``noun`` file."""
     try:
-        return path.read_text()
+        return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -246,3 +247,26 @@ def test_claims_hold_on_every_pd_matrix(payoffs, sizes, seed, exclude_identity):
             expected = closed_form(games, payoffs, mode, config.principals())
             assert mr.run_experiment(games, config, matrices=matrices) == expected
             assert mr.run_cells(mr.synthetic_cells(*args), config, matrices=matrices) == expected
+
+
+# (T, R, P, S) of the builtin matrices, as the README gives them.  table1's
+# T + S = 11 lies above 2R = 10: from (silent, silent) the switch raises the
+# welfare and improves the principal, and from (betray, silent) it has no
+# welfare recourse, the counterexample to criterion 6.
+BUILTIN_PAYOFFS = {
+    "table1": (F(10), F(5), F(7, 2), F(1)),
+    "table2": (F(100), F(65), F(35), F(10)),
+    "table3": (F(100), F(75), F(45), F(10)),
+}
+
+
+@pytest.mark.parametrize("exclude_identity", [True, False])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("matrix_id", sorted(BUILTIN_PAYOFFS))
+def test_builtin_matrices_follow_the_closed_form(matrix_id, mode, policy, exclude_identity):
+    payoffs = {matrix_id: dict(zip("TRPS", BUILTIN_PAYOFFS[matrix_id]))}
+    config = mr.ExperimentConfig(mode=mode, principal_policy=policy, exclude_identity=exclude_identity)
+    for profile in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        games = [mr.GameRecord("g", matrix_id, "test", F(0), [profile])]
+        assert mr.run_experiment(games, config) == closed_form(games, payoffs, mode, config.principals())

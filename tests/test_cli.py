@@ -778,6 +778,45 @@ class TestGenerateAndGraph:
         errors = [line for line in err.splitlines() if not line.startswith("note: ")]
         assert errors == [f"error: cannot write output file {path}: {reason}"]
 
+    @pytest.mark.parametrize("command", ["generate", "experiment"])
+    def test_output_utf8_cannot_encode_exit_1(self, tmp_path, capsys, command):
+        # An argument that does not decode reaches the program as a lone surrogate.
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(mr.matrix_to_csv(mr.builtin_matrix("table2")))
+        out = tmp_path / "out.csv"
+        args = ["--synthetic", "n=1", "silent=0", "--matrix", "t\udcff", "-o", str(out)]
+        if command == "experiment":
+            args += ["--matrix-file", f"t\udcff={matrix}", "--format", "csv"]
+        assert main([command, *args]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if not line.startswith("note: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: cannot write output file {out}: 'utf-8' codec can't encode character")
+        assert errors[0].endswith(": surrogates not allowed")
+        assert not out.exists()
+
+    def test_files_are_utf8_in_the_c_locale(self, tmp_path):
+        env = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0")
+        package_root = str(Path(mr.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "multiagent_recourse.cli", *argv],
+                capture_output=True, env=env, cwd=tmp_path,
+            )
+
+        log = tmp_path / "log.csv"
+        log.write_bytes(mr.write_game_log([mr.GameRecord("gé", "table2", "control", None, [(0, 1)])]).encode("utf-8"))
+        done = run("experiment", "--log", "log.csv", "--format", "json")
+        assert (done.returncode, done.stderr) == (0, b"note: 0 of 1 games filtered out (not single-round-equivalent)\n")
+        assert json.loads(done.stdout)["overall"]["games"] == 1
+        # A non-ASCII argument does not decode in this locale, so the log cannot be written.
+        done = run("generate", "--synthetic", "n=2", "silent=0", "--matrix", "tableé", "-o", "x.csv")
+        assert done.returncode == 1
+        assert done.stderr.startswith(b"error: cannot write output file x.csv: 'utf-8' codec can't encode")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_graph_export(self, workdir, capsys):
         code = main(["graph", str(workdir / "model.json")])
         out = capsys.readouterr().out

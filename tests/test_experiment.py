@@ -444,7 +444,9 @@ class TestSingleRoundStructure:
     and can never be Pareto-compatible.  Welfare-strict recourse additionally
     depends on how temptation + sucker compares with twice the reward and
     twice the punishment: table2 and table3 satisfy both inequalities, while
-    table1 has temptation + sucker = 11 above twice the reward = 10.
+    table1 has temptation + sucker = 11 above twice the reward = 10.  Every
+    count of every profile, mode and policy on the three matrices is checked
+    against that rule in ``test_cells.py::test_builtin_matrices_follow_the_closed_form``.
     """
 
     def run_mode(self, matrix_id, profile, mode):
@@ -486,22 +488,6 @@ class TestSingleRoundStructure:
                 single.overall.recommendations + welfare.overall.recommendations
                 == single.overall.queries
             )
-
-    def test_table1_welfare_follows_the_payoff_sums(self):
-        # temptation + sucker = 11 beats twice the reward = 10, so betrayal
-        # from mutual silence raises group welfare while improving the
-        # principal, and the (betray, silent) profile has no welfare recourse.
-        by_profile = {
-            profile: self.run_mode("table1", profile, "social_welfare")
-            for profile in ALL_PROFILES
-        }
-        assert by_profile[(0, 0)].recommendations == 1
-        assert by_profile[(0, 0)].principal_improved == 1
-        assert by_profile[(0, 0)].welfare_increased == 1
-        assert by_profile[(1, 0)].recommendations == 0
-        assert by_profile[(0, 1)].recommendations == 0
-        assert by_profile[(1, 1)].recommendations == 1
-        assert by_profile[(1, 1)].principal_worsened == 1
 
 
 def report_text(**counts):
@@ -629,6 +615,16 @@ class TestRendering:
         overall_twice = report_csv().replace("table2", "overall")
         with pytest.raises(mr.ParseError, match="^line 3: report CSV gives scope 'overall' more than once$"):
             mr.report_from_csv(overall_twice)
+
+    def test_json_matrix_named_overall_is_a_parse_error(self):
+        # Its CSV form would give the scope 'overall' twice, which the CSV reader refuses.
+        counts = dict.fromkeys(experiment._COUNT_FIELDS, 1)
+        text = json.dumps({"overall": counts, "per_matrix": {"overall": counts}})
+        with pytest.raises(mr.ParseError) as info:
+            mr.report_from_json(text)
+        assert str(info.value) == (
+            "report JSON field 'per_matrix' cannot name a matrix 'overall': reports use it for the totals"
+        )
 
     @pytest.mark.parametrize("rows", [slice(0, 1), slice(0, 3, 2)], ids=["header-only", "no-overall"])
     def test_csv_without_overall_row_is_a_parse_error(self, rows):

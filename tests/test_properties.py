@@ -757,17 +757,17 @@ def read_log_directly(text):
     return list(games.values())
 
 
-@settings(max_examples=150, deadline=None)
-@given(SEEDS)
-def test_log_with_mixed_spellings_reads_as_row_by_row(seed):
-    rng = random.Random(seed)
+def mixed_log_rows(rng, game_ids, matrix_ids):
+    """The rows of a random log, its values spelled in any way the reader
+    accepts, its games in any order; ``game_ids(i)`` gives the choices for
+    the id of the i-th game."""
     # Half the logs spell every value one way, so that their games share row tails.
     canonical = rng.random() < 0.5
     spell = (lambda options: options[0]) if canonical else rng.choice
     games = []
     for i in range(rng.choice([rng.randint(1, 12), rng.randint(20, 80)])):
-        game_id = rng.choice([f"g{i}", f"g,{i}", f'g "{i}"', f"g\n{i}"])
-        matrix_id = rng.choice(["table1", "table2", "my, matrix"])
+        game_id = rng.choice(game_ids(i))
+        matrix_id = rng.choice(matrix_ids)
         group = rng.choice(["test", "control"])
         delta = rng.choice(list(DELTA_SPELLINGS)) if group == "test" else None
         rows = []
@@ -791,32 +791,53 @@ def test_log_with_mixed_spellings_reads_as_row_by_row(seed):
         rows = []
         while any(games):
             rows.append(rng.choice([game for game in games if game]).pop(0))
+    return rows
+
+
+def log_text(rng, rows):
+    """A log of ``rows``, with blank lines, quoting and line ends drawn at random."""
     out = io.StringIO()
     out.write("game_id,matrix_id,group,delta,round,p1_action,p2_action\n")
     for row in rows:
         if rng.random() < 0.2:
             out.write(rng.choice(["\n", "\r\n"]))
         quoting = rng.choice([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
-        csv.writer(out, quoting=quoting, lineterminator=rng.choice(["\n", "\r\n"])).writerow(row)
-    text = out.getvalue()
+        terminator = rng.choice(["\n", "\r\n"])
+        if any("\r" in field for field in row):  # the writer quotes a "\r" only if it ends rows with one
+            terminator = "\r\n"
+        csv.writer(out, quoting=quoting, lineterminator=terminator).writerow(row)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_log_with_mixed_spellings_reads_as_row_by_row(seed):
+    rng = random.Random(seed)
+    rows = mixed_log_rows(
+        rng, lambda i: [f"g{i}", f"g,{i}", f'g "{i}"', f"g\n{i}"], ["table1", "table2", "my, matrix"]
+    )
+    text = log_text(rng, rows)
     records = mr.parse_game_log_text(text)
     assert records == read_log_directly(text)
     for record in records:
         assert record.delta is None or any(record.delta is d for d in ALLOWED_DELTAS)
 
 
+def csv_field(value):
+    """A CSV field as a reader needs it: quoted when it holds a comma, a
+    quote or a line break, its quotes doubled."""
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def write_log_row_by_row(records):
-    """The log writer as it was: every row, game id included, through csv.writer."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["game_id", "matrix_id", "group", "delta", "round", "p1_action", "p2_action"])
+    """The log written field by field, without the csv module."""
+    rows = [["game_id", "matrix_id", "group", "delta", "round", "p1_action", "p2_action"]]
     for record in records:
         delta_text = "" if record.delta is None else mr.format_value(record.delta)
         for round_no, (p1, p2) in enumerate(record.rounds, start=1):
-            writer.writerow(
-                [record.game_id, record.matrix_id, record.group, delta_text, round_no, p1, p2]
-            )
-    return out.getvalue()
+            rows.append([record.game_id, record.matrix_id, record.group, delta_text, round_no, p1, p2])
+    return "".join(",".join(map(csv_field, row)) + "\n" for row in rows)
 
 
 # Ids with every character the CSV writer quotes, non-ASCII letters and digits, or nothing.
@@ -879,7 +900,7 @@ def test_synthetic_log_draws_as_game_by_game(seed):
 # (a quote, a comma, a line break, a space, non-ASCII, nothing), or ids of
 # another type, which the log writer sends through the CSV writer whole.
 GENERATED_MATRIX_IDS = [
-    ["table1", "table2", "table3", 'say "t"', "my, matrix", "t\n1", "t 3", "tableé", "ß", ""],
+    ["table1", "table2", "table3", 'say "t"', "my, matrix", "t\n1", "t\r2", "t 3", "tableé", "ß", ""],
     [1, 2, -3, 10**20],
     [True],
     [("a", 1), ("b", 2)],
@@ -899,6 +920,94 @@ def test_synthetic_log_text_equals_the_written_records(seed):
     mix = {mid: rng.choice([F(w, sum(weights)), str(F(w, sum(weights)))]) for mid, w in zip(ids, weights)}
     expected = mr.write_game_log(generate_log_game_by_game(n_total, n_silent, mix, seed))
     assert mr.synthetic_log_text(n_total, n_silent, mix, seed) == expected
+
+
+# ------------------------------------ every log and report that reads is written back
+
+# Text for one field of one row, so that some logs do not read.
+LOG_JUNK = ["", "x", "2", "-1", "0", "1/3", "probe", "1e999", "g\x00"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_every_log_that_reads_is_written_back(seed):
+    """A log that reads, with odd and non-ASCII ids, control games, several
+    rounds and rows out of order, is written without raising, reads back to
+    equal records, and is written again to the same text."""
+    rng = random.Random(seed)
+    odd = [game_id for game_id in ODD_IDS if game_id] + ["game_id", "é́", "\ud800"]
+    rows = mixed_log_rows(rng, lambda i: [f"g{i}", f"{rng.choice(odd)}{i}", f"{i}{rng.choice(odd)}"], MATRIX_IDS)
+    if rng.random() < 0.2:
+        rng.choice(rows)[rng.randrange(7)] = rng.choice(LOG_JUNK)
+    try:
+        records = mr.parse_game_log_text(log_text(rng, rows))
+    except mr.RecourseError:
+        return
+    written = mr.write_game_log(records)
+    assert mr.parse_game_log_text(written) == records
+    assert mr.write_game_log(mr.parse_game_log_text(written)) == written
+
+
+COUNT_FIELDS = list(mr.OutcomeCounts._fields)
+# Scope names the CSV writer quotes or not, non-ASCII ones, a lone surrogate
+# (JSON can spell it) and names near 'overall', which only the totals may use.
+SCOPE_NAMES = [
+    "table1", "", " ", "my, matrix", 'say "t"', "t\n1", "t\r2", "tableé", "ß", "\ud800", "1",
+    "scope", "Overall", "overall ",
+]
+
+
+def random_counts(rng):
+    """Report counts, most of them consistent, some up to the 4300-digit limit."""
+    big = rng.choice([10, 10**6, 10**40, 10**4299])
+    queries = rng.randint(0, big)
+    counts = {"games": rng.randint(0, big), "queries": queries, "recommendations": rng.randint(0, queries)}
+    for name in COUNT_FIELDS[3:]:
+        counts[name] = rng.randint(0, counts["recommendations"])
+    if rng.random() < 0.1:
+        counts[rng.choice(COUNT_FIELDS)] = rng.choice([-1, big + 1])
+    return counts
+
+
+def assert_written_back(report):
+    """``report`` is written in every format, and its JSON and CSV read back equal."""
+    assert mr.report_from_json(mr.render_report(report, "json")) == report
+    assert mr.report_from_csv(mr.render_report(report, "csv")) == report
+    mr.render_report(report, "table")
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_every_json_report_that_reads_is_written_back(seed):
+    rng = random.Random(seed)
+    names = rng.sample(SCOPE_NAMES + ["overall"], rng.randint(0, 5))
+    document = {"overall": random_counts(rng), "per_matrix": {name: random_counts(rng) for name in names}}
+    try:
+        report = mr.report_from_json(json.dumps(document, indent=rng.choice([None, 2])))
+    except mr.ParseError:
+        return
+    assert "overall" not in report.per_matrix
+    assert_written_back(report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS)
+def test_every_csv_report_that_reads_is_written_back(seed):
+    rng = random.Random(seed)
+    names = rng.sample(SCOPE_NAMES + ["overall", "overall"], rng.randint(0, 6))
+    if rng.random() < 0.9:
+        names.insert(rng.randint(0, len(names)), "overall")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(["scope", *COUNT_FIELDS])
+    for name in names:
+        quoting = rng.choice([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])
+        writer = csv.writer(out, quoting=quoting, lineterminator=rng.choice(["\n", "\r\n"]))
+        writer.writerow([name, *random_counts(rng).values()])
+    try:
+        report = mr.report_from_csv(out.getvalue())
+    except mr.ParseError:
+        return
+    assert_written_back(report)
 
 
 # ------------------------------------------------- integer keys and cost terms
