@@ -183,7 +183,7 @@ _LOG_HEADER = ["game_id", "matrix_id", "group", "delta", "round", "p1_action", "
 def parse_game_log(source: str | Path) -> list[GameRecord]:
     """Read and validate a log file; records keep their first-seen order."""
     path = Path(source)
-    text = read_file(path, "log")
+    text = read_file(path, "log", newline="")
     try:
         return parse_game_log_text(text)
     except ParseError as exc:
@@ -204,7 +204,7 @@ def parse_game_log_text(text: str) -> list[GameRecord]:
     game whose rounds arrive out of order, or start past round 1, is sorted
     and checked for gaps after the last row, in first-seen game order.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:
@@ -377,18 +377,34 @@ def _synthetic_draws(
     if sum(p for _, p in proportions) != 1:
         raise InvalidParamsError("matrix proportions must sum to 1")
 
+    try:
+        p1_actions = [BETRAY] * n_total
+    except (OverflowError, MemoryError):  # refused before any memory is taken
+        raise InvalidParamsError("n_total is too large to draw in memory") from None
     # A roll of random() is k / 2**53 for an integer k, so it lies below the
-    # cumulative proportion c exactly when k < ceil(c * 2**53).  A roll picks
-    # the first matrix whose bound lies above k.
-    ids = [mid for mid, _ in proportions]
-    bounds = [ceil(c * 2**53) for c in accumulate(p for _, p in proportions)]
+    # cumulative proportion c exactly when k < ceil(c * 2**53).  That bound
+    # is an int of at most 2**53, so over 2**53 it is an exact float, which
+    # the roll lies below exactly when k lies below the bound.
+    bounds = [ceil(c * 2**53) / 2**53 for c in accumulate(p for _, p in proportions)]
     rng = random.Random(seed)
-    p1_actions = [BETRAY] * n_total
     for i in rng.sample(range(n_total), n_principal_silent):
         p1_actions[i] = SILENT
-    roll, coin = rng.random, rng.randrange
-    # A tuple is evaluated left to right: each game rolls its matrix, then p2.
-    return ((ids[bisect_right(bounds, int(roll() * 2**53))], p1, coin(2)) for p1 in p1_actions)
+    return _draw_games(p1_actions, [mid for mid, _ in proportions], bounds, rng)
+
+
+def _draw_games(
+    p1_actions: list[int], ids: list[str], bounds: list[float], rng: random.Random
+) -> Iterator[tuple[str, int, int]]:
+    """Each game rolls its matrix, the first whose bound lies above the roll,
+    then draws p2 as ``rng.randrange(2)`` does: two bits, again while they
+    read 2 or more."""
+    roll, bits = rng.random, rng.getrandbits
+    for p1 in p1_actions:
+        matrix_id = ids[bisect_right(bounds, roll())]
+        p2 = bits(2)
+        while p2 > 1:
+            p2 = bits(2)
+        yield matrix_id, p1, p2
 
 
 def generate_synthetic_log(
@@ -620,7 +636,7 @@ def report_from_json(text: str) -> ExperimentReport:
 
 
 def report_from_csv(text: str) -> ExperimentReport:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         if next(reader, None) != ["scope"] + _COUNT_FIELDS:
             raise ParseError(

@@ -142,7 +142,7 @@ _MATRIX_HEADER = ["row_action", "col_action", "p1", "p2"]
 def load_matrix_csv(path: str | Path, matrix_id: str = "custom") -> PayoffMatrix:
     """Read a matrix from CSV with header row_action,col_action,p1,p2."""
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_file(path, "matrix")))
+    reader = csv.reader(io.StringIO(read_file(path, "matrix", newline=""), newline=""))
     try:
         rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:

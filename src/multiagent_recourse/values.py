@@ -220,11 +220,14 @@ def decode_json(text: str, where: str, **options: Any) -> Any:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def read_file(path: Path, noun: str) -> str:
-    """The text of ``path``, read as UTF-8; a file that cannot be read or
-    decoded is a ParseError that calls it a ``noun`` file."""
+def read_file(path: Path, noun: str, newline: str | None = None) -> str:
+    """The text of ``path``, read as UTF-8 with ``open``'s ``newline`` (CSV
+    readers pass "", so that a line break in a quoted field reads back as it
+    was written); a file that cannot be read or decoded is a ParseError that
+    calls it a ``noun`` file."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as file:
+            return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
 

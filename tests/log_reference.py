@@ -26,7 +26,8 @@ def parse_game_log_text(text: str) -> list[GameRecord]:
     """Read and validate a log; an error names the line of the first bad row.
     Each distinct delta text is read once: a game's delta is the element of
     ALLOWED_DELTAS itself.  Round numbers are checked for gaps after the last row."""
-    reader = csv.reader(io.StringIO(text))
+    # Lines end at "\r\n", "\r" or "\n", as the csv module reads a file opened with newline="".
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:

@@ -342,8 +342,12 @@ BAD_DRAW_ARGS = [
     (["--synthetic", "n=5", "silent=2", "--matrix", "table1=-1/2,table2=3/2"],
      "matrix proportions must be nonnegative"),
     (["--synthetic", "n=5", "silent=2", "--matrix", "table2=1/2"], "matrix proportions must sum to 1"),
+    # Counts that no list can hold: CPython refuses both before asking for memory.
+    (["--synthetic", "n=100000000000000000000", "silent=1"], "n_total is too large to draw in memory"),
+    (["--synthetic", f"n={2**62}", "silent=1"], "n_total is too large to draw in memory"),
 ]
-BAD_DRAW_IDS = ["negative-n", "silent-above-n", "negative-silent", "negative-proportion", "proportions-not-one"]
+BAD_DRAW_IDS = ["negative-n", "silent-above-n", "negative-silent", "negative-proportion", "proportions-not-one",
+                "n-past-an-index", "n-past-memory"]
 
 
 class TestExperiment:
@@ -763,6 +767,17 @@ class TestGenerateAndGraph:
         assert main(["generate", "--synthetic", *args, "--seed", "7", "-o", str(out)]) == 0
         assert out.read_bytes() == printed
         assert printed.startswith(b"game_id,matrix_id,group,delta,round,p1_action,p2_action\n")
+
+    def test_generated_log_keeps_a_carriage_return_in_an_id(self, tmp_path, capsys):
+        # The id is quoted in the file, and reads back with its "\r" from there.
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(mr.matrix_to_csv(mr.builtin_matrix("table2")))
+        log = tmp_path / "x.csv"
+        args = ["--synthetic", "n=4", "silent=1", "--matrix", "t\r1=1/2,table2=1/2", "-o", str(log)]
+        assert main(["generate", *args]) == 0
+        assert {game.matrix_id for game in mr.parse_game_log(log)} == {"t\r1", "table2"}
+        assert main(["experiment", "--log", str(log), "--matrix-file", f"t\r1={matrix}", "--format", "json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)["per_matrix"]) == {"t\r1", "table2"}
 
     @pytest.mark.parametrize("command", ["generate", "experiment"])
     @pytest.mark.parametrize(

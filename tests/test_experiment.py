@@ -172,7 +172,7 @@ class TestGenerator:
         with pytest.raises(mr.InvalidParamsError):
             mr.generate_synthetic_log(-1, 0, {"table2": 1}, seed=0)
 
-    @pytest.mark.parametrize("make", [mr.generate_synthetic_log, mr.synthetic_log_text])
+    @pytest.mark.parametrize("make", [mr.generate_synthetic_log, mr.synthetic_log_text, mr.synthetic_cells])
     @pytest.mark.parametrize(
         "args, error, message",
         [
@@ -191,10 +191,13 @@ class TestGenerator:
              "matrix_mix ids 'a' and 1 cannot be sorted together"),
             ((5, 2, {(1, 2): F(1, 2), (1, "b"): F(1, 2)}), mr.InvalidParamsError,
              "matrix_mix ids (1, 2) and (1, 'b') cannot be sorted together"),
+            # Counts that no list can hold: CPython refuses both before asking for memory.
+            ((10**20, 1, {"table2": 1}), mr.InvalidParamsError, "n_total is too large to draw in memory"),
+            ((2**62, 1, {"table2": 1}), mr.InvalidParamsError, "n_total is too large to draw in memory"),
         ],
         ids=["negative-n", "silent-above-n", "negative-silent", "empty-mix", "negative-proportion",
              "proportions-not-one", "proportion-not-a-number", "proportion-a-bool", "ids-of-two-types",
-             "tuple-ids-that-do-not-sort"],
+             "tuple-ids-that-do-not-sort", "n-past-an-index", "n-past-memory"],
     )
     def test_both_paths_refuse_alike(self, make, args, error, message):
         with pytest.raises(error) as caught:
@@ -606,6 +609,15 @@ class TestRendering:
         text = mr.render_report(self.sample_report(), "csv") + "table9,1,2\n"
         with pytest.raises(mr.ParseError, match="line 4: expected 9 integer counts"):
             mr.report_from_csv(text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_csv_report_reads_alike_with_any_line_ends(self, end):
+        report = self.sample_report()
+        report.per_matrix["t\r2"] = report.per_matrix["table2"]
+        text = mr.render_report(report, "csv")  # the quoted "t\r2" holds a line break
+        assert mr.report_from_csv(text.replace("\n", end)) == report
+        with pytest.raises(mr.ParseError, match="^line 6: expected 9 integer counts$"):
+            mr.report_from_csv((text + "table9,1,2\n").replace("\n", end))
 
     def test_repeated_csv_scope_is_a_parse_error(self):
         text = report_csv() + report_csv().splitlines(keepends=True)[2]

@@ -138,6 +138,16 @@ class TestMatrixFiles:
         with pytest.raises(mr.ParseError, match=r"m\.csv: line 3: cannot interpret 'x'"):
             mr.load_matrix_csv(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_read_alike(self, tmp_path, table1, end):
+        path = tmp_path / "m.csv"
+        path.write_bytes(mr.matrix_to_csv(table1).replace("\n", end).encode())
+        assert mr.load_matrix_csv(path).entries == table1.entries
+        path.write_bytes(end.join(["row_action,col_action,p1,p2", "", "0,0,1,1", "0,1,1", ""]).encode())
+        with pytest.raises(mr.ParseError) as caught:
+            mr.load_matrix_csv(path)
+        assert str(caught.value) == f"{path}: line 4: expected 4 fields, got 3"
+
     @pytest.mark.parametrize(
         "rows, message",
         [

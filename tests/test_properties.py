@@ -11,10 +11,12 @@ import csv
 import io
 import json
 import random
+import tempfile
 from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import accumulate, product
 from math import ceil, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -885,12 +887,13 @@ def generate_log_game_by_game(n_total, n_principal_silent, matrix_mix, seed):
 @given(SEEDS)
 def test_synthetic_log_draws_as_game_by_game(seed):
     rng = random.Random(seed)
-    n_total = rng.randint(0, 300)
-    n_silent = rng.randint(0, n_total)
+    n_total = rng.choice([rng.randint(0, 300), rng.randint(0, 3000)])
+    n_silent = rng.choice([0, n_total, rng.randint(0, n_total)])
     mix = rng.choice([
         {"table2": 1},
         {"table1": F(1, 4), "table2": F(1, 4), "table3": F(1, 2)},
         {"table3": "0.7", "table1": "0.3", "table2": 0},
+        {"table1": F(1, 3), "mine": 0, "table2": F(1, 6), "table3": F(1, 2)},
     ])
     expected = generate_log_game_by_game(n_total, n_silent, mix, seed)
     assert mr.generate_synthetic_log(n_total, n_silent, mix, seed) == expected
@@ -928,24 +931,64 @@ def test_synthetic_log_text_equals_the_written_records(seed):
 LOG_JUNK = ["", "x", "2", "-1", "0", "1/3", "probe", "1e999", "g\x00"]
 
 
+def read_log(text, through_file):
+    """The records of a log, or its error's type and message; read from a
+    UTF-8 file holding ``text`` if ``through_file``, else from the text."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder, "log.csv")
+        try:
+            if not through_file:
+                return mr.parse_game_log_text(text)
+            path.write_bytes(text.encode("utf-8"))
+            return mr.parse_game_log(path)
+        except mr.RecourseError as exc:  # a file's CSV errors also name the file
+            return type(exc), str(exc).removeprefix(f"{path}: ")
+
+
 @settings(max_examples=200, deadline=None)
 @given(SEEDS)
 def test_every_log_that_reads_is_written_back(seed):
     """A log that reads, with odd and non-ASCII ids, control games, several
     rounds and rows out of order, is written without raising, reads back to
-    equal records, and is written again to the same text."""
+    equal records from text and from a file, and is written again to the
+    same text."""
     rng = random.Random(seed)
     odd = [game_id for game_id in ODD_IDS if game_id] + ["game_id", "é́", "\ud800"]
     rows = mixed_log_rows(rng, lambda i: [f"g{i}", f"{rng.choice(odd)}{i}", f"{i}{rng.choice(odd)}"], MATRIX_IDS)
     if rng.random() < 0.2:
         rng.choice(rows)[rng.randrange(7)] = rng.choice(LOG_JUNK)
+    text = log_text(rng, rows)
     try:
-        records = mr.parse_game_log_text(log_text(rng, rows))
+        records = mr.parse_game_log_text(text)
     except mr.RecourseError:
         return
     written = mr.write_game_log(records)
     assert mr.parse_game_log_text(written) == records
     assert mr.write_game_log(mr.parse_game_log_text(written)) == written
+    if "\ud800" not in text:  # a lone surrogate, which no UTF-8 file holds
+        assert read_log(text, through_file=True) == records
+        assert read_log(written, through_file=True) == records
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_a_log_reads_alike_with_any_line_ends(seed):
+    r"""A log whose rows end in "\n", "\r\n" or "\r", its fields quoted and
+    holding any line break, gives the same records, or the same error on
+    the same line, from text and from a file."""
+    rng = random.Random(seed)
+    odd = ["g\r1", "g\n1", "g\r\n1", "g,1", "gé1"]
+    rows = mixed_log_rows(rng, lambda i: [f"g{i}", f"{rng.choice(odd)}{i}"], MATRIX_IDS)
+    if rng.random() < 0.5:
+        rng.choice(rows)[rng.randrange(7)] = rng.choice(LOG_JUNK)
+    outcomes = set()
+    for terminator in ("\n", "\r\n", "\r"):
+        out = io.StringIO()
+        writer = csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator=terminator)
+        writer.writerows([["game_id", "matrix_id", "group", "delta", "round", "p1_action", "p2_action"], *rows])
+        for through_file in (False, True):
+            outcomes.add(repr(read_log(out.getvalue(), through_file)))
+    assert len(outcomes) == 1, outcomes
 
 
 COUNT_FIELDS = list(mr.OutcomeCounts._fields)
