@@ -40,7 +40,7 @@ from .errors import DomainError, InvalidQueryError, ParseError, ValueRangeError
 from .scm import ENDOGENOUS, Assignment, Positions, Scm, _key, scm_from_dict, load_scm
 from .values import FrozenRecord, Record, as_value, format_value, load_json_exact, shown_value
 from .values import read_agent, read_bool, read_list, read_object, read_str, read_value, read_values
-from .values import value_to_json
+from .values import checked_flag, value_to_json
 
 AgentId = Union[int, str]
 
@@ -61,7 +61,7 @@ class Threshold(FrozenRecord):
     kind = "threshold"
 
     def __init__(self, agent: AgentId, t: Fraction, strict: bool = False) -> None:
-        self._set(agent, as_value(t), strict)
+        self._set(agent, as_value(t), checked_flag(self, "strict", strict, InvalidQueryError))
 
     @property
     def label(self) -> str:
@@ -83,7 +83,7 @@ class PrincipalImprovement(FrozenRecord):
     kind = "principal_improvement"
 
     def __init__(self, strict: bool = True) -> None:
-        self._set(strict)
+        self._set(checked_flag(self, "strict", strict, InvalidQueryError))
 
     @property
     def label(self) -> str:
@@ -102,7 +102,7 @@ class SocialWelfare(FrozenRecord):
     kind = "social_welfare"
 
     def __init__(self, strict: bool = True) -> None:
-        self._set(strict)
+        self._set(checked_flag(self, "strict", strict, InvalidQueryError))
 
     @property
     def label(self) -> str:
@@ -227,7 +227,7 @@ class RecourseQuery(Record):
             [{name: as_value(v) for name, v in action.items()} for action in feasible],
             [] if constraints is None else constraints,
             CostModel() if cost is None else cost,
-            plausible, exclude_identity,
+            plausible, checked_flag(self, "exclude_identity", exclude_identity, InvalidQueryError),
         )
 
     @classmethod
@@ -630,7 +630,11 @@ def _clause_from_dict(item: Any, index: int) -> Clause:
     if cls is Threshold:
         read_object(item, where, required={"agent", "t"})
         agent = read_agent(item["agent"], where, "agent")
-        return Threshold(agent, read_value(item["t"], where, "t"), strict)
+        try:
+            return Threshold(agent, item["t"], strict)
+        except ValueError:
+            read_value(item["t"], where, "t")  # its ParseError
+            raise
     return cls(strict) if cls._fields else cls()
 
 
@@ -675,6 +679,7 @@ def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuer
     ]
     cost_data = read_object(data.get("cost", {}), "query", "cost", allowed={"kind", "weights"})
     weights = cost_data.get("weights")
+    # Read here, not in CostModel, so that a bad weight comes before an unknown kind.
     cost = CostModel(
         read_str(cost_data.get("kind", COST_COMPOSITE), "cost", "kind"),
         None if weights is None else _assignment(weights, "query", "cost.weights"),

@@ -36,7 +36,8 @@ from .engine import (
 from .errors import DomainError, InvalidParamsError, ParseError, RecourseError
 from .games import BETRAY, SILENT, PayoffMatrix, builtin_matrix, pd_scm
 from .scm import Scm
-from .values import Record, as_value, decode_json, format_value, read_file, read_int, read_object
+from .values import Record, as_value, checked_flag, decode_json, format_value, read_file, read_int
+from .values import read_object
 
 GROUP_TEST = "test"
 GROUP_CONTROL = "control"
@@ -89,7 +90,9 @@ class ExperimentConfig(Record):
     ) -> None:
         self.mode = mode
         self.principal_policy = principal_policy
-        self.exclude_identity = exclude_identity
+        self.exclude_identity = checked_flag(
+            self, "exclude_identity", exclude_identity, InvalidParamsError
+        )
         self.custom_clauses = custom_clauses
 
     def clauses(self) -> list[Clause]:
@@ -477,7 +480,8 @@ def run_experiment(
     *,
     matrices: Mapping[str, PayoffMatrix] | None = None,
 ) -> ExperimentReport:
-    """Fold every (game, principal) outcome into counts.
+    """Fold every (game, principal) outcome into counts: ``run_cells`` with
+    every weight 1, so each record counts as a game.
 
     The caller filters to single-round-equivalent games first.  Games in one
     cell (matrix, p1 action, p2 action) share their outcome, so each cell is
@@ -495,35 +499,31 @@ def run_cells(
     """The report of the (game, weight) pairs, each game counted weight times,
     such as ``synthetic_cells`` gives.
 
-    Each game is checked for rounds, and its matrix is resolved at its first
-    game; a game id is counted once.  An error in a cell names its first game.
+    Each game is checked for rounds, its matrix is resolved at its first game,
+    and it joins the table ``cell -> [first game id, games]``; every record
+    counts, so a game given twice counts twice.  Games, queries and outcomes
+    are then counted per cell.  An error in a cell names its first game.
     """
     if matrices and "overall" in matrices:
         raise InvalidParamsError("matrices cannot name a matrix 'overall': reports use it for the totals")
     clauses = config.clauses()
     principals = config.principals()
     scms: dict[str, Scm] = {}
-    cells: Counter[tuple[str, int, int]] = Counter()
-    first_game: dict[tuple[str, int, int], str] = {}
-    report = ExperimentReport()
-    seen_games: set[str] = set()
+    cells: dict[tuple[str, int, int], list] = {}  # (matrix, p1, p2) -> [first game id, games]
     for game, n in weighted:
         if not game.rounds:
             raise InvalidParamsError(f"game {game.game_id!r} has no rounds")
         if game.matrix_id not in scms:
             matrix = (matrices or {}).get(game.matrix_id) or builtin_matrix(game.matrix_id)
             scms[game.matrix_id] = pd_scm(matrix)
-            report.per_matrix[game.matrix_id] = OutcomeCounts()
-        if game.game_id not in seen_games:
-            seen_games.add(game.game_id)
-            report.overall.games += n
-            report.per_matrix[game.matrix_id].games += n
-        cell = (game.matrix_id, *game.rounds[0])
-        cells[cell] += n
-        first_game.setdefault(cell, game.game_id)
+        cell = cells.setdefault((game.matrix_id, *game.rounds[0]), [game.game_id, 0])
+        cell[1] += n
 
-    for cell, n in cells.items():
-        matrix_id, p1, p2 = cell
+    report = ExperimentReport(per_matrix={matrix_id: OutcomeCounts() for matrix_id in scms})
+    for (matrix_id, p1, p2), (first_game, n) in cells.items():
+        scopes = (report.overall, report.per_matrix[matrix_id])
+        for counts in scopes:
+            counts.games += n
         for principal in principals:
             query = RecourseQuery(
                 scm=scms[matrix_id],
@@ -538,9 +538,9 @@ def run_cells(
             try:
                 outcome = solve(query)
             except RecourseError as exc:
-                raise type(exc)(f"game {first_game[cell]!r}: {exc}") from exc
-            report.overall.tally(outcome, n)
-            report.per_matrix[matrix_id].tally(outcome, n)
+                raise type(exc)(f"game {first_game!r}: {exc}") from exc
+            for counts in scopes:
+                counts.tally(outcome, n)
     return report
 
 

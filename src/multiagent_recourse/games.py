@@ -22,6 +22,7 @@ SILENT = 0
 ACTIONS = (SILENT, BETRAY)
 
 Cell = tuple[Fraction, Fraction]
+_PAIRS = frozenset(product(ACTIONS, ACTIONS))
 
 
 class PayoffMatrix(Record):
@@ -33,16 +34,13 @@ class PayoffMatrix(Record):
         self.id = id
         normalized: dict[tuple[int, int], Cell] = {}
         for key, cell in entries.items():
-            a1, a2 = int(key[0]), int(key[1])
-            if a1 not in ACTIONS or a2 not in ACTIONS:
+            # A pair of the ints 0 and 1, as they are: no float, bool or longer tuple.
+            if key not in _PAIRS or type(key[0]) is not int or type(key[1]) is not int:
                 raise DomainError(f"matrix {id!r} has an action outside {{0, 1}}: {key}")
             p1, p2 = cell
-            normalized[(a1, a2)] = (as_value(p1), as_value(p2))
-        expected = set(product(ACTIONS, ACTIONS))
-        if set(normalized) != expected:
-            raise InvalidParamsError(
-                f"matrix {id!r} must define all four action pairs"
-            )
+            normalized[tuple(key)] = (as_value(p1), as_value(p2))
+        if len(normalized) != len(_PAIRS):
+            raise InvalidParamsError(f"matrix {id!r} must define all four action pairs")
         self.entries = normalized
 
     def payoffs(self, a1: int, a2: int) -> Cell:

@@ -35,8 +35,7 @@ and any other sums position times stride.  Such an equation builds its
 ``repr``).  A table that does not read cleanly this way is built as values,
 and its errors are reported exactly as for a model built in code.
 
-All values are exact rationals; models are treated as immutable after
-construction and are safe to share across workers.
+All values are exact rationals, and models are immutable after construction.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from itertools import product
 from math import lcm, prod
 from operator import getitem, mul
 from pathlib import Path
-from typing import Any, Mapping, NoReturn
+from typing import Any, Iterable, Mapping, NoReturn
 
 from .errors import (
     CycleError,
@@ -88,34 +87,23 @@ def _literal_key(raw: Any) -> int | Fraction:
 
 
 class VariableDecl(Record):
-    """One variable: its kind and its ordered finite domain."""
+    """One variable: its kind and its ordered finite domain, each literal of
+    which is read once by ``as_value``."""
 
     __slots__ = ("name", "kind", "domain", "_index", "_scale")
     _fields = ("name", "kind", "domain")
 
-    def __init__(self, name: str, kind: str, domain: tuple[Fraction, ...]) -> None:
-        domain = tuple(map(as_value, domain))
-        self._build(name, kind, domain, {_key(v): i for i, v in enumerate(domain)})
-
-    @classmethod
-    def _exact(
-        cls, name: str, kind: str, domain: tuple[Fraction, ...], index: dict[int | Fraction, int]
-    ) -> "VariableDecl":
-        """A declaration whose domain is already a tuple of exact values, and
-        ``index`` its map from value to position, read no further."""
-        decl = cls.__new__(cls)
-        decl._build(name, kind, domain, index)
-        return decl
-
-    def _build(
-        self, name: str, kind: str, domain: tuple[Fraction, ...], index: dict[int | Fraction, int]
-    ) -> None:
+    def __init__(self, name: str, kind: str, domain: Iterable[Any]) -> None:
+        literals = tuple(domain)
         self.name = name
         self.kind = kind
-        self.domain = domain
+        self.domain = tuple(map(as_value, literals))
         # Domain value, as its _key -> its position; fewer entries than the
-        # domain when a value repeats.
-        self._index = index
+        # domain when a value repeats.  An int literal is its value's _key.
+        self._index = {
+            (raw if type(raw) is int else _key(value)): i
+            for i, (raw, value) in enumerate(zip(literals, self.domain))
+        }
         self._scale: tuple[int, tuple[int, ...]] | None = None
 
     def _integer_scale(self) -> tuple[int, tuple[int, ...]]:
@@ -606,14 +594,12 @@ def _variable_from_dict(item: Any, index: int) -> VariableDecl:
     item = read_object(item, where, allowed=_VARIABLE_FIELDS, required=_VARIABLE_FIELDS)
     name = read_str(item["name"], where, "name")
     kind = read_str(item["kind"], where, "kind")
-    literals = item["domain"]
-    domain = read_values(literals, where, "domain")
-    # An int literal is its value's _key, found with no Fraction attribute read.
-    index = {
-        (raw if type(raw) is int else _key(value)): i
-        for i, (raw, value) in enumerate(zip(literals, domain))
-    }
-    return VariableDecl._exact(name, kind, domain, index)
+    literals = read_list(item["domain"], where, "domain")
+    try:
+        return VariableDecl(name, kind, literals)
+    except ValueError:
+        read_values(literals, where, "domain")  # the first non-number's ParseError
+        raise
 
 
 def _equation_from_dict(

@@ -309,6 +309,14 @@ def read_values(raw: Any, where: str, field: str | None = None) -> tuple:
         raise
 
 
+def checked_flag(record: Record, field: str, raw: Any, error: type[Exception]) -> bool:
+    """``raw`` if it is a bool, never read by its truth value; else ``error``."""
+    if type(raw) is not bool:
+        owner = type(record).__name__
+        raise error(f"{owner} field {field!r} must be True or False, got {reprlib.repr(raw)}")
+    return raw
+
+
 def read_agent(raw: Any, where: str, field: str | None = None) -> int | str:
     """A JSON integer, or a string; ``"-2"`` and ``-2`` name the same agent."""
     if isinstance(raw, str):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -106,8 +107,13 @@ def both_folds(args, config, matrices):
 
 
 def check(seed: int) -> None:
-    by_records, by_cells = both_folds(*draw_case(random.Random(seed)))
+    args, config, matrices = draw_case(random.Random(seed))
+    by_records, by_cells = both_folds(args, config, matrices)
     assert by_cells == by_records
+    report = by_cells[0]
+    if isinstance(report, mr.ExperimentReport):  # every game is queried once per principal
+        for counts in (report.overall, *report.per_matrix.values()):
+            assert counts.queries == counts.games * len(config.principals())
 
 
 @settings(max_examples=300, deadline=None)
@@ -155,15 +161,63 @@ def test_a_cell_error_names_the_cells_first_game():
 
 # ------------------------------------------------- the claims, closed form
 #
+# On any 2x2 matrix the principal's only action other than the identity is to
+# switch, and every mode asks for a strict principal improvement or a strict
+# welfare gain, so the identity never passes (with exclude_identity off too).
+# So a cell's outcome follows from the switch's differences, each the
+# switched payoff minus the factual one: the principal's own dp, the
+# opponent's do, and dw = dp + do.  single_agent recommends iff dp > 0,
+# social_welfare iff dw > 0, pareto iff dp > 0 and do >= 0, and
+# pareto_and_welfare iff all three hold; each flag of a recommendation is a
+# sign of dp, do or dw.
+#
 # For a symmetric matrix with temptation T > reward R > punishment P > sucker
-# S, the principal's only action other than the identity is to switch, and
-# every mode's clauses are strict, so the identity never passes.  Then
-# single_agent recommends iff the principal is silent, pareto and
-# pareto_and_welfare never recommend, and social_welfare recommends iff the
-# switch raises W, the sum of both payoffs: from (silent, silent) iff
+# S, that reads: single_agent recommends iff the principal is silent, pareto
+# and pareto_and_welfare never recommend, and social_welfare recommends iff
+# the switch raises W, the sum of both payoffs: from (silent, silent) iff
 # T + S > 2R, from (silent, betray) iff 2P > T + S, from (betray, silent) iff
 # 2R > T + S, and from (betray, betray) iff T + S > 2P, reading each profile
 # as (principal, opponent).
+
+PROFILES = [(0, 0), (0, 1), (1, 0), (1, 1)]
+RULES = {
+    "single_agent": lambda dp, do: dp > 0,
+    "social_welfare": lambda dp, do: dp + do > 0,
+    "pareto": lambda dp, do: dp > 0 and do >= 0,
+    "pareto_and_welfare": lambda dp, do: dp > 0 and do >= 0 and dp + do > 0,
+}
+
+
+def switch_deltas(matrix: mr.PayoffMatrix, profile: tuple, principal: int) -> tuple:
+    """(dp, do) of the principal switching its action in ``profile``."""
+    a1, a2 = profile
+    switched = (1 - a1, a2) if principal == 1 else (a1, 1 - a2)
+    own, other = (0, 1) if principal == 1 else (1, 0)
+    before, after = matrix.payoffs(*profile), matrix.payoffs(*switched)
+    return after[own] - before[own], after[other] - before[other]
+
+
+def closed_form(games, matrices: dict, mode: str, principals) -> mr.ExperimentReport:
+    """The report of ``games`` by the rule and payoff arithmetic: no model, no solve."""
+    report = mr.ExperimentReport()
+    for game in games:
+        counts = report.per_matrix.setdefault(game.matrix_id, mr.OutcomeCounts())
+        for scope in (report.overall, counts):
+            scope.games += 1
+        for principal in principals:
+            dp, do = switch_deltas(matrices[game.matrix_id], game.rounds[0], principal)
+            made = RULES[mode](dp, do)
+            for scope in (report.overall, counts):
+                scope.queries += 1
+                if made:
+                    scope.recommendations += 1
+                    scope.principal_improved += dp > 0
+                    scope.principal_worsened += dp < 0
+                    scope.opponent_improved += do > 0
+                    scope.pareto_violated += dp < 0 or do < 0
+                    scope.welfare_increased += dp + do > 0
+                    scope.welfare_decreased += dp + do < 0
+    return report
 
 
 def _positive():
@@ -186,8 +240,12 @@ def pd_payoffs(draw) -> dict:
     return {"T": temptation, "R": reward, "P": punishment, "S": sucker}
 
 
+def pd_matrix(mid: str, pay: dict) -> mr.PayoffMatrix:
+    return _matrix(mid, (pay["P"], pay["P"]), (pay["T"], pay["S"]), (pay["S"], pay["T"]), (pay["R"], pay["R"]))
+
+
 def recommends(mode: str, own: int, other: int, pay: dict) -> bool:
-    """The rule above, for a principal playing ``own`` against ``other``."""
+    """The PD rule above, for a principal playing ``own`` against ``other``."""
     T, R, P, S = pay["T"], pay["R"], pay["P"], pay["S"]
     if mode == "single_agent":
         return own == mr.SILENT
@@ -195,33 +253,6 @@ def recommends(mode: str, own: int, other: int, pay: dict) -> bool:
         return {(0, 0): T + S > 2 * R, (0, 1): 2 * P > T + S, (1, 0): 2 * R > T + S,
                 (1, 1): T + S > 2 * P}[own, other]
     return False
-
-
-def closed_form(games, payoffs: dict, mode: str, principals) -> mr.ExperimentReport:
-    """The report of ``games`` by the rule and payoff arithmetic: no model, no solve."""
-    report = mr.ExperimentReport()
-    for game in games:
-        pay = payoffs[game.matrix_id]
-        u = {(1, 1): pay["P"], (1, 0): pay["T"], (0, 1): pay["S"], (0, 0): pay["R"]}
-        counts = report.per_matrix.setdefault(game.matrix_id, mr.OutcomeCounts())
-        for scope in (report.overall, counts):
-            scope.games += 1
-        for principal in principals:
-            own, other = game.rounds[0] if principal == 1 else game.rounds[0][::-1]
-            gain = u[1 - own, other] - u[own, other]
-            opponent_gain = u[other, 1 - own] - u[other, own]
-            made = recommends(mode, own, other, pay)
-            for scope in (report.overall, counts):
-                scope.queries += 1
-                if made:
-                    scope.recommendations += 1
-                    scope.principal_improved += gain > 0
-                    scope.principal_worsened += gain < 0
-                    scope.opponent_improved += opponent_gain > 0
-                    scope.pareto_violated += gain < 0 or opponent_gain < 0
-                    scope.welfare_increased += gain + opponent_gain > 0
-                    scope.welfare_decreased += gain + opponent_gain < 0
-    return report
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,19 +265,73 @@ def closed_form(games, payoffs: dict, mode: str, principals) -> mr.ExperimentRep
 def test_claims_hold_on_every_pd_matrix(payoffs, sizes, seed, exclude_identity):
     ids = [f"pd{i}" for i in range(len(payoffs))]
     payoffs = dict(zip(ids, payoffs))
-    matrices = {
-        mid: _matrix(mid, (p["P"], p["P"]), (p["T"], p["S"]), (p["S"], p["T"]), (p["R"], p["R"]))
-        for mid, p in payoffs.items()
-    }
+    matrices = {mid: pd_matrix(mid, p) for mid, p in payoffs.items()}
     assert all(mr.is_pd_ordered(m) for m in matrices.values())
+    for mid, pay in payoffs.items():
+        for mode, (profile, principal) in product(MODES, product(PROFILES, (1, 2))):
+            own, other = profile if principal == 1 else profile[::-1]
+            dp, do = switch_deltas(matrices[mid], profile, principal)
+            assert RULES[mode](dp, do) == recommends(mode, own, other, pay)
     args = (*sizes, {mid: F(1, len(ids)) for mid in ids}, seed)
     games = mr.generate_synthetic_log(*args)
     for mode in MODES:
         for policy in POLICIES:
             config = mr.ExperimentConfig(mode=mode, principal_policy=policy, exclude_identity=exclude_identity)
-            expected = closed_form(games, payoffs, mode, config.principals())
+            expected = closed_form(games, matrices, mode, config.principals())
             assert mr.run_experiment(games, config, matrices=matrices) == expected
             assert mr.run_cells(mr.synthetic_cells(*args), config, matrices=matrices) == expected
+
+
+def draw_2x2(rng: random.Random, mid: str) -> mr.PayoffMatrix:
+    """A rational 2x2 matrix whose payoffs come from a pool of one to four
+    values: often asymmetric and not PD-ordered, with repeated payoffs and
+    switches that change a payoff by 0."""
+    pool = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+    return mr.PayoffMatrix(mid, {p: (rng.choice(pool), rng.choice(pool)) for p in PROFILES})
+
+
+def check_2x2(seed: int) -> None:
+    rng = random.Random(seed)
+    ids = [f"m{i}" for i in range(rng.randint(1, 3))]
+    matrices = {mid: draw_2x2(rng, mid) for mid in ids}
+    n = rng.randint(0, 60)
+    args = (n, rng.randint(0, n), {mid: F(1, len(ids)) for mid in ids}, rng.randrange(2**32))
+    games = mr.generate_synthetic_log(*args)
+    exclude_identity = rng.random() < 0.5
+    for mode in MODES:
+        for policy in POLICIES:
+            config = mr.ExperimentConfig(mode=mode, principal_policy=policy, exclude_identity=exclude_identity)
+            expected = closed_form(games, matrices, mode, config.principals())
+            assert mr.run_experiment(games, config, matrices=matrices) == expected
+            assert mr.run_cells(mr.synthetic_cells(*args), config, matrices=matrices) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_claims_hold_on_every_2x2_game(seed):
+    check_2x2(seed)
+
+
+def test_the_2x2_draws_reach_every_kind_of_matrix():
+    """Asymmetric and symmetric non-PD matrices, repeated payoffs, and switches
+    with dp or do = 0 and with dw = 0 (PD matrices are the property above)."""
+    seen = set()
+    for seed in range(200):
+        matrix = draw_2x2(random.Random(seed), "m")
+        payoffs = [value for cell in matrix.entries.values() for value in cell]
+        if not matrix.is_symmetric():
+            seen.add("asymmetric")
+        elif not mr.is_pd_ordered(matrix):
+            seen.add("symmetric, not PD")
+        if len(set(payoffs)) < len(payoffs):
+            seen.add("repeated")
+        for profile, principal in product(PROFILES, (1, 2)):
+            dp, do = switch_deltas(matrix, profile, principal)
+            if 0 in (dp, do):
+                seen.add("dp or do = 0")
+            if dp + do == 0:
+                seen.add("dw = 0")
+    assert seen == {"asymmetric", "symmetric, not PD", "repeated", "dp or do = 0", "dw = 0"}
 
 
 # (T, R, P, S) of the builtin matrices, as the README gives them.  table1's
@@ -265,8 +350,10 @@ BUILTIN_PAYOFFS = {
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("matrix_id", sorted(BUILTIN_PAYOFFS))
 def test_builtin_matrices_follow_the_closed_form(matrix_id, mode, policy, exclude_identity):
-    payoffs = {matrix_id: dict(zip("TRPS", BUILTIN_PAYOFFS[matrix_id]))}
+    matrix = pd_matrix(matrix_id, dict(zip("TRPS", BUILTIN_PAYOFFS[matrix_id])))
+    assert matrix == mr.builtin_matrix(matrix_id)
     config = mr.ExperimentConfig(mode=mode, principal_policy=policy, exclude_identity=exclude_identity)
-    for profile in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+    for profile in PROFILES:
         games = [mr.GameRecord("g", matrix_id, "test", F(0), [profile])]
-        assert mr.run_experiment(games, config) == closed_form(games, payoffs, mode, config.principals())
+        expected = closed_form(games, {matrix_id: matrix}, mode, config.principals())
+        assert mr.run_experiment(games, config) == expected

@@ -173,6 +173,17 @@ class TestSolve:
                 "equations[0].table[1] field 'in': cannot interpret bool value True",
             ),
             ("agents", {"1": "h1", "01": "h2"}, "query field 'agents' names agent 1 twice: '1' and '01'"),
+            ("agents", {}, "error: query declares no agents"),
+            (
+                "scm",
+                small_model_with(("variables", 0, "kind"), "latent"),
+                "error: variable 'x1' has unknown kind 'latent'",
+            ),
+            (
+                "scm",
+                small_model_with(("equations", 0, "target"), "ghost"),
+                "error: equation targets undeclared variable 'ghost'",
+            ),
         ],
         ids=[
             "factual-list",
@@ -201,6 +212,9 @@ class TestSolve:
             "domain-bool",
             "in-bool",
             "agents-collide",
+            "agents-empty",
+            "kind-unknown",
+            "target-undeclared",
         ],
     )
     def test_malformed_query_field_exit_1(self, workdir, capsys, field, value, message):
@@ -574,6 +588,28 @@ class TestExperiment:
         assert report.overall.recommendations == 2
 
     @pytest.mark.parametrize(
+        "mode, counts",
+        [
+            ("single_agent", "380,380,0,190,190,380,0"),
+            ("social_welfare", "380,380,0,190,190,380,0"),
+            ("pareto", "190,190,0,190,0,190,0"),
+            ("pareto_and_welfare", "190,190,0,190,0,190,0"),
+        ],
+    )
+    def test_stag_hunt(self, tmp_path, capsys, mode, counts):
+        # Not a prisoner's dilemma: R 4 > T 3 > P 2 > S 0 (stag is silent).  The
+        # counts follow the switch rule of tests/test_cells.py.
+        path = tmp_path / "stag.csv"
+        path.write_text("row_action,col_action,p1,p2\n0,0,4,4\n0,1,0,3\n1,0,3,0\n1,1,2,2\n")
+        args = [
+            "experiment", "--synthetic", "n=400", "silent=200", "--matrix", "stag",
+            "--matrix-file", f"stag={path}", "--principal", "both", "--mode", mode, "--seed", "7",
+            "--format", "csv",
+        ]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [f"overall,400,800,{counts}", f"stag,400,800,{counts}"]
+
+    @pytest.mark.parametrize(
         "names, message",
         [
             (["mine", "mine"], "--matrix-file gives 'mine' more than once"),
@@ -826,11 +862,16 @@ class TestGenerateAndGraph:
         done = run("experiment", "--log", "log.csv", "--format", "json")
         assert (done.returncode, done.stderr) == (0, b"note: 0 of 1 games filtered out (not single-round-equivalent)\n")
         assert json.loads(done.stdout)["overall"]["games"] == 1
-        # A non-ASCII argument does not decode in this locale, so the log cannot be written.
+        # A non-ASCII argument does not decode in this locale, so the log cannot be written:
+        # the program writes no file that its own readers would refuse.
         done = run("generate", "--synthetic", "n=2", "silent=0", "--matrix", "tableé", "-o", "x.csv")
         assert done.returncode == 1
         assert done.stderr.startswith(b"error: cannot write output file x.csv: 'utf-8' codec can't encode")
         assert not (tmp_path / "x.csv").exists()
+        # Standard output is written with surrogateescape, so there the argument's bytes come back.
+        done = run("generate", "--synthetic", "n=2", "silent=0", "--matrix", "tableé")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.splitlines()[1] == b"g00000,table\xc3\xa9,test,0,1,1,1"
 
     def test_graph_export(self, workdir, capsys):
         code = main(["graph", str(workdir / "model.json")])

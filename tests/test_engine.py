@@ -8,6 +8,7 @@ import pytest
 
 import multiagent_recourse as mr
 from conftest import pd_query
+from multiagent_recourse import engine, values
 
 
 class TestSolveWorkedExamples:
@@ -756,6 +757,33 @@ class TestFileForms:
             data["constraints"] = [dict(clause, strict=raw)]
             with pytest.raises(mr.ParseError, match=r"constraints\[0\] field 'strict'"):
                 mr.query_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: mr.Threshold(1, 3, strict="no"), "Threshold field 'strict' must be True or False, got 'no'"),
+            (lambda: mr.PrincipalImprovement(strict="false"),
+             "PrincipalImprovement field 'strict' must be True or False, got 'false'"),
+            (lambda: mr.SocialWelfare(strict=1), "SocialWelfare field 'strict' must be True or False, got 1"),
+            (lambda: mr.RecourseQuery(mr.pd_scm(mr.builtin_matrix("table2")), 1, {1: "h1"}, {}, [],
+                                      exclude_identity="false"),
+             "RecourseQuery field 'exclude_identity' must be True or False, got 'false'"),
+        ],
+        ids=["threshold", "principal-improvement", "social-welfare", "query"],
+    )
+    def test_constructors_take_only_bool_flags(self, make, message):
+        with pytest.raises(mr.InvalidQueryError) as caught:
+            make()
+        assert str(caught.value) == message
+
+    def test_a_threshold_literal_is_read_once(self, monkeypatch):
+        seen = []
+        for module in (engine, values):
+            real = module.as_value
+            monkeypatch.setattr(module, "as_value", lambda raw, real=real: seen.append(raw) or real(raw))
+        clause = engine._clause_from_dict({"kind": "threshold", "agent": 1, "t": "7/2"}, 0)
+        assert seen == ["7/2"]
+        assert (clause.agent, clause.t, clause.strict) == (1, F(7, 2), False)
 
     def test_absent_booleans_keep_their_defaults(self):
         data = self.query_data()

@@ -366,6 +366,20 @@ class TestRunExperiment:
         with pytest.raises(mr.InvalidQueryError, match=r"^game 'g5': .*unknown agent 3"):
             mr.run_experiment(games, config)
 
+    def test_a_repeated_record_counts_as_a_game(self):
+        game = one_round_game("g0", 0, 1)
+        config = mr.ExperimentConfig(principal_policy="both_players")
+        twice = mr.run_experiment([game, game], config)
+        assert (twice.overall.games, twice.overall.queries) == (2, 4)
+        assert (twice.per_matrix["table2"].games, twice.per_matrix["table2"].queries) == (2, 4)
+        assert twice == mr.run_cells([(game, 2)], config)
+
+    def test_a_game_without_rounds_is_refused(self):
+        games = [one_round_game("g0", 0, 0), mr.GameRecord("g1", "table2", "test", F(0), [])]
+        with pytest.raises(mr.InvalidParamsError) as info:
+            mr.run_experiment(games, mr.ExperimentConfig())
+        assert str(info.value) == "game 'g1' has no rounds"
+
     def test_unknown_matrix_id(self):
         games = [one_round_game("g0", 0, 0, "tableX")]
         with pytest.raises(mr.UnknownMatrixError):
@@ -436,6 +450,14 @@ class TestConfig:
         with pytest.raises(mr.InvalidParamsError) as info:
             mr.run_experiment([one_round_game("g0", 0, 0)], config)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_exclude_identity_must_be_a_bool(self, flag):
+        with pytest.raises(mr.InvalidParamsError) as info:
+            mr.ExperimentConfig(exclude_identity=flag)
+        assert str(info.value) == (
+            f"ExperimentConfig field 'exclude_identity' must be True or False, got {flag!r}"
+        )
 
 
 class TestSingleRoundStructure:
@@ -618,6 +640,13 @@ class TestRendering:
         assert mr.report_from_csv(text.replace("\n", end)) == report
         with pytest.raises(mr.ParseError, match="^line 6: expected 9 integer counts$"):
             mr.report_from_csv((text + "table9,1,2\n").replace("\n", end))
+
+    def test_csv_report_skips_blank_lines(self):
+        report = self.sample_report()
+        text = mr.render_report(report, "csv").replace("\n", "\n\n")
+        assert mr.report_from_csv(text) == report
+        with pytest.raises(mr.ParseError, match="^line 7: expected 9 integer counts$"):
+            mr.report_from_csv(text + "table9,1,2\n")
 
     def test_repeated_csv_scope_is_a_parse_error(self):
         text = report_csv() + report_csv().splitlines(keepends=True)[2]

@@ -35,6 +35,16 @@ class TestBuiltins:
         with pytest.raises(mr.InvalidParamsError):
             mr.PayoffMatrix("partial", {(0, 0): (F(1), F(1))})
 
+    @pytest.mark.parametrize(
+        "key", [(1.7, 0), (True, True), (F(1), 1), (0, 1, 1), (0,), "01", (2, 0)],
+        ids=["float", "bools", "fraction", "triple", "single", "text", "two"],
+    )
+    def test_matrix_keys_are_pairs_of_the_ints_0_and_1(self, key):
+        entries = {(0, 0): (1, 1), (0, 1): (1, 1), (1, 0): (1, 1), key: (1, 1)}
+        with pytest.raises(mr.DomainError) as caught:
+            mr.PayoffMatrix("m", entries)
+        assert str(caught.value) == f"matrix 'm' has an action outside {{0, 1}}: {key}"
+
 
 class TestPdScm:
     def test_evaluations_match_cells(self, table1, table2, table3):
