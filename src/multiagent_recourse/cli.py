@@ -11,30 +11,8 @@ import os
 import sys
 from pathlib import Path
 
-from .engine import (
-    SOLVER_BASELINE,
-    load_query,
-    outcome_to_dict,
-    solve,
-    solve_cfe_baseline,
-)
 from .errors import InvalidParamsError, OutputError, RecourseError
-from .experiment import (
-    BOTH_PLAYERS,
-    MODE_CLAUSES,
-    MODE_SINGLE_AGENT,
-    PLAYER1_ONLY,
-    ExperimentConfig,
-    filter_single_round,
-    parse_game_log,
-    render_report,
-    run_cells,
-    run_experiment,
-    synthetic_cells,
-    synthetic_log_text,
-)
-from .games import load_matrix_csv
-from .scm import graph_to_dot, load_scm
+from .gamelog import BOTH_PLAYERS, MODE_SINGLE_AGENT, PAPER_MODES, PLAYER1_ONLY, synthetic_log_text
 from .values import as_value
 
 EXIT_OK = 0
@@ -42,6 +20,22 @@ EXIT_ERROR = 1
 EXIT_NO_RECOMMENDATION = 2
 
 OUT_DIR_ENV = "MULTIAGENT_RECOURSE_OUT_DIR"
+
+# Each command imports the modules it runs, so parsing the arguments and
+# writing a synthetic log load no model code.  These names of the query path
+# are still read from this module, and are bound here on first access.
+_ENGINE_NAMES = frozenset(
+    {"SOLVER_BASELINE", "load_query", "outcome_to_dict", "solve", "solve_cfe_baseline"}
+)
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import engine
+
+    value = globals()[name] = getattr(engine, name)
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,6 +109,8 @@ def _synthetic_args(args) -> tuple:
 
 
 def _load_matrix_files(pairs: list[str]) -> dict:
+    from .games import load_matrix_csv
+
     registry = {}
     for pair in pairs:
         name, sep, path = pair.partition("=")
@@ -131,6 +127,8 @@ def _load_matrix_files(pairs: list[str]) -> dict:
 
 
 def _cmd_solve(args) -> int:
+    from .engine import SOLVER_BASELINE, load_query, outcome_to_dict, solve, solve_cfe_baseline
+
     query, solver = load_query(args.query_file)
     outcome = solve_cfe_baseline(query) if solver == SOLVER_BASELINE else solve(query)
     if outcome is None:
@@ -146,6 +144,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiment import (
+        ExperimentConfig,
+        filter_single_round,
+        parse_game_log,
+        render_report,
+        run_cells,
+        run_experiment,
+        synthetic_cells,
+    )
+
     if args.jobs < 1:  # --jobs is accepted for old scripts and changes nothing
         raise InvalidParamsError("jobs must be at least 1")
     if args.log:
@@ -179,6 +187,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .scm import graph_to_dot, load_scm
+
     scm = load_scm(args.scm_file)
     _emit(graph_to_dot(scm.graph()), args.output)
     return EXIT_OK
@@ -207,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument(
         "--mode",
-        choices=list(MODE_CLAUSES),
+        choices=list(PAPER_MODES),
         default=MODE_SINGLE_AGENT,
     )
     p_exp.add_argument("--matrix", default="table1", help="matrix id or id=proportion list")

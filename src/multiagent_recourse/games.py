@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import csv
 import io
+import reprlib
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 from .errors import AsymmetricMatrixError, DomainError, InvalidParamsError, ParseError, UnknownMatrixError
+from .gamelog import BETRAY, SILENT
 from .scm import ENDOGENOUS, EXOGENOUS, Scm, StructuralEquation, VariableDecl
 from .values import Record, as_value, format_value, read_file
 
-BETRAY = 1
-SILENT = 0
 ACTIONS = (SILENT, BETRAY)
 
 Cell = tuple[Fraction, Fraction]
@@ -37,7 +37,12 @@ class PayoffMatrix(Record):
             # A pair of the ints 0 and 1, as they are: no float, bool or longer tuple.
             if key not in _PAIRS or type(key[0]) is not int or type(key[1]) is not int:
                 raise DomainError(f"matrix {id!r} has an action outside {{0, 1}}: {key}")
-            p1, p2 = cell
+            try:
+                p1, p2 = () if isinstance(cell, str) else cell
+            except (TypeError, ValueError):  # 5, (1, 2, 3), or a string read by character
+                raise InvalidParamsError(
+                    f"matrix {id!r} cell {key} must be a pair of payoffs, got {reprlib.repr(cell)}"
+                ) from None
             normalized[tuple(key)] = (as_value(p1), as_value(p2))
         if len(normalized) != len(_PAIRS):
             raise InvalidParamsError(f"matrix {id!r} must define all four action pairs")

@@ -40,6 +40,7 @@ All values are exact rationals, and models are immutable after construction.
 
 from __future__ import annotations
 
+import reprlib
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -86,6 +87,15 @@ def _literal_key(raw: Any) -> int | Fraction:
     return _key(raw if kind is Fraction else as_value(raw))
 
 
+def _refuse_string(record: Record, field: str, raw: Any) -> None:
+    """A sequence field is not a string, which would be read one character at a time."""
+    if isinstance(raw, str):
+        owner = type(record).__name__
+        raise ScmValidationError(
+            f"{owner} field {field!r} must be a sequence, not the string {reprlib.repr(raw)}"
+        )
+
+
 class VariableDecl(Record):
     """One variable: its kind and its ordered finite domain, each literal of
     which is read once by ``as_value``."""
@@ -94,6 +104,7 @@ class VariableDecl(Record):
     _fields = ("name", "kind", "domain")
 
     def __init__(self, name: str, kind: str, domain: Iterable[Any]) -> None:
+        _refuse_string(self, "domain", domain)
         literals = tuple(domain)
         self.name = name
         self.kind = kind
@@ -130,6 +141,7 @@ class StructuralEquation(Record):
     def __init__(
         self, target: str, parents: tuple[str, ...], table: Mapping[tuple[Any, ...], Any]
     ) -> None:
+        _refuse_string(self, "parents", parents)
         self.target = target
         self.parents = tuple(parents)
         self._table = {tuple(map(as_value, key)): as_value(out) for key, out in table.items()}

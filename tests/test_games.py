@@ -45,6 +45,21 @@ class TestBuiltins:
             mr.PayoffMatrix("m", entries)
         assert str(caught.value) == f"matrix 'm' has an action outside {{0, 1}}: {key}"
 
+    @pytest.mark.parametrize(
+        "cell, shown",
+        [((1, 2, 3), "(1, 2, 3)"), (5, "5"), ((1,), "(1,)"), ("12", "'12'"), (None, "None")],
+        ids=["triple", "number", "single", "text", "none"],
+    )
+    def test_matrix_cells_are_pairs(self, cell, shown):
+        entries = {(0, 0): (1, 1), (0, 1): cell, (1, 0): (1, 1), (1, 1): (1, 1)}
+        with pytest.raises(mr.InvalidParamsError) as caught:
+            mr.PayoffMatrix("m", entries)
+        assert str(caught.value) == f"matrix 'm' cell (0, 1) must be a pair of payoffs, got {shown}"
+
+    def test_a_bad_key_is_refused_before_its_cell(self):
+        with pytest.raises(mr.DomainError):
+            mr.PayoffMatrix("m", {(2, 0): 5})
+
 
 class TestPdScm:
     def test_evaluations_match_cells(self, table1, table2, table3):

@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import json
 import os
 import pickle
 import pkgutil
@@ -28,6 +29,54 @@ def test_cli_import_loads_no_dataclasses():
         check=True,
     )
     assert result.stdout == "[]\n"
+
+
+LOADED_SCRIPT = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("multiagent_recourse."))
+
+steps = {}
+import multiagent_recourse as mr
+steps["package"] = loaded()
+mr.parse_game_log
+steps["log name"] = loaded()
+import multiagent_recourse.cli as cli
+steps["cli"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("solve", "experiment", "generate", "graph"):
+        assert cli.main([command, "--help"]) == 0
+steps["help"] = loaded()
+paper = ["--synthetic", "n=3294", "silent=434", "--matrix", "table2", "--seed", "1"]
+assert cli.main(["generate", *paper, "-o", "log.csv"]) == 0
+steps["generate"] = loaded()
+assert cli.main(["solve", sys.argv[1], "-o", "outcome.json"]) == 0
+steps["solve"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_generate_loads_no_model_code(tmp_path):
+    # Each command imports the modules it runs: argument parsing and
+    # ``generate`` need only the game log, and ``solve`` no game code.
+    src = Path(mr.__file__).resolve().parents[1]
+    golden = Path(__file__).parent / "data" / "solve" / "structural.json"
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_SCRIPT, str(golden)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    steps = json.loads(result.stdout)
+    log_only = ["errors", "gamelog", "values"]
+    assert steps["package"] == []
+    assert steps["log name"] == log_only
+    assert steps["cli"] == steps["help"] == steps["generate"] == ["cli", *log_only]
+    assert {"engine", "scm"} <= set(steps["solve"])
+    assert not {"games", "experiment"} & set(steps["solve"])
 
 
 def admit_all(state):

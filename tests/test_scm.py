@@ -67,6 +67,34 @@ class TestBuild:
         scm = mr.scm_from_dict(data)
         assert scm.evaluate({"x1": 0}) == {"x1": F(0), "h1": F(1)}
 
+    def test_a_string_domain_is_refused(self):
+        # Read as a sequence, "01" would be the domain (0, 1), one character at a time.
+        with pytest.raises(mr.ScmValidationError) as caught:
+            mr.VariableDecl("x", mr.EXOGENOUS, "01")
+        assert str(caught.value) == "VariableDecl field 'domain' must be a sequence, not the string '01'"
+
+    def test_string_parents_are_refused(self):
+        with pytest.raises(mr.ScmValidationError) as caught:
+            mr.StructuralEquation("y", "ab", {})
+        assert str(caught.value) == "StructuralEquation field 'parents' must be a sequence, not the string 'ab'"
+
+    @pytest.mark.parametrize(
+        "variables, equations, message",
+        [
+            ([{"name": "x", "kind": "exogenous", "domain": "01"}], [], "variables[0] field 'domain' must be a list, got '01'"),
+            (
+                [{"name": "x", "kind": "exogenous", "domain": [0, 1]}],
+                [{"target": "y", "parents": "x", "table": []}],
+                "equations[0] field 'parents' must be a list, got 'x'",
+            ),
+        ],
+        ids=["domain", "parents"],
+    )
+    def test_a_model_file_string_stays_a_parse_error(self, variables, equations, message):
+        with pytest.raises(mr.ParseError) as caught:
+            mr.scm_from_dict({"variables": variables, "equations": equations})
+        assert str(caught.value) == message
+
     def test_self_loop_is_a_cycle(self):
         with pytest.raises(mr.CycleError):
             mr.Scm(
