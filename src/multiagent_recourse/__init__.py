@@ -25,14 +25,17 @@ _NAMES = {
     "values": ("Value", "as_value", "format_value", "value_to_json"),
     "scm": (
         "ENDOGENOUS", "EXOGENOUS", "Assignment", "CausalGraph", "Scm", "StructuralEquation",
-        "VariableDecl", "graph_to_dot", "load_scm", "scm_from_dict", "scm_to_dict",
+        "VariableDecl",
     ),
     "engine": (
         "AgentDelta", "AgentId", "Clause", "CostModel", "FeasibleRow", "OutcomeFlags", "Pareto",
         "Plausible", "PrincipalImprovement", "RecourseOutcome", "RecourseQuery",
-        "SocialWelfare", "Threshold", "classify", "clause_label", "enumerate_feasible",
-        "load_query", "outcome_to_dict", "query_from_dict", "rows_to_json", "solve",
+        "SocialWelfare", "Threshold", "classify", "clause_label", "enumerate_feasible", "solve",
         "solve_cfe_baseline",
+    ),
+    "files": (
+        "graph_to_dot", "load_query", "load_scm", "outcome_to_dict", "query_from_dict",
+        "report_from_csv", "report_from_json", "rows_to_json", "scm_from_dict", "scm_to_dict",
     ),
     "games": (
         "ACTIONS", "BUILTIN_MATRIX_IDS", "PayoffMatrix", "builtin_matrix", "is_pd_ordered",
@@ -45,8 +48,8 @@ _NAMES = {
         "parse_game_log_text", "synthetic_cells", "synthetic_log_text", "write_game_log",
     ),
     "experiment": (
-        "ExperimentConfig", "ExperimentReport", "OutcomeCounts", "render_report",
-        "report_from_csv", "report_from_json", "run_cells", "run_experiment",
+        "ExperimentConfig", "ExperimentReport", "OutcomeCounts", "render_report", "run_cells",
+        "run_experiment",
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

@@ -6,14 +6,14 @@ Exit codes: 0 success, 1 error, 2 well-formed "no feasible recommendation".
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import re
 import sys
 from pathlib import Path
 
 from .errors import InvalidParamsError, OutputError, RecourseError
 from .gamelog import BOTH_PLAYERS, MODE_SINGLE_AGENT, PAPER_MODES, PLAYER1_ONLY, synthetic_log_text
-from .values import as_value
+from .values import as_value, lazy_names
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -24,18 +24,9 @@ OUT_DIR_ENV = "MULTIAGENT_RECOURSE_OUT_DIR"
 # Each command imports the modules it runs, so parsing the arguments and
 # writing a synthetic log load no model code.  These names of the query path
 # are still read from this module, and are bound here on first access.
-_ENGINE_NAMES = frozenset(
-    {"SOLVER_BASELINE", "load_query", "outcome_to_dict", "solve", "solve_cfe_baseline"}
+__getattr__ = lazy_names(
+    __name__, "engine", ("SOLVER_BASELINE", "load_query", "outcome_to_dict", "solve", "solve_cfe_baseline")
 )
-
-
-def __getattr__(name: str):
-    if name not in _ENGINE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import engine
-
-    value = globals()[name] = getattr(engine, name)
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,8 +67,11 @@ def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:
         if key in params:
             raise InvalidParamsError(f"--synthetic gives {key} more than once")
         try:
+            # int() alone would also read "_", padding and the digits of other scripts.
+            if not re.fullmatch("-?[0-9]+", value):
+                raise ValueError(value)
             params[key] = int(value)
-        except ValueError:
+        except ValueError:  # or more digits than int() reads
             raise InvalidParamsError(f"--synthetic {key} must be an integer") from None
     if set(params) != {"n", "silent"}:
         raise InvalidParamsError("--synthetic needs both n=<total> and silent=<count>")
@@ -127,6 +121,9 @@ def _load_matrix_files(pairs: list[str]) -> dict:
 
 
 def _cmd_solve(args) -> int:
+    import json
+
+    # Read through ``engine``, where a tracer wraps them.
     from .engine import SOLVER_BASELINE, load_query, outcome_to_dict, solve, solve_cfe_baseline
 
     query, solver = load_query(args.query_file)

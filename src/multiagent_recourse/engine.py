@@ -13,7 +13,8 @@ domain on its integer scale (``VariableDecl._integer_scale``) and the
 weights' numerators and denominators, with no ``Fraction`` arithmetic.
 The reported cost is the ranking's own value, made exact.
 Values are mapped to positions through maps keyed by ``int`` for integral
-values (``scm._key``), and each literal of a query file is read once.
+values (``scm._key``), and each literal of a query file is read once
+(``files``).
 Candidates are then predicted
 in rank order, each as a pin overlay on the model's compiled index tables (no
 mutilated model is built), and the first whose clauses all hold is returned;
@@ -30,17 +31,14 @@ domain), so results are reproducible byte for byte.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from pathlib import Path
 from math import lcm
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union, get_args
 
-from .errors import DomainError, InvalidQueryError, ParseError, ValueRangeError
-from .scm import ENDOGENOUS, Assignment, Positions, Scm, _key, scm_from_dict, load_scm
-from .values import FrozenRecord, Record, as_value, format_value, load_json_exact, shown_value
-from .values import read_agent, read_bool, read_list, read_object, read_str, read_value, read_values
-from .values import checked_flag, value_to_json
+from .errors import DomainError, InvalidQueryError, ValueRangeError
+from .scm import ENDOGENOUS, Assignment, Positions, Scm, _key
+from .values import FrozenRecord, Record, as_value, checked_flag, format_value, lazy_names
+from .values import shown_value, value_to_json
 
 AgentId = Union[int, str]
 
@@ -166,7 +164,8 @@ class CostModel(FrozenRecord):
       weighted   sum of w_i * |new_i - factual_i| over intervened variables
       composite  count first, weighted change as tie-breaker (the default)
 
-    Unlisted variables weigh 1; weights must be nonnegative.
+    Unlisted variables weigh 1; weights must be nonnegative, and a solver
+    refuses a weight for a variable its model does not declare.
     """
 
     __slots__ = _fields = ("kind", "weights")
@@ -330,10 +329,6 @@ class FeasibleRow(Record):
         }
 
 
-def rows_to_json(rows: Sequence[FeasibleRow]) -> str:
-    return json.dumps([row.to_dict() for row in rows], indent=2) + "\n"
-
-
 # -------------------------------------------------------------------- solver
 
 
@@ -352,6 +347,9 @@ def _check_query(query: RecourseQuery) -> None:
             raise InvalidQueryError(
                 f"threshold clause names unknown agent {clause.agent!r}"
             )
+    for name in query.cost.weights or ():
+        if name not in query.scm._decls:
+            raise DomainError(f"cost weight names undeclared variable {name!r}")
 
 
 def _action_key(positions: Mapping[str, int]) -> tuple:
@@ -578,158 +576,9 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
     return _first_passing(query, _rank_shifts(query))
 
 
-# ---------------------------------------------------------------- file forms
-#
-# Query files are JSON:
-#   {"scm": {...} | "scm_file": "path.json",
-#    "principal": 1, "agents": {"1": "h1", "2": "h2"},
-#    "factual": {"x1": 0, "x2": 1},
-#    "feasible": [{"x1": 1}, {}],
-#    "constraints": [{"kind": "principal_improvement", "strict": true}, ...],
-#    "cost": {"kind": "composite", "weights": {...}},
-#    "plausible": [{"x1": 0, "x2": 0}, ...],      # optional allow-list
-#    "exclude_identity": false, "solver": "structural"}
-
-SOLVER_STRUCTURAL = "structural"
-SOLVER_BASELINE = "baseline"
-
-_QUERY_FIELDS = {
-    "scm",
-    "scm_file",
-    "principal",
-    "agents",
-    "factual",
-    "feasible",
-    "constraints",
-    "cost",
-    "plausible",
-    "exclude_identity",
-    "solver",
-}
-
-
-def _assignment(raw: Any, where: str, field: str | None = None) -> dict[str, Fraction]:
-    """A JSON object of exact values; a bad value is named by the object's place."""
-    items = read_object(raw, where, field)
-    try:
-        return {name: as_value(v) for name, v in items.items()}
-    except ValueError:
-        read_values([*items.values()], where, field)  # the first non-number's ParseError
-        raise
-
-
-def _clause_from_dict(item: Any, index: int) -> Clause:
-    where = f"constraints[{index}]"
-    item = read_object(item, where, allowed={"kind", "strict", "agent", "t"}, required={"kind"})
-    kind = read_str(item["kind"], where, "kind")
-    if kind not in _CLAUSE_KINDS:
-        kinds = ", ".join(sorted(_CLAUSE_KINDS))
-        raise ParseError(f"{where} has unknown kind {kind!r}; expected one of {kinds}")
-    cls = _CLAUSE_KINDS[kind]
-    strict = read_bool(item.get("strict", cls is not Threshold), where, "strict")
-    if cls is Threshold:
-        read_object(item, where, required={"agent", "t"})
-        agent = read_agent(item["agent"], where, "agent")
-        try:
-            return Threshold(agent, item["t"], strict)
-        except ValueError:
-            read_value(item["t"], where, "t")  # its ParseError
-            raise
-    return cls(strict) if cls._fields else cls()
-
-
-def _allowlist_predicate(entries: list) -> Callable[[Assignment], bool]:
-    normalized = [
-        _assignment(read_object(entry, f"plausible[{j}]"), "query", "plausible")
-        for j, entry in enumerate(entries)
-    ]
-
-    def admitted(state: Assignment) -> bool:
-        return any(
-            all(state.get(name) == value for name, value in entry.items())
-            for entry in normalized
-        )
-
-    return admitted
-
-
-def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuery, str]:
-    """Build a query from its JSON form; returns (query, solver mode)."""
-    required = {"principal", "agents", "factual", "feasible"}
-    data = read_object(data, "query", allowed=_QUERY_FIELDS, required=required)
-    if ("scm" in data) == ("scm_file" in data):
-        raise ParseError("query must contain exactly one of 'scm' or 'scm_file'")
-    if "scm" in data:
-        scm = scm_from_dict(data["scm"])
-    else:
-        scm = load_scm(Path(base_dir) / read_str(data["scm_file"], "query", "scm_file"))
-    agents: dict[AgentId, str] = {}
-    keys: dict[AgentId, str] = {}  # agent -> the key that named it
-    for key, variable in read_object(data["agents"], "query", "agents").items():
-        agent = read_agent(key, "query", "agents")
-        if agent in keys:
-            raise ParseError(
-                f"query field 'agents' names agent {agent!r} twice: {keys[agent]!r} and {key!r}"
-            )
-        keys[agent] = key
-        agents[agent] = read_str(variable, "agents", key)
-    constraints = [
-        _clause_from_dict(item, i)
-        for i, item in enumerate(read_list(data.get("constraints", []), "query", "constraints"))
-    ]
-    cost_data = read_object(data.get("cost", {}), "query", "cost", allowed={"kind", "weights"})
-    weights = cost_data.get("weights")
-    # Read here, not in CostModel, so that a bad weight comes before an unknown kind.
-    cost = CostModel(
-        read_str(cost_data.get("kind", COST_COMPOSITE), "cost", "kind"),
-        None if weights is None else _assignment(weights, "query", "cost.weights"),
-    )
-    plausible = None
-    if "plausible" in data:
-        plausible = _allowlist_predicate(read_list(data["plausible"], "query", "plausible"))
-    solver = read_str(data.get("solver", SOLVER_STRUCTURAL), "query", "solver")
-    if solver not in (SOLVER_STRUCTURAL, SOLVER_BASELINE):
-        raise ParseError(f"query field 'solver' names unknown solver {solver!r}")
-    # Every value is read exactly once here, so the query takes them as they are.
-    return RecourseQuery._exact(
-        scm,
-        read_agent(data["principal"], "query", "principal"),
-        agents,
-        _assignment(data["factual"], "query", "factual"),
-        [
-            _assignment(action, f"feasible[{j}]")
-            for j, action in enumerate(read_list(data["feasible"], "query", "feasible"))
-        ],
-        constraints,
-        cost,
-        plausible,
-        read_bool(data.get("exclude_identity", False), "query", "exclude_identity"),
-    ), solver
-
-
-def load_query(path: str | Path) -> tuple[RecourseQuery, str]:
-    path = Path(path)
-    return query_from_dict(load_json_exact(path, "query"), path.parent)
-
-
-def outcome_to_dict(outcome: RecourseOutcome) -> dict:
-    return {
-        "found": True,
-        "action": {name: value_to_json(outcome.action[name]) for name in sorted(outcome.action)},
-        "counterfactual": {n: value_to_json(v) for n, v in outcome.counterfactual.items()},
-        "cost": value_to_json(outcome.cost),
-        "principal": outcome.principal,
-        "per_agent": {
-            str(agent): {
-                "before": value_to_json(d.before),
-                "after": value_to_json(d.after),
-                "delta": value_to_json(d.delta),
-            }
-            for agent, d in outcome.per_agent.items()
-        },
-        "flags": {
-            "principal_improved": outcome.flags.principal_improved,
-            "pareto_violated": outcome.flags.pareto_violated,
-            "welfare_delta": value_to_json(outcome.flags.welfare_delta),
-        },
-    }
+# The query file form and the outcome and audit JSON are in ``files``; their
+# names are still served from here.
+__getattr__ = lazy_names(__name__, "files", (
+    "SOLVER_STRUCTURAL", "SOLVER_BASELINE", "_QUERY_FIELDS", "_assignment", "_clause_from_dict",
+    "_allowlist_predicate", "query_from_dict", "load_query", "outcome_to_dict", "rows_to_json",
+))

@@ -11,12 +11,9 @@ commutative sum, so the report does not depend on game order.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from fractions import Fraction
 from itertools import repeat
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .engine import (
     Clause,
@@ -28,7 +25,7 @@ from .engine import (
     SocialWelfare,
     solve,
 )
-from .errors import InvalidParamsError, ParseError, RecourseError
+from .errors import InvalidParamsError, RecourseError
 # The game log lives in ``gamelog``; its names stay this module's own too, so
 # ``experiment.parse_game_log`` and the other old paths keep working.
 from .gamelog import (  # noqa: F401
@@ -40,7 +37,7 @@ from .gamelog import (  # noqa: F401
 )
 from .games import PayoffMatrix, builtin_matrix, pd_scm
 from .scm import Scm
-from .values import Record, checked_flag, decode_json, read_int, read_object
+from .values import Record, checked_flag, lazy_names
 
 # The clauses each of the paper's recourse modes asks of an action.
 MODE_CLAUSES = dict(
@@ -235,41 +232,12 @@ def _counts_to_dict(counts: OutcomeCounts) -> dict:
     return {name: getattr(counts, name) for name in _COUNT_FIELDS}
 
 
-_COUNT_SET = frozenset(_COUNT_FIELDS)
-_REPORT_FIELDS = frozenset({"overall", "per_matrix"})
-
-
-def _counts_from_dict(raw: Any, scope: str) -> OutcomeCounts:
-    where = f"report JSON counts {scope!r}"
-    data = read_object(
-        raw, where, allowed=_COUNT_SET, required=_COUNT_SET, expected="objects of integers"
-    )
-    counts = {name: read_int(data[name], where, name) for name in _COUNT_FIELDS}
-    return _consistent(OutcomeCounts(**counts), where)
-
-
-# Count -> the count it may not exceed: recommendations answer queries, and
-# each outcome count counts some of the recommendations.
-_COUNT_BOUNDS = {"recommendations": "queries", **dict.fromkeys(_COUNT_FIELDS[3:], "recommendations")}
-
-
-def _consistent(counts: OutcomeCounts, where: str) -> OutcomeCounts:
-    """``counts`` unless one is negative or exceeds its bound; ``where`` names the scope."""
-    values = _counts_to_dict(counts)
-    for name, value in values.items():
-        if value < 0:
-            raise ParseError(f"{where} field {name!r} is negative: {value}")
-    for name, bound in _COUNT_BOUNDS.items():
-        if values[name] > values[bound]:
-            raise ParseError(
-                f"{where} field {name!r} ({values[name]}) exceeds {bound!r} ({values[bound]})"
-            )
-    return counts
-
-
 def render_report(report: ExperimentReport, fmt: str = "table") -> str:
-    """Render to 'table', 'csv', or 'json'; csv and json parse back exactly."""
+    """Render to 'table', 'csv', or 'json'; csv and json parse back exactly
+    (``report_from_csv``, ``report_from_json``)."""
     if fmt == "json":
+        import json
+
         payload = {
             "overall": _counts_to_dict(report.overall),
             "per_matrix": {
@@ -303,45 +271,8 @@ def render_report(report: ExperimentReport, fmt: str = "table") -> str:
     raise InvalidParamsError(f"unknown report format {fmt!r}; use table, csv, or json")
 
 
-def report_from_json(text: str) -> ExperimentReport:
-    data = decode_json(text, "report JSON")
-    data = read_object(data, "report JSON", allowed=_REPORT_FIELDS, required=_REPORT_FIELDS)
-    per_matrix = read_object(data["per_matrix"], "report JSON", "per_matrix")
-    if "overall" in per_matrix:
-        raise ParseError(
-            "report JSON field 'per_matrix' cannot name a matrix 'overall': reports use it for the totals"
-        )
-    return ExperimentReport(
-        overall=_counts_from_dict(data["overall"], "overall"),
-        per_matrix={mid: _counts_from_dict(c, mid) for mid, c in per_matrix.items()},
-    )
-
-
-def report_from_csv(text: str) -> ExperimentReport:
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        if next(reader, None) != ["scope"] + _COUNT_FIELDS:
-            raise ParseError(
-                f"report CSV must start with the header 'scope,{','.join(_COUNT_FIELDS)}'"
-            )
-        scopes: dict[str, OutcomeCounts] = {}
-        for row in reader:
-            if not row:
-                continue
-            try:
-                counts = OutcomeCounts(**dict(zip(_COUNT_FIELDS, map(int, row[1:]), strict=True)))
-            except ValueError:
-                raise ParseError(
-                    f"line {reader.line_num}: expected {len(_COUNT_FIELDS)} integer counts"
-                ) from None
-            _consistent(counts, f"report CSV counts {row[0]!r} (line {reader.line_num})")
-            if row[0] in scopes:
-                raise ParseError(
-                    f"line {reader.line_num}: report CSV gives scope {row[0]!r} more than once"
-                )
-            scopes[row[0]] = counts
-    except csv.Error as exc:  # text the CSV reader cannot split, such as an oversized field
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
-    if "overall" not in scopes:
-        raise ParseError("report CSV has no 'overall' row")
-    return ExperimentReport(overall=scopes.pop("overall"), per_matrix=scopes)
+# The report's file forms are read back in ``files``; their names are still
+# served from here.
+__getattr__ = lazy_names(__name__, "files", (
+    "_counts_from_dict", "_consistent", "report_from_json", "report_from_csv",
+))

@@ -24,16 +24,9 @@ is looked up as it is.  Each declaration also gives its domain on one
 integer scale, numerators over a common denominator (``_integer_scale``),
 from which the solver's cost terms are built as ints.
 
-A model file is read straight into these tuples.  Each variable's domain
-literals are read once, and its value->position map is keyed from them (an
-int literal is its own key).  Each row literal is then mapped to its domain
-position through a per-variable memo that starts as a copy of that map, so
-no table of values is built.  A row is checked and looked up with no
-iterator of its own: a one- or two-parent table unpacks the row's inputs,
-and any other sums position times stride.  Such an equation builds its
-``table`` of values only when asked for it (``scm_to_dict``, equality,
-``repr``).  A table that does not read cleanly this way is built as values,
-and its errors are reported exactly as for a model built in code.
+A model file is read straight into these tuples (``files``).  Such an
+equation builds its ``table`` of values only when asked for it
+(``scm_to_dict``, equality, ``repr``).
 
 All values are exact rationals, and models are immutable after construction.
 """
@@ -44,9 +37,7 @@ import reprlib
 from collections import deque
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
-from operator import getitem, mul
-from pathlib import Path
+from math import lcm
 from typing import Any, Iterable, Mapping, NoReturn
 
 from .errors import (
@@ -56,11 +47,9 @@ from .errors import (
     IncompleteTableError,
     MissingExogenousError,
     NonInvertibleError,
-    ParseError,
     ScmValidationError,
 )
-from .values import Record, as_value, load_json_exact, shown_value, value_to_json
-from .values import read_list, read_object, read_str, read_value, read_values
+from .values import Record, as_value, lazy_names, shown_value
 
 EXOGENOUS = "exogenous"
 ENDOGENOUS = "endogenous"
@@ -531,199 +520,9 @@ def _row_text(row: tuple[Fraction, ...]) -> str:
     return f"[{', '.join(map(shown_value, row))}]"
 
 
-def graph_to_dot(graph: CausalGraph) -> str:
-    """Deterministic DOT text: nodes and edges sorted lexicographically."""
-    lines = ["digraph causal_model {"]
-    for node in sorted(graph.nodes):
-        lines.append(f'    "{node}";')
-    for frm, to in sorted(graph.edges):
-        lines.append(f'    "{frm}" -> "{to}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-# ------------------------------------------------------------------ file I/O
-#
-# Model files are JSON:
-#   {"variables": [{"name": ..., "kind": ..., "domain": [...]}, ...],
-#    "equations": [{"target": ..., "parents": [...],
-#                   "table": [{"in": [...], "out": ...}, ...]}, ...]}
-
-
-_VARIABLE_FIELDS = frozenset({"name", "kind", "domain"})
-_EQUATION_FIELDS = frozenset({"target", "parents", "table"})
-_ROW_FIELDS = frozenset({"in", "out"})
-# The types of JSON literals ``as_value`` reads as numbers.
-_LITERAL_TYPES = frozenset({int, str, Fraction, float})
-
-
-def scm_from_dict(data: Any) -> Scm:
-    """The model a decoded JSON document describes.
-
-    The variables are read first.  Each table is then read straight into the
-    positions ``Scm`` runs on (``_table_positions``); only a table that does
-    not read cleanly that way is built as values, which is where its errors
-    are found and reported.
-    """
-    data = read_object(data, "model", allowed={"variables", "equations"}, required={"variables"})
-    raw_variables = read_list(data["variables"], "model", "variables")
-    equations = read_list(data.get("equations", []), "model", "equations")
-    variables = tuple(_variable_from_dict(item, i) for i, item in enumerate(raw_variables))
-    memos = {
-        decl.name: _PositionMemo(decl) for decl in variables if len(decl._index) == len(decl.domain)
-    }
-    return Scm(
-        variables,
-        tuple(_equation_from_dict(item, i, memos) for i, item in enumerate(equations)),
-    )
-
-
-class _PositionMemo(dict):
-    """Raw JSON literal -> its position in one variable's domain.
-
-    Starts as a copy of the declaration's ``_index``, so an int or ``Fraction``
-    literal is found as it is; any other literal is read by ``as_value`` and
-    looked up on first use.  A literal that is not a number, or whose value is
-    outside the domain, raises KeyError (ValueError for a number literal that
-    is too long).  Only for a domain that repeats no value, so that equal
-    values always share a position.
-    """
-
-    __slots__ = ("domain", "_index")
-
-    def __init__(self, decl: VariableDecl):
-        super().__init__(decl._index)
-        self.domain = decl.domain
-        self._index = decl._index
-
-    def __missing__(self, raw: Any) -> int:
-        position = self[raw] = self._index[_literal_key(raw)]
-        return position
-
-
-def _variable_from_dict(item: Any, index: int) -> VariableDecl:
-    where = f"variables[{index}]"
-    item = read_object(item, where, allowed=_VARIABLE_FIELDS, required=_VARIABLE_FIELDS)
-    name = read_str(item["name"], where, "name")
-    kind = read_str(item["kind"], where, "kind")
-    literals = read_list(item["domain"], where, "domain")
-    try:
-        return VariableDecl(name, kind, literals)
-    except ValueError:
-        read_values(literals, where, "domain")  # the first non-number's ParseError
-        raise
-
-
-def _equation_from_dict(
-    item: Any, index: int, memos: dict[str, _PositionMemo]
-) -> StructuralEquation:
-    where = f"equations[{index}]"
-    item = read_object(item, where, allowed=_EQUATION_FIELDS, required=_EQUATION_FIELDS)
-    target = read_str(item["target"], where, "target")
-    parents = tuple(read_list(item["parents"], where, "parents"))
-    for k, parent in enumerate(parents):
-        if type(parent) is not str:  # its place is written only for the error
-            read_str(parent, f"{where}.parents[{k}]")
-    rows = read_list(item["table"], where, "table")
-    positions = _table_positions(rows, parents, target, memos)
-    if positions is not None:
-        return StructuralEquation._from_positions(target, parents, *positions)
-    return StructuralEquation(target, parents, _read_table(rows, where, len(parents)))
-
-
-def _table_positions(
-    rows: list, parents: tuple[str, ...], target: str, memos: dict[str, _PositionMemo]
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]] | None:
-    """The domains read against and the target's position for each parent row
-    in ``product`` order, read straight from the JSON rows.
-
-    None unless the rows are well formed, hold only numbers, use only
-    declared variables whose domains repeat no value, and give every parent
-    row exactly once with an output in the target's domain.  Such a table has
-    no error that ``_read_table`` or ``Scm`` would report.
-    """
-    try:
-        parent_memos = [memos[name] for name in parents]
-        out_memo = memos[target]
-    except KeyError:
-        return None
-    sizes = [len(memo.domain) for memo in parent_memos]
-    if len(rows) != prod(sizes):
-        return None
-    arity = len(parents)
-    # A row's number in the mixed radix: the sum of position times stride.
-    strides = [prod(sizes[k + 1 :]) for k in range(arity)]
-    first, second = (*parent_memos, None, None)[:2]  # for the unrolled bodies
-    outputs = [-1] * len(rows)
-    # Only literals of a number type are looked up, since a memo hit needs only
-    # equality (True == 1) and a miss is read by as_value.  One and two parents
-    # (every table of the benchmark's chain models and of ``pd_scm``'s file
-    # form) unpack the row's inputs; a wrong arity fails to unpack, with a
-    # ValueError.
-    try:
-        for row in rows:
-            if type(row) is not dict or len(row) != 2:
-                return None
-            ins, out = row["in"], row["out"]  # with two fields, a KeyError unless these
-            if type(ins) is not list or type(out) not in _LITERAL_TYPES:
-                return None
-            if arity == 2:
-                a, b = ins
-                if type(a) not in _LITERAL_TYPES or type(b) not in _LITERAL_TYPES:
-                    return None
-                outputs[first[a] * sizes[1] + second[b]] = out_memo[out]
-            elif arity == 1:
-                (a,) = ins
-                if type(a) not in _LITERAL_TYPES:
-                    return None
-                outputs[first[a]] = out_memo[out]
-            else:
-                if len(ins) != arity or not _LITERAL_TYPES.issuperset(map(type, ins)):
-                    return None
-                outputs[sum(map(mul, map(getitem, parent_memos, ins), strides))] = out_memo[out]
-    except (KeyError, ValueError):
-        return None
-    if -1 in outputs:  # a repeated row leaves another one out
-        return None
-    return (*(memo.domain for memo in parent_memos), out_memo.domain), tuple(outputs)
-
-
-def _read_table(rows: list, where: str, arity: int) -> dict[tuple[Fraction, ...], Fraction]:
-    """The rows as values, each checked in turn; a malformed row is a ParseError."""
-    table: dict[tuple[Fraction, ...], Fraction] = {}
-    for j, row in enumerate(rows):
-        at = f"{where}.table[{j}]"
-        read_object(row, at, allowed=_ROW_FIELDS, required=_ROW_FIELDS)
-        key = read_values(row["in"], at, "in")
-        out = read_value(row["out"], at, "out")
-        if len(key) != arity:
-            raise ParseError(f"{at} has {len(key)} inputs for {arity} parent(s)")
-        size = len(table)
-        table[key] = out
-        if len(table) == size:
-            raise ParseError(f"{at} repeats inputs {row['in']}")
-    return table
-
-
-def scm_to_dict(scm: Scm) -> dict:
-    return {
-        "variables": [
-            {"name": d.name, "kind": d.kind, "domain": [value_to_json(v) for v in d.domain]}
-            for d in scm.variables
-        ],
-        "equations": [
-            {
-                "target": eq.target,
-                "parents": list(eq.parents),
-                "table": [
-                    {"in": [value_to_json(v) for v in key], "out": value_to_json(out)}
-                    for key, out in sorted(eq.table.items())
-                ],
-            }
-            for eq in scm.equations
-        ],
-    }
-
-
-def load_scm(path: str | Path) -> Scm:
-    return scm_from_dict(load_json_exact(path, "model"))
+# The model file form is in ``files``; its names are still served from here.
+__getattr__ = lazy_names(__name__, "files", (
+    "_VARIABLE_FIELDS", "_EQUATION_FIELDS", "_ROW_FIELDS", "_LITERAL_TYPES", "scm_from_dict",
+    "_PositionMemo", "_variable_from_dict", "_equation_from_dict", "_table_positions", "_read_table",
+    "scm_to_dict", "load_scm", "graph_to_dot",
+))

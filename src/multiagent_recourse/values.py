@@ -7,17 +7,20 @@ Every literal of a model, query, log or matrix becomes one through
 Floats only appear at parse boundaries and are read by their decimal literal
 (``0.1`` means 1/10, not its binary expansion).
 
-The base classes of the package's record types live here too.
+The base classes of the package's record types live here too, and
+``lazy_names``, through which a module serves the names that moved out of it.
+The readers of JSON fields (``read_object`` and the rest) are in ``files``.
 """
 
 from __future__ import annotations
 
-import json
+import importlib
 import reprlib
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import AbstractSet, Any, Callable, NoReturn
+from typing import Any, Callable, Iterable, NoReturn
 
 from .errors import ParseError, ValueRangeError
 
@@ -193,33 +196,6 @@ def value_to_json(v: Fraction) -> int | str:
     return _writable(v.numerator) if v.denominator == 1 else format_value(v)
 
 
-def _json_int(text: str) -> int:
-    return int(bounded_literal(text))
-
-
-def decode_json(text: str, where: str, **options: Any) -> Any:
-    """``json.loads(text, **options)``; a document that does not decode is a
-    ParseError that ``where`` names.
-
-    A JSON integer of more than MAX_LITERAL_DIGITS digits is refused with
-    ``bounded_literal``'s message.  Only a document that fails is read again
-    with each integer checked: a ``parse_int`` on every read would double the
-    decoding time of a model.
-    """
-    try:
-        try:
-            return json.loads(text, **options)
-        except json.JSONDecodeError:
-            raise
-        except ValueError:
-            json.loads(text, parse_int=_json_int, **options)
-            raise
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: line {exc.lineno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # a number beyond the digit limit, or deep nesting
-        raise ParseError(f"{where}: {exc}") from exc
-
-
 def read_file(path: Path, noun: str, newline: str | None = None) -> str:
     """The text of ``path``, read as UTF-8 with ``open``'s ``newline`` (CSV
     readers pass "", so that a line break in a quoted field reads back as it
@@ -232,83 +208,6 @@ def read_file(path: Path, noun: str, newline: str | None = None) -> str:
         raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
 
 
-def load_json_exact(path: str | Path, noun: str) -> Any:
-    """Read a JSON file, float literals as exact Fractions; ``noun`` names it in errors."""
-    path = Path(path)
-    return decode_json(read_file(path, noun), str(path), parse_float=as_value)
-
-
-# ------------------------------------------------------------- JSON fields
-#
-# Readers for the fields of decoded JSON documents.  ``where`` names the object
-# ("query", "variables[2]") and ``field`` the field in it, or ``where`` alone the
-# value itself; a value of the wrong kind is a ParseError naming that place.
-
-
-def _place(where: str, field: str | None) -> str:
-    return where if field is None else f"{where} field {field!r}"
-
-
-def _reject(raw: Any, where: str, field: str | None, expected: str) -> NoReturn:
-    raise ParseError(f"{_place(where, field)} must be {expected}, got {reprlib.repr(raw)}")
-
-
-def read_object(
-    raw: Any,
-    where: str,
-    field: str | None = None,
-    *,
-    allowed: AbstractSet[str] | None = None,
-    required: AbstractSet[str] = frozenset(),
-    expected: str = "an object",
-) -> dict:
-    """A JSON object with every ``required`` field and, given ``allowed``, no other."""
-    if not isinstance(raw, dict):
-        _reject(raw, where, field, expected)
-    keys = raw.keys()
-    if keys == required:  # the usual case for an object whose fields are all required
-        return raw
-    if allowed is not None and not keys <= allowed:
-        unknown = ", ".join(sorted(map(str, keys - allowed)))
-        raise ParseError(f"{_place(where, field)} has unknown field(s): {unknown}")
-    if not keys >= required:
-        raise ParseError(f"{_place(where, field)} is missing field {min(required - keys)!r}")
-    return raw
-
-
-def _reader(kind: type, expected: str) -> Callable[..., Any]:
-    def read(raw: Any, where: str, field: str | None = None) -> Any:
-        return raw if type(raw) is kind else _reject(raw, where, field, expected)
-
-    return read
-
-
-read_list = _reader(list, "a list")
-read_str = _reader(str, "a string")
-read_bool = _reader(bool, "true or false")
-read_int = _reader(int, "an integer")  # exact type: a bool is not an integer
-
-
-def read_value(raw: Any, where: str, field: str | None = None) -> Fraction:
-    """An exact value, read by ``as_value``; a non-number is a ParseError naming the place."""
-    try:
-        return as_value(raw)
-    except ValueError as exc:
-        raise ParseError(f"{_place(where, field)}: {exc}") from None
-
-
-def read_values(raw: Any, where: str, field: str | None = None) -> tuple:
-    """A JSON list of exact values, each read once by ``as_value``; the first
-    non-number is read again by ``read_value`` for its ParseError."""
-    items = read_list(raw, where, field)
-    try:
-        return tuple(map(as_value, items))
-    except ValueError:
-        for item in items:
-            read_value(item, where, field)
-        raise
-
-
 def checked_flag(record: Record, field: str, raw: Any, error: type[Exception]) -> bool:
     """``raw`` if it is a bool, never read by its truth value; else ``error``."""
     if type(raw) is not bool:
@@ -317,11 +216,20 @@ def checked_flag(record: Record, field: str, raw: Any, error: type[Exception]) -
     return raw
 
 
-def read_agent(raw: Any, where: str, field: str | None = None) -> int | str:
-    """A JSON integer, or a string; ``"-2"`` and ``-2`` name the same agent."""
-    if isinstance(raw, str):
-        return int(read_value(raw, where, field)) if raw.removeprefix("-").isdecimal() else raw
-    return raw if type(raw) is int else _reject(raw, where, field, "an integer or a string")
+def lazy_names(module: str, home: str, names: Iterable[str]) -> Callable[[str], Any]:
+    """A module ``__getattr__`` (PEP 562) that serves ``names`` from the sibling
+    module ``home``, imported on first access, and binds each into ``module``
+    so that a later read is a plain attribute read."""
+    served = frozenset(names)
+
+    def __getattr__(name: str) -> Any:
+        if name not in served:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__package__}.{home}"), name)
+        setattr(sys.modules[module], name, value)
+        return value
+
+    return __getattr__
 
 
 # ----------------------------------------------------------------- records
@@ -373,3 +281,9 @@ class FrozenRecord(Record):
 
     def __reduce__(self) -> tuple:  # copy and pickle through __init__, not by assignment
         return self.__class__, self._key()
+
+
+__getattr__ = lazy_names(__name__, "files", (
+    "_json_int", "decode_json", "load_json_exact", "_place", "_reject", "read_object", "_reader",
+    "read_list", "read_str", "read_bool", "read_int", "read_value", "read_values", "read_agent",
+))

@@ -184,6 +184,13 @@ class TestSolve:
                 small_model_with(("equations", 0, "target"), "ghost"),
                 "error: equation targets undeclared variable 'ghost'",
             ),
+            ("plausible", [{"x1": 0}, {"ghost": 1}], "error: plausible[1]: unknown variable 'ghost'"),
+            ("plausible", [{"x1": 7}], "error: plausible[0]: value 7 is outside the domain of 'x1'"),
+            (
+                "cost",
+                {"kind": "weighted", "weights": {"ghost": 1}},
+                "error: cost weight names undeclared variable 'ghost'",
+            ),
         ],
         ids=[
             "factual-list",
@@ -215,6 +222,9 @@ class TestSolve:
             "agents-empty",
             "kind-unknown",
             "target-undeclared",
+            "plausible-undeclared",
+            "plausible-outside",
+            "weight-undeclared",
         ],
     )
     def test_malformed_query_field_exit_1(self, workdir, capsys, field, value, message):
@@ -540,6 +550,23 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["experiment", "generate"])
+    @pytest.mark.parametrize(
+        "n, silent",
+        [
+            ("1_0", "3"), ("10", "\u0663"), ("\uff11\uff10", "3"), (" 10", "3"), ("10\n", "3"),
+            ("+10", "3"), ("--1", "3"), ("", "3"), ("-", "3"), ("1e1", "3"),
+        ],
+        ids=["underscore", "arabic-indic", "fullwidth", "space", "newline", "plus", "double-minus",
+             "empty", "minus-only", "exponent"],
+    )
+    def test_synthetic_counts_are_ascii_integers(self, capsys, command, n, silent):
+        # int() alone would read the first six as n=10 or silent=3.
+        key = "silent" if silent != "3" else "n"
+        assert main([command, "--synthetic", f"n={n}", f"silent={silent}", "--matrix", "table2"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --synthetic {key} must be an integer\n")
 
     # An empty mix cannot be spelled here: --matrix "" names the matrix "".
     @pytest.mark.parametrize(

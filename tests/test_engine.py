@@ -358,6 +358,21 @@ class TestQueryValidation:
         with pytest.raises(mr.InvalidQueryError):
             mr.solve(query)
 
+    @pytest.mark.parametrize("solver", [mr.solve, mr.solve_cfe_baseline, mr.enumerate_feasible])
+    def test_cost_weight_must_name_a_declared_variable(self, pd1, solver):
+        # Unlisted variables weigh 1, so a weight for no variable would be ignored.
+        query = pd_query(
+            pd1,
+            principal=1,
+            factual={"x1": 0, "x2": 0},
+            feasible=[{}],
+            constraints=[],
+            cost=mr.CostModel("weighted", {"x1": 2, "ghost": 1}),
+        )
+        with pytest.raises(mr.DomainError) as info:
+            solver(query)
+        assert str(info.value) == "cost weight names undeclared variable 'ghost'"
+
     def test_feasible_action_must_be_in_domain(self, pd1):
         query = pd_query(
             pd1,
@@ -708,6 +723,23 @@ class TestFileForms:
         data["plausible"] = [{"x1": 0, "x2": 0}, {"x1": 0, "x2": 1}]
         query, _ = mr.query_from_dict(data)
         assert mr.solve(query) is None  # counterfactual (1,1) is not allowed
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"ghost": 1}, "plausible[1]: unknown variable 'ghost'"),
+            ({"x1": 7}, "plausible[1]: value 7 is outside the domain of 'x1'"),
+            ({"h1": "7/2", "x2": "1/2"}, "plausible[1]: value 0.5 is outside the domain of 'x2'"),
+        ],
+        ids=["undeclared", "outside", "outside-after-a-match"],
+    )
+    def test_allowlist_entries_name_declared_values(self, entry, message):
+        # Such an entry admits no state; it is refused where the list is read.
+        data = self.query_data()
+        data["plausible"] = [{"x1": 0, "x2": 0}, entry]
+        with pytest.raises(mr.DomainError) as info:
+            mr.query_from_dict(data)
+        assert str(info.value) == message
 
     def test_unknown_field(self):
         data = self.query_data()

@@ -40,6 +40,34 @@ def test_each_name_is_its_modules_attribute():
     assert mr.__version__ == "0.1.0"
 
 
+# Every name the file forms module took over, by the module that defined it before.
+MOVED = {
+    "values": """_json_int decode_json load_json_exact _place _reject read_object _reader read_list
+        read_str read_bool read_int read_value read_values read_agent""",
+    "scm": """_VARIABLE_FIELDS _EQUATION_FIELDS _ROW_FIELDS _LITERAL_TYPES scm_from_dict _PositionMemo
+        _variable_from_dict _equation_from_dict _table_positions _read_table scm_to_dict load_scm
+        graph_to_dot""",
+    "engine": """SOLVER_STRUCTURAL SOLVER_BASELINE _QUERY_FIELDS _assignment _clause_from_dict
+        _allowlist_predicate query_from_dict load_query outcome_to_dict rows_to_json""",
+    "experiment": "_counts_from_dict _consistent report_from_json report_from_csv",
+}
+
+
+def test_each_moved_name_is_served_by_its_old_module():
+    from multiagent_recourse import files
+    from multiagent_recourse.scm import scm_from_dict
+
+    assert scm_from_dict is files.scm_from_dict
+    for module, names in MOVED.items():
+        old = importlib.import_module(f"multiagent_recourse.{module}")
+        for name in names.split():
+            assert getattr(old, name) is getattr(files, name), f"{module}.{name}"
+        # Each module serves only its own names.
+        others = {name for other, names in MOVED.items() if other != module for name in names.split()}
+        assert not any(hasattr(old, name) for name in others - set(names.split())), module
+        assert not hasattr(old, "no_such_name")
+
+
 def test_star_import_and_dir_list_every_name():
     namespace = {}
     exec("from multiagent_recourse import *", namespace)

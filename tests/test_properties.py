@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multiagent_recourse as mr
-from multiagent_recourse import engine, scm as scm_module
+from multiagent_recourse import engine, files, scm as scm_module
 from multiagent_recourse.experiment import ALLOWED_DELTAS
 import oracle
 from conftest import build_scm_from_plain, plain_clauses_to_engine
@@ -464,7 +464,7 @@ def test_model_reader_matches_the_value_path(arity, seed):
     # that reading it as values (_read_table, StructuralEquation, Scm) gives.
     document = random_table_document(random.Random(seed), arity)
     fast = read_or_error(document)
-    with mock.patch.object(scm_module, "_table_positions", return_value=None):
+    with mock.patch.object(files, "_table_positions", return_value=None):
         slow = read_or_error(document)
     assert type(fast) is type(slow)
     if isinstance(slow, mr.Scm):
@@ -1358,7 +1358,7 @@ def random_baseline_query(rng):
             {n: v for n, v in scm.evaluate({u: rng.choice(scm.domain(u)) for u in exogenous}).items() if rng.random() < 0.4}
             for _ in range(rng.randint(1, 4))
         ]
-        plausible = engine._allowlist_predicate(entries)
+        plausible = engine._allowlist_predicate(entries, scm)
     return mr.RecourseQuery(
         scm, principal, agents, factual, feasible, constraints, random_cost(rng, names), plausible,
         rng.random() < 0.4,

@@ -32,51 +32,75 @@ def test_cli_import_loads_no_dataclasses():
 
 
 LOADED_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 
 def loaded():
-    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("multiagent_recourse."))
+    # The package's submodules, then "json" if the standard json module is loaded.
+    names = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("multiagent_recourse."))
+    return names + ["json"] * ("json" in sys.modules)
 
-steps = {}
-import multiagent_recourse as mr
-steps["package"] = loaded()
-mr.parse_game_log
-steps["log name"] = loaded()
-import multiagent_recourse.cli as cli
-steps["cli"] = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    for command in ("solve", "experiment", "generate", "graph"):
-        assert cli.main([command, "--help"]) == 0
-steps["help"] = loaded()
+def run(*args):
+    import multiagent_recourse.cli as cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(args)) == 0, args
+
 paper = ["--synthetic", "n=3294", "silent=434", "--matrix", "table2", "--seed", "1"]
-assert cli.main(["generate", *paper, "-o", "log.csv"]) == 0
-steps["generate"] = loaded()
-assert cli.main(["solve", sys.argv[1], "-o", "outcome.json"]) == 0
-steps["solve"] = loaded()
-print(json.dumps(steps))
+query, model = sys.argv[1:3]
+steps = {
+    "package": lambda: __import__("multiagent_recourse"),
+    "log name": lambda: __import__("multiagent_recourse").parse_game_log,
+    "cli": lambda: __import__("multiagent_recourse.cli"),
+    "help": lambda: [run(command, "--help") for command in ("solve", "experiment", "generate", "graph")],
+    "generate": lambda: run("generate", *paper, "-o", "log.csv"),
+    "experiment table": lambda: run("experiment", *paper, "-o", "report.txt"),
+    "experiment json": lambda: run("experiment", *paper, "--format", "json", "-o", "report.json"),
+    "solve": lambda: run("solve", query, "-o", "outcome.json"),
+    "graph": lambda: run("graph", model, "-o", "model.dot"),
+}
+seen = {}
+for step in sys.argv[3:]:
+    steps[step]()
+    seen[step] = loaded()
+import json
+print(json.dumps(seen))
 """
 
 
-def test_generate_loads_no_model_code(tmp_path):
-    # Each command imports the modules it runs: argument parsing and
-    # ``generate`` need only the game log, and ``solve`` no game code.
+def loaded_after(tmp_path, *steps):
+    """What a fresh interpreter has loaded after each of ``steps`` (``LOADED_SCRIPT``)."""
     src = Path(mr.__file__).resolve().parents[1]
-    golden = Path(__file__).parent / "data" / "solve" / "structural.json"
+    data = Path(__file__).parent / "data" / "solve"
     result = subprocess.run(
-        [sys.executable, "-c", LOADED_SCRIPT, str(golden)],
+        [sys.executable, "-c", LOADED_SCRIPT, str(data / "structural.json"),
+         str(data / "pd_table2_model.json"), *steps],
         env={**os.environ, "PYTHONPATH": str(src)},
         cwd=tmp_path,
         capture_output=True,
         text=True,
         check=True,
     )
-    steps = json.loads(result.stdout)
+    return json.loads(result.stdout)
+
+
+def test_generate_loads_no_model_code(tmp_path):
+    # Each command imports the modules it runs: argument parsing and
+    # ``generate`` need only the game log, ``experiment`` no file forms, and
+    # ``solve`` and ``graph`` no game code.  ``json`` loads only where JSON is
+    # read or written.
+    steps = loaded_after(
+        tmp_path, "package", "log name", "cli", "help", "generate", "experiment table", "experiment json"
+    )
     log_only = ["errors", "gamelog", "values"]
     assert steps["package"] == []
     assert steps["log name"] == log_only
     assert steps["cli"] == steps["help"] == steps["generate"] == ["cli", *log_only]
-    assert {"engine", "scm"} <= set(steps["solve"])
-    assert not {"games", "experiment"} & set(steps["solve"])
+    model_code = ["cli", "engine", "errors", "experiment", "gamelog", "games", "scm", "values"]
+    assert steps["experiment table"] == model_code
+    assert steps["experiment json"] == [*model_code, "json"]
+    for command in ("solve", "graph"):
+        loaded = loaded_after(tmp_path, command)[command]
+        assert {"engine", "files", "scm", "json"} <= set(loaded), command
+        assert not {"games", "experiment"} & set(loaded), command
 
 
 def admit_all(state):
