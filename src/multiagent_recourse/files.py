@@ -4,7 +4,9 @@ Only the commands that read or write these (``solve`` and ``graph``) and
 library callers load this module; ``experiment`` and ``generate`` never do.
 Every name here is still served through the module it used to live in
 (``scm.scm_from_dict``, ``engine.load_query``, ``values.read_object``,
-``experiment.report_from_json`` ...), as the same object.
+``experiment.report_from_json`` ...), as the same object.  The query types
+are imported from ``engine`` where a query is read, so ``graph`` loads no
+``engine``.
 
 A model file is read straight into the position tuples ``Scm`` runs on.  Each
 variable's domain literals are read once, and its value->position map is
@@ -32,13 +34,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, NoReturn, Sequence
 
 from . import scm, values
-from .engine import _CLAUSE_KINDS, COST_COMPOSITE, AgentId, Clause, CostModel, FeasibleRow
-from .engine import RecourseOutcome, RecourseQuery, Threshold
 from .errors import DomainError, ParseError
 from .scm import Assignment, CausalGraph, Scm, StructuralEquation, VariableDecl, _literal_key
 from .values import bounded_literal, read_file, value_to_json
 
 if TYPE_CHECKING:
+    from .engine import AgentId, Clause, FeasibleRow, RecourseOutcome, RecourseQuery
     from .experiment import ExperimentReport, OutcomeCounts
 
 # ------------------------------------------------------------- JSON fields
@@ -392,6 +393,8 @@ def _assignment(raw: Any, where: str, field: str | None = None) -> dict[str, Fra
 
 
 def _clause_from_dict(item: Any, index: int) -> Clause:
+    from .engine import _CLAUSE_KINDS, Threshold
+
     where = f"constraints[{index}]"
     item = read_object(item, where, allowed={"kind", "strict", "agent", "t"}, required={"kind"})
     kind = read_str(item["kind"], where, "kind")
@@ -437,6 +440,8 @@ def _allowlist_predicate(entries: list, model: Scm) -> Callable[[Assignment], bo
 
 def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuery, str]:
     """Build a query from its JSON form; returns (query, solver mode)."""
+    from .engine import COST_COMPOSITE, CostModel, RecourseQuery
+
     required = {"principal", "agents", "factual", "feasible"}
     data = read_object(data, "query", allowed=_QUERY_FIELDS, required=required)
     if ("scm" in data) == ("scm_file" in data):

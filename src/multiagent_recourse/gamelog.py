@@ -20,7 +20,7 @@ from math import ceil
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError, InvalidParamsError, ParseError
+from .errors import DomainError, InvalidParamsError, ParseError, RecourseError
 from .values import Record, as_value, format_value, read_file
 
 BETRAY = 1
@@ -67,6 +67,7 @@ class GameRecord(Record):
 # One row per round; delta is empty for control rows.
 
 _LOG_HEADER = ["game_id", "matrix_id", "group", "delta", "round", "p1_action", "p2_action"]
+_LOG_HEADER_LINE = ",".join(_LOG_HEADER)
 
 
 def parse_game_log(source: str | Path) -> list[GameRecord]:
@@ -92,14 +93,21 @@ def parse_game_log_text(text: str) -> list[GameRecord]:
     row is checked for an empty id, a changed head and a repeated round.  A
     game whose rounds arrive out of order, or start past round 1, is sorted
     and checked for gaps after the last row, in first-seen game order.
+
+    A text with no quote, CR or NUL is first read line by line
+    (``_plain_records``); a text that path declines, every bad log included,
+    is read by ``csv.reader``, which reports its errors.
     """
+    records = _plain_records(text)
+    if records is not None:
+        return records
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:
             raise ParseError("log is empty; expected a header line")
         if header != _LOG_HEADER:
-            raise ParseError(f"log header must be '{','.join(_LOG_HEADER)}'")
+            raise ParseError(f"log header must be '{_LOG_HEADER_LINE}'")
         records: list[GameRecord] = []
         # Game id -> [head, rounds, round -> actions once its rounds come out of order].
         games: dict[str, list] = {}
@@ -155,7 +163,51 @@ def parse_game_log_text(text: str) -> list[GameRecord]:
     return records
 
 
-def _checked_tail(tail: tuple[str, ...], lineno: int, heads: dict[tuple, tuple]) -> tuple:
+def _plain_records(text: str) -> list[GameRecord] | None:
+    """The records of ``text`` as ``parse_game_log_text`` reads them, from
+    lines split at "\n" and fields at ",", or None for a text this cannot
+    vouch for: one that holds a quote, CR or NUL, or has a line the CSV loop
+    would refuse, skip as blank or sort (a round not one past the game's
+    last), or a field it might find over its size limit."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[0] != _LOG_HEADER_LINE:
+        return None
+    if not lines[-1]:
+        del lines[-1]  # the text after the last line end
+    limit = csv.field_size_limit()
+    records: list[GameRecord] = []
+    games: dict[str, tuple] = {}  # game id -> (head, rounds)
+    tails: dict[str, tuple] = {}  # row text after the game id -> (head, round, actions)
+    heads: dict[tuple, tuple] = {}
+    for line in lines[1:]:
+        game_id, _, tail = line.partition(",")
+        checked = tails.get(tail)
+        if checked is None:
+            fields = tail.split(",")
+            if len(fields) != len(_LOG_HEADER) - 1 or len(tail) > limit:
+                return None
+            try:
+                checked = tails[tail] = _checked_tail(fields, 0, heads)
+            except RecourseError:
+                return None
+        head, round_no, actions = checked
+        game = games.get(game_id)
+        if game is None:
+            if round_no != 1 or not game_id or len(game_id) > limit:
+                return None
+            record = GameRecord(game_id, *head, [actions])
+            records.append(record)
+            games[game_id] = head, record.rounds
+        elif game[0] is head and round_no == len(game[1]) + 1:
+            game[1].append(actions)
+        else:
+            return None
+    return records
+
+
+def _checked_tail(tail: Sequence[str], lineno: int, heads: dict[tuple, tuple]) -> tuple:
     """(head, round number, action pair) of a log row whose fields after the
     game id are ``tail``; ``heads`` gives each distinct head one tuple."""
     matrix_id, group, delta_text, round_text, p1_text, p2_text = tail

@@ -9,9 +9,14 @@ same bad tail on two lines, or a good tail read once and then met again in a
 game that breaks later.  The reader must give equal records, or the same
 error type and message.
 
-The tier-1 run draws a few hundred cases; to draw more:
+A second generator writes plain logs, which the reader's line path
+(``gamelog._plain_records``) reads unless a break or an over-limit line
+sends them to ``csv.reader``: "\n" line ends only, and ids with no comma,
+quote, CR, LF or NUL, so that no field is quoted.
 
-    PYTHONPATH=src:tests python3 -c "import test_log_reader as t; t.fuzz(20000)"
+The tier-1 run draws a few hundred cases of each; to draw more:
+
+    PYTHONPATH=src:tests python3 -c "import test_log_reader as t; t.fuzz(20000); t.fuzz(20000, t.check_plain)"
 """
 
 from __future__ import annotations
@@ -19,17 +24,21 @@ from __future__ import annotations
 import csv
 import io
 import random
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import log_reference
 import multiagent_recourse as mr
+from multiagent_recourse import gamelog
 from multiagent_recourse.experiment import ALLOWED_DELTAS
 
 SEEDS = st.integers(min_value=0, max_value=10**9)
 
 HEADER = ["game_id", "matrix_id", "group", "delta", "round", "p1_action", "p2_action"]
+HEADER_LINE = ",".join(HEADER) + "\n"
 GAME_IDS = ["g{}", "g,{}", 'g "{}"', "g\n{}", "g\r\n{}", " g{} ", "{}"]
 MATRIX_IDS = ["table1", "table2", "my, matrix", 'say "t"', "t\n1", ""]
 DELTA_SPELLINGS = {"0": ["0", "0.0", " 0", "-0"], "1/2": ["1/2", "0.5", "2/4"], "3/4": ["3/4", "0.75 "]}
@@ -185,9 +194,62 @@ def test_reader_agrees_with_the_frozen_reference(seed):
     check(seed)
 
 
-def fuzz(n: int) -> None:
-    """``n`` more cases of the property above, drawn by Hypothesis."""
-    settings(max_examples=n, deadline=None, database=None)(given(SEEDS)(check))()
+def fuzz(n: int, case=check) -> None:
+    """``n`` more cases of a property here (``check`` or ``check_plain``), drawn by Hypothesis."""
+    settings(max_examples=n, deadline=None, database=None)(given(SEEDS)(case))()
+
+
+def plain_log(seed: int) -> str:
+    """A log of ``good_rows`` broken by ``break_rows``, with no character
+    that a CSV writer quotes in its ids, written with "\n" line ends and
+    sometimes a blank line, a missing last line end, or a field near the CSV
+    reader's limit."""
+    rng = random.Random(seed)
+    rows = good_rows(rng)
+    break_rows(rng, rows)
+    for row in rows:
+        row[:2] = [re.sub('[,"\r\n\0]', "_", field) for field in row[:2]]
+    limit = csv.field_size_limit()
+    odd = rng.random()
+    if rows and odd < 0.08:  # a long field in every row of one game
+        j, long_field = [
+            (0, "g" * (limit + 1)),  # an id over the limit
+            (0, "g" * limit),  # an id at the limit
+            (1, "t" * (limit + 1)),  # a matrix id over the limit
+            (1, "t" * (limit - 10)),  # fields under the limit whose tail is over it
+        ][int(odd / 0.02)]
+        game_id = rng.choice(rows)[0]
+        for row in rows:
+            if row[0] == game_id:
+                row[j] = long_field
+    elif odd < 0.1:  # a line of one field over the limit
+        rows.insert(rng.randint(0, len(rows)), ["x" * (limit + 1)])
+    if rng.random() < 0.01:
+        return ""
+    out = io.StringIO()
+    if rng.random() < 0.97:
+        out.write(HEADER_LINE)
+    elif rng.random() < 0.5:
+        out.write("game_id,matrix_id,group\n")
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        if rng.random() < 0.03:
+            out.write("\n")
+        writer.writerow(row)
+    text = out.getvalue()
+    assert not any(c in text for c in '"\r\0')
+    return text[:-1] if rng.random() < 0.1 else text
+
+
+def check_plain(seed: int) -> None:
+    text = plain_log(seed)
+    assert read(mr.parse_game_log_text, text) == read(log_reference.parse_game_log_text, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(SEEDS)
+def test_reader_agrees_with_the_frozen_reference_on_plain_logs(seed):
+    check_plain(seed)
 
 
 # A phrase of each error the reader raises.
@@ -210,3 +272,68 @@ def test_the_breaks_reach_every_check():
         else:
             seen.update(phrase for phrase in ERRORS if phrase in outcome[1])
     assert seen == {"records", "no records", *ERRORS}
+
+
+def test_the_plain_breaks_reach_every_check():
+    """Plain logs raise each error a log without quotes, CR or NUL can, and
+    are read whole by the line path and, declined by it, by ``csv.reader``."""
+    seen = set()
+    for seed in range(600):
+        text = plain_log(seed)
+        outcome = read(log_reference.parse_game_log_text, text)
+        assert read(mr.parse_game_log_text, text) == outcome
+        if isinstance(outcome, list):
+            seen.add("records" if outcome else "no records")
+            seen.add("csv path" if gamelog._plain_records(text) is None else "line path")
+        else:
+            seen.update(phrase for phrase in ERRORS if phrase in outcome[1])
+    assert seen == {"records", "no records", "line path", "csv path", *ERRORS}
+
+
+def mixed_log(seed: int) -> str:
+    """A log shaped like the benchmark's: one-round and repeated games, test
+    and control, in game order over four matrices."""
+    rng = random.Random(seed)
+    records = []
+    for i in range(400):
+        group = rng.choice(["test", "control"])
+        n_rounds = rng.choice([1, 1, rng.randint(2, 12)])
+        records.append(mr.GameRecord(
+            f"m{i:06d}", rng.choice(["table1", "table2", "table3", "custom"]), group,
+            rng.choice(ALLOWED_DELTAS) if group == "test" else None,
+            [(rng.randrange(2), rng.randrange(2)) for _ in range(n_rounds)],
+        ))
+    return mr.write_game_log(records)
+
+
+def test_plain_logs_take_the_line_path(monkeypatch):
+    texts = [mr.synthetic_log_text(300, 40, {"table1": "1/3", "table2": "2/3"}, 7), mixed_log(7)]
+    expected = [log_reference.parse_game_log_text(text) for text in texts]
+    assert all(expected)
+
+    def refuse(*args):
+        raise AssertionError("csv.reader called")
+
+    monkeypatch.setattr(gamelog.csv, "reader", refuse)
+    assert [mr.parse_game_log_text(text) for text in texts] == expected
+
+
+@pytest.mark.parametrize("text", [
+    HEADER_LINE + '"g1",table1,test,0,1,0,1\n',
+    (HEADER_LINE + "g1,table1,test,1/2,1,0,1\ng1,table1,test,1/2,2,1,1\n").replace("\n", "\r\n"),
+    HEADER_LINE + "g\r1,table1,test,0,1,0,1\n",
+    HEADER_LINE + "g\0,table1,test,0,1,0,1\n",
+    HEADER_LINE + "g1,table1,control,,2,0,1\ng1,table1,control,,1,1,1\n",
+], ids=["quoted id", "CRLF", "CR in an id", "NUL", "rounds out of order"])
+def test_other_logs_are_read_by_csv_reader(monkeypatch, text):
+    expected = read(log_reference.parse_game_log_text, text)
+    calls = []
+
+    def reader(*args):
+        calls.append(args)
+        return csv_reader(*args)
+
+    csv_reader = csv.reader
+    monkeypatch.setattr(gamelog.csv, "reader", reader)
+    assert read(mr.parse_game_log_text, text) == expected
+    assert len(calls) == 1

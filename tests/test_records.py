@@ -84,9 +84,9 @@ def loaded_after(tmp_path, *steps):
 
 def test_generate_loads_no_model_code(tmp_path):
     # Each command imports the modules it runs: argument parsing and
-    # ``generate`` need only the game log, ``experiment`` no file forms, and
-    # ``solve`` and ``graph`` no game code.  ``json`` loads only where JSON is
-    # read or written.
+    # ``generate`` need only the game log, ``experiment`` no file forms,
+    # ``solve`` and ``graph`` no game code, and ``graph`` no query code.
+    # ``json`` loads only where JSON is read or written.
     steps = loaded_after(
         tmp_path, "package", "log name", "cli", "help", "generate", "experiment table", "experiment json"
     )
@@ -97,10 +97,11 @@ def test_generate_loads_no_model_code(tmp_path):
     model_code = ["cli", "engine", "errors", "experiment", "gamelog", "games", "scm", "values"]
     assert steps["experiment table"] == model_code
     assert steps["experiment json"] == [*model_code, "json"]
-    for command in ("solve", "graph"):
-        loaded = loaded_after(tmp_path, command)[command]
-        assert {"engine", "files", "scm", "json"} <= set(loaded), command
-        assert not {"games", "experiment"} & set(loaded), command
+    solve, graph = (set(loaded_after(tmp_path, command)[command]) for command in ("solve", "graph"))
+    assert {"engine", "files", "scm", "json"} <= solve
+    assert {"files", "scm", "json"} <= graph
+    assert not {"games", "experiment"} & (solve | graph)
+    assert "engine" not in graph
 
 
 def admit_all(state):
