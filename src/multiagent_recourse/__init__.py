@@ -28,10 +28,10 @@ _NAMES = {
         "VariableDecl",
     ),
     "engine": (
-        "AgentDelta", "AgentId", "Clause", "CostModel", "FeasibleRow", "OutcomeFlags", "Pareto",
-        "Plausible", "PrincipalImprovement", "RecourseOutcome", "RecourseQuery",
-        "SocialWelfare", "Threshold", "classify", "clause_label", "enumerate_feasible", "solve",
-        "solve_cfe_baseline",
+        "AgentDelta", "AgentId", "AllowList", "Clause", "CostModel", "FeasibleRow",
+        "OutcomeFlags", "Pareto", "Plausible", "PrincipalImprovement", "RecourseOutcome",
+        "RecourseQuery", "SocialWelfare", "Threshold", "classify", "clause_label",
+        "enumerate_feasible", "solve", "solve_cfe_baseline",
     ),
     "files": (
         "graph_to_dot", "load_query", "load_scm", "outcome_to_dict", "query_from_dict",

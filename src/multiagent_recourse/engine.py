@@ -14,11 +14,15 @@ weights' numerators and denominators, with no ``Fraction`` arithmetic.
 The reported cost is the ranking's own value, made exact.
 Values are mapped to positions through maps keyed by ``int`` for integral
 values (``scm._key``), and each literal of a query file is read once
-(``files``).
+(``files``); a structural query file's actions are read straight to
+positions, which ranking takes while the query's actions are as read.
 Candidates are then predicted
 in rank order, each as a pin overlay on the model's compiled index tables (no
 mutilated model is built), and the first whose clauses all hold is returned;
-only its state is turned back into values.  ``enumerate_feasible`` shares the
+only its state is turned back into values.  Prediction does no ``Fraction``
+arithmetic either: the clauses compare the agents' outcomes as ints on one
+scale, and an allow-list (``AllowList``) is checked on the state's positions.
+``enumerate_feasible`` shares the
 ranking and predicts every candidate for its audit table.
 ``solve_cfe_baseline`` is the deliberately naive additive variant: it shifts
 the named features in place, re-predicts only the agents' outcome models from
@@ -73,6 +77,13 @@ class Threshold(FrozenRecord):
         value = after[self.agent]
         return value > self.t if self.strict else value >= self.t
 
+    def _on_scale(self, d: int) -> "Threshold":
+        """This clause for outcomes given as integer numerators over ``d``: t*d
+        rounded to the integer bound that an integer passes exactly when it
+        passes t*d, down for a strict clause and up for a non-strict one."""
+        n, den = self.t.numerator * d, self.t.denominator
+        return Threshold._exact(self.agent, n // den if self.strict else -(-n // den), self.strict)
+
 
 class PrincipalImprovement(FrozenRecord):
     """The principal's outcome must not fall below its factual value (or must rise)."""
@@ -107,8 +118,8 @@ class SocialWelfare(FrozenRecord):
         return f"social_welfare({'strict' if self.strict else 'non-strict'})"
 
     def holds(self, principal: AgentId, before: Outcomes, after: Outcomes, plausible: bool) -> bool:
-        total_before = sum(before.values(), Fraction(0))
-        total_after = sum(after.values(), Fraction(0))
+        total_before = sum(before.values())
+        total_after = sum(after.values())
         return total_after > total_before if self.strict else total_after >= total_before
 
 
@@ -196,6 +207,44 @@ class CostModel(FrozenRecord):
 # ------------------------------------------------------------------- queries
 
 
+class AllowList(Record):
+    """A plausibility predicate that admits a state when it agrees with some
+    entry on every variable the entry names.
+
+    ``entries`` holds each entry as a dict of exact values.  A query file's
+    ``plausible`` list is read into one.  The solvers check it on domain
+    positions (``_positions``); called on a state of values, it applies the
+    same rule to the values.
+    """
+
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: Sequence[Mapping[str, Fraction]]) -> None:
+        self.entries = [{name: as_value(v) for name, v in entry.items()} for entry in entries]
+
+    def __call__(self, state: Assignment) -> bool:
+        return any(
+            all(state.get(name) == value for name, value in entry.items())
+            for entry in self.entries
+        )
+
+    def _positions(self, scm: Scm) -> list | None:
+        """The items of each entry as positions in ``scm``'s domains, for
+        ``entry <= state.items()`` on a complete state of positions.  An entry
+        that names an undeclared variable or a value outside its domain admits
+        no state, and is left out.  None if an entry is not a dict of ints and
+        ``Fraction``s, whose equality positions could not stand for."""
+        allowed = []
+        for entry in self.entries:
+            if type(entry) is not dict or not {*map(type, entry.values())} <= {int, Fraction}:
+                return None
+            try:
+                allowed.append(scm._positions(entry).items())
+            except DomainError:
+                pass
+        return allowed
+
+
 class RecourseQuery(Record):
     """One solver invocation: who is advised, from where, with which actions.
 
@@ -209,10 +258,13 @@ class RecourseQuery(Record):
     ``constraints`` defaults to a new empty list and ``cost`` to ``CostModel()``.
     """
 
-    __slots__ = _fields = (
+    # _loaded: for a query file's structural query, its model, its actions as
+    # read and their positions (``files``); else None.
+    _fields = (
         "scm", "principal", "agents", "factual", "feasible",
         "constraints", "cost", "plausible", "exclude_identity",
     )
+    __slots__ = (*_fields, "_loaded")
 
     def __init__(
         self, scm: Scm, principal: AgentId, agents: dict[AgentId, str],
@@ -228,14 +280,7 @@ class RecourseQuery(Record):
             CostModel() if cost is None else cost,
             plausible, checked_flag(self, "exclude_identity", exclude_identity, InvalidQueryError),
         )
-
-    @classmethod
-    def _exact(cls, *fields: Any) -> "RecourseQuery":
-        """The query of ``fields``, in ``_fields`` order, taken as they are: the
-        values already exact and no default left to fill in."""
-        query = cls.__new__(cls)
-        query._set(*fields)
-        return query
+        self._loaded = None
 
 
 class AgentDelta(FrozenRecord):
@@ -410,6 +455,31 @@ def _rank_keys(
     return key, reported
 
 
+def _on_one_scale(
+    scm: Scm, agents: Mapping[AgentId, str], clauses: Sequence[Clause]
+) -> tuple[list[tuple[AgentId, str, tuple]], Sequence[Clause]]:
+    """Each agent with its outcome variable and that variable's domain as the
+    clauses compare it, and the clauses to check.
+
+    When every clause is of a clause class itself (not of a subclass, whose
+    ``holds`` may read the values), the outcome domains are put on one
+    integer scale: with ``D`` the least common multiple of their
+    ``_integer_scale`` denominators, value v is the int v*D.  Each threshold
+    is carried to that scale once (``Threshold._on_scale``).  Since D > 0,
+    every comparison and sum gives the verdict it gives on the values.
+    Otherwise the domains are the values themselves.
+    """
+    variables = [(agent, var, scm._decls[var]) for agent, var in agents.items()]
+    if not all(type(c) in _CLAUSE_TYPES for c in clauses):
+        return [(agent, var, decl.domain) for agent, var, decl in variables], clauses
+    d = lcm(*(decl._integer_scale()[0] for _, _, decl in variables))
+    outcomes = []
+    for agent, var, decl in variables:
+        den, numerators = decl._integer_scale()
+        outcomes.append((agent, var, tuple(n * (d // den) for n in numerators)))
+    return outcomes, [c._on_scale(d) if type(c) is Threshold else c for c in clauses]
+
+
 def _ranked(
     query: RecourseQuery, factual: Assignment, world: Positions, candidates: list[tuple],
     clauses: Sequence[Clause], evaluate: Callable[[Positions], Positions],
@@ -419,17 +489,27 @@ def _ranked(
 
     ``predict``: pins -> the counterfactual state as positions (by
     ``evaluate``), the plausibility predicate's verdict on it, and each
-    clause's verdict, computed as it is drawn.
+    clause's verdict, computed as it is drawn.  The clauses compare the
+    outcomes on one integer scale (``_on_one_scale``).  An ``AllowList`` is
+    checked on the state's positions; any other predicate is called on its
+    values.
     """
     scm = query.scm
     key, cost = _rank_keys(scm, query.cost, candidates, world)
     candidates.sort(key=key)
-    before = {agent: factual[var] for agent, var in query.agents.items()}
+    outcomes, clauses = _on_one_scale(scm, query.agents, clauses)
+    before = {agent: domain[world[var]] for agent, var, domain in outcomes}
+    plausible = query.plausible
+    allowed = plausible._positions(scm) if type(plausible) is AllowList else None
 
     def predict(pins: Positions) -> tuple[Positions, bool, Iterator[bool]]:
         state = evaluate(pins)
-        after = {agent: scm.domain(var)[state[var]] for agent, var in query.agents.items()}
-        plausible_ok = query.plausible(scm._values(state)) if query.plausible else True
+        after = {agent: domain[state[var]] for agent, var, domain in outcomes}
+        if allowed is not None:
+            items = state.items()
+            plausible_ok = any(entry <= items for entry in allowed)
+        else:
+            plausible_ok = plausible(scm._values(state)) if plausible else True
         return state, plausible_ok, (
             c.holds(query.principal, before, after, plausible_ok) for c in clauses
         )
@@ -443,8 +523,13 @@ def _rank(query: RecourseQuery) -> tuple:
     state.  A candidate is predicted as a pin overlay on the whole model."""
     _check_query(query)
     scm = query.scm
-    # Mapping each action to positions checks it against the domains.
-    candidates = [(action, scm._positions(action)) for action in query.feasible]
+    loaded = query._loaded
+    if loaded is not None and loaded[0] is scm and query.feasible == loaded[1]:
+        # The actions as a query file gave them, already in the domains.
+        candidates = list(zip(query.feasible, loaded[2]))
+    else:
+        # Mapping each action to positions checks it against the domains.
+        candidates = [(action, scm._positions(action)) for action in query.feasible]
     factual = scm.abduct(query.factual)
     world = scm._positions(factual)
     for clause in query.constraints:

@@ -35,11 +35,11 @@ from typing import TYPE_CHECKING, AbstractSet, Any, Callable, NoReturn, Sequence
 
 from . import scm, values
 from .errors import DomainError, ParseError
-from .scm import Assignment, CausalGraph, Scm, StructuralEquation, VariableDecl, _literal_key
+from .scm import CausalGraph, Scm, StructuralEquation, VariableDecl, _literal_key
 from .values import bounded_literal, read_file, value_to_json
 
 if TYPE_CHECKING:
-    from .engine import AgentId, Clause, FeasibleRow, RecourseOutcome, RecourseQuery
+    from .engine import AgentId, AllowList, Clause, FeasibleRow, RecourseOutcome, RecourseQuery
     from .experiment import ExperimentReport, OutcomeCounts
 
 # ------------------------------------------------------------- JSON fields
@@ -414,11 +414,14 @@ def _clause_from_dict(item: Any, index: int) -> Clause:
     return cls(strict) if cls._fields else cls()
 
 
-def _allowlist_predicate(entries: list, model: Scm) -> Callable[[Assignment], bool]:
-    """The plausibility predicate of an allow-list: a state passes if it agrees
-    with some entry on every variable the entry names.  An entry that names a
-    variable ``model`` does not declare, or a value outside its domain, could
-    admit no state, and is a DomainError that names the entry."""
+def _allowlist_predicate(entries: list, model: Scm) -> AllowList:
+    """The plausibility predicate of an allow-list (``engine.AllowList``): a
+    state passes if it agrees with some entry on every variable the entry
+    names.  An entry that names a variable ``model`` does not declare, or a
+    value outside its domain, could admit no state, and is a DomainError that
+    names the entry."""
+    from .engine import AllowList
+
     normalized = []
     for j, entry in enumerate(entries):
         where = f"plausible[{j}]"
@@ -428,14 +431,45 @@ def _allowlist_predicate(entries: list, model: Scm) -> Callable[[Assignment], bo
         except DomainError as exc:
             raise DomainError(f"{where}: {exc}") from None
         normalized.append(allowed)
+    return AllowList._exact(normalized)
 
-    def admitted(state: Assignment) -> bool:
-        return any(
-            all(state.get(name) == value for name, value in entry.items())
-            for entry in normalized
-        )
 
-    return admitted
+# The types of action literals read straight to positions.  A float is read by
+# its decimal literal, which a memo hit on its binary value would not do.
+_ACTION_LITERAL_TYPES = frozenset({int, str, Fraction})
+
+
+def _action_positions(raw: list, model: Scm) -> tuple[list, list] | None:
+    """The actions of a structural query, each as values taken from the
+    domains and as positions, every literal looked up through one
+    ``_PositionMemo`` per variable.
+
+    None if an action is not an object, names a variable ``model`` does not
+    declare, or holds a literal that is not a number (a bool is not one) in
+    its variable's domain.  ``_assignment`` then reads the list, for its
+    ParseErrors, and ``_rank`` maps it, for its DomainErrors.  (A model's
+    domains repeat no value, which a memo needs.)
+    """
+    memos: dict[str, _PositionMemo] = {}
+    actions, pins = [], []
+    try:
+        for item in raw:
+            if type(item) is not dict:
+                return None
+            action, positions = {}, {}
+            for name, literal in item.items():
+                if type(literal) not in _ACTION_LITERAL_TYPES:
+                    return None
+                memo = memos.get(name)
+                if memo is None:
+                    memo = memos[name] = _PositionMemo(model._decls[name])
+                position = positions[name] = memo[literal]
+                action[name] = memo.domain[position]
+            actions.append(action)
+            pins.append(positions)
+    except (KeyError, ValueError):
+        return None
+    return actions, pins
 
 
 def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuery, str]:
@@ -477,21 +511,23 @@ def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuer
     solver = read_str(data.get("solver", SOLVER_STRUCTURAL), "query", "solver")
     if solver not in (SOLVER_STRUCTURAL, SOLVER_BASELINE):
         raise ParseError(f"query field 'solver' names unknown solver {solver!r}")
+    principal = read_agent(data["principal"], "query", "principal")
+    factual = _assignment(data["factual"], "query", "factual")
+    raw = read_list(data["feasible"], "query", "feasible")
+    # A structural query's actions are read straight to positions, which
+    # ``_rank`` takes while the query's actions still equal a copy of them.
+    loaded = _action_positions(raw, model) if solver == SOLVER_STRUCTURAL else None
+    if loaded is None:
+        feasible = [_assignment(action, f"feasible[{j}]") for j, action in enumerate(raw)]
+    else:
+        feasible = [dict(action) for action in loaded[0]]
+    exclude_identity = read_bool(data.get("exclude_identity", False), "query", "exclude_identity")
     # Every value is read exactly once here, so the query takes them as they are.
-    return RecourseQuery._exact(
-        model,
-        read_agent(data["principal"], "query", "principal"),
-        agents,
-        _assignment(data["factual"], "query", "factual"),
-        [
-            _assignment(action, f"feasible[{j}]")
-            for j, action in enumerate(read_list(data["feasible"], "query", "feasible"))
-        ],
-        constraints,
-        cost,
-        plausible,
-        read_bool(data.get("exclude_identity", False), "query", "exclude_identity"),
-    ), solver
+    query = RecourseQuery._exact(
+        model, principal, agents, factual, feasible, constraints, cost, plausible, exclude_identity
+    )
+    query._loaded = None if loaded is None else (model, *loaded)
+    return query, solver
 
 
 def load_query(path: str | Path) -> tuple[RecourseQuery, str]:

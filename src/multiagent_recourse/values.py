@@ -254,6 +254,14 @@ class Record:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _exact(cls, *values: Any) -> Any:
+        """The record of ``values``, in ``_fields`` order, taken as they are:
+        already exact, and no default left to fill in."""
+        record = cls.__new__(cls)
+        record._set(*values)
+        return record
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

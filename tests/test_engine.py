@@ -668,6 +668,14 @@ class TestLargeThreshold:
         assert json.loads(mr.rows_to_json(rows)) == [row.to_dict() for row in rows]
 
 
+def reversed_domains(scm):
+    """``scm``'s file form with every domain listed in reverse."""
+    document = mr.scm_to_dict(scm)
+    for variable in document["variables"]:
+        variable["domain"].reverse()
+    return document
+
+
 class TestFileForms:
     def query_data(self, exclude=False):
         return {
@@ -740,6 +748,62 @@ class TestFileForms:
         with pytest.raises(mr.DomainError) as info:
             mr.query_from_dict(data)
         assert str(info.value) == message
+
+    def test_a_query_file_loads_equal_with_a_plain_repr(self):
+        path = Path(__file__).parent / "data" / "solve" / "weighted_fractional.json"
+        first, second = mr.load_query(path)[0], mr.load_query(path)[0]
+        assert first == second
+        assert repr(first) == repr(second) and "0x" not in repr(first)
+        assert first.plausible == mr.AllowList([{"x1": "7/4"}, {"x1": 3}, {"x1": "1/3"}])
+        assert repr(first.plausible) == (
+            "AllowList(entries=[{'x1': Fraction(7, 4)}, {'x1': Fraction(3, 1)}, {'x1': Fraction(1, 3)}])"
+        )
+        assert mr.AllowList is engine.AllowList
+        read = engine._allowlist_predicate([{"x1": 3}], first.scm)
+        assert read == mr.AllowList([{"x1": "3"}]) != mr.AllowList([{"x1": "1/3"}])
+
+    def test_an_allowlist_called_on_values_keeps_its_rule(self):
+        allowed = mr.AllowList([{"x1": 0, "x2": "1/2"}, {"x2": 1}])
+        assert allowed({"x1": F(0), "x2": F(1, 2), "h1": F(3)})
+        assert allowed({"x1": F(1), "x2": F(1)})
+        assert not allowed({"x1": F(1), "x2": F(1, 2)})
+        assert not allowed({"x1": F(0)})
+        assert not mr.AllowList([])({"x1": F(0)})
+        assert mr.AllowList([{}])({})
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda q: setattr(q, "feasible", [{"x2": F(0)}, {"x1": F(1), "x2": F(0)}]),
+            lambda q: q.feasible.append({"x1": F(1), "x2": F(0)}),
+            lambda q: q.feasible[0].update(x1=F(0)),  # in the domain: now the identity
+            lambda q: q.feasible[0].update(x1=F(7)),  # outside it
+            lambda q: q.feasible[0].update(x1=1),  # the same value as an int
+            lambda q: q.feasible[0].pop("x1"),
+            lambda q: q.feasible.reverse(),
+            # The same variables, each domain in the other order.
+            lambda q: setattr(q, "scm", mr.scm_from_dict(reversed_domains(q.scm))),
+            lambda q: None,
+        ],
+        ids=["replaced", "appended", "in-domain", "outside", "int", "deleted", "reordered", "model", "none"],
+    )
+    def test_an_edited_query_solves_as_one_built_in_code(self, edit):
+        loaded, _ = mr.query_from_dict(self.query_data())
+        edit(loaded)
+        built = mr.RecourseQuery(
+            loaded.scm, loaded.principal, loaded.agents, loaded.factual,
+            [dict(action) for action in loaded.feasible], loaded.constraints, loaded.cost,
+        )
+
+        def outcome(query):
+            try:
+                found = mr.solve(query)
+                rows = mr.rows_to_json(mr.enumerate_feasible(query))
+            except mr.RecourseError as exc:
+                return type(exc), str(exc)
+            return found and mr.outcome_to_dict(found), rows
+
+        assert outcome(loaded) == outcome(built)
 
     def test_unknown_field(self):
         data = self.query_data()

@@ -1195,6 +1195,83 @@ def test_integer_cost_terms_rank_as_fraction_terms(seed):
         assert (new(a) < new(b)) == (old(a) < old(b))
 
 
+def random_outcome_model(rng):
+    """A model of 1-4 exogenous variables on non-integral domains drawn from a
+    pool of values, and the agent whose outcome each one is."""
+    pool = sorted({F(k, d) for k in range(-12, 13) for d in (1, 2, 3, 4, 6, 10)} | {F(2**64 + 1, 3), F(-(10**30), 7)})
+    fractional = [v for v in pool if v.denominator != 1]
+    decls = []
+    for i in range(rng.randint(1, 4)):
+        domain = rng.sample(pool, rng.randint(0, 5)) + rng.sample(fractional, 1)
+        decls.append(mr.VariableDecl(f"h{i}", mr.EXOGENOUS, sorted(set(domain))))
+    return mr.Scm(tuple(decls), ()), {i + 1: d.name for i, d in enumerate(decls)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_clause_verdicts_on_one_integer_scale_are_fraction_verdicts(seed):
+    rng = random.Random(seed)
+    scm, agents = random_outcome_model(rng)
+    clauses = [mr.Pareto(), mr.Plausible()]
+    for strict in (True, False):
+        clauses += [mr.PrincipalImprovement(strict), mr.SocialWelfare(strict)]
+        for agent, var in agents.items():
+            domain = scm.domain(var)
+            a, b = rng.choice(domain), rng.choice(domain)
+            # On a value, between two, and off every value by a little.
+            for t in (a, (a + b) / 2, a + F(1, 97), a - F(1, 10**20)):
+                clauses.append(mr.Threshold(agent, t, strict))
+    outcomes, scaled = engine._on_one_scale(scm, agents, clauses)
+    assert [(agent, var) for agent, var, _ in outcomes] == list(agents.items())
+    assert all(type(v) is int for _, _, domain in outcomes for v in domain)
+    assert all(type(c.t) is int for c in scaled if isinstance(c, mr.Threshold))
+    for _ in range(20):
+        world, state = ({var: rng.randrange(len(scm.domain(var))) for var in agents.values()} for _ in range(2))
+        before = {agent: scm.domain(var)[world[var]] for agent, var in agents.items()}
+        after = {agent: scm.domain(var)[state[var]] for agent, var in agents.items()}
+        before_int = {agent: domain[world[var]] for agent, var, domain in outcomes}
+        after_int = {agent: domain[state[var]] for agent, var, domain in outcomes}
+        principal, plausible = rng.choice(list(agents)), rng.random() < 0.5
+        for clause, on_scale in zip(clauses, scaled):
+            assert on_scale.holds(principal, before_int, after_int, plausible) == clause.holds(
+                principal, before, after, plausible
+            ), clause
+    # A clause of a subclass may read the values: they are left as they are.
+    class Strict(mr.Pareto):
+        pass
+
+    outcomes, kept = engine._on_one_scale(scm, agents, [*clauses, Strict()])
+    assert [domain for _, _, domain in outcomes] == [scm.domain(var) for var in agents.values()]
+    assert kept == [*clauses, Strict()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_allowlist_on_positions_admits_as_on_values(seed):
+    rng = random.Random(seed)
+    scm, _ = random_outcome_model(rng)
+    names = [d.name for d in scm.variables]
+    entries = []
+    for _ in range(rng.randint(0, 4)):
+        entry = {name: rng.choice(scm.domain(name)) for name in rng.sample(names, rng.randint(0, len(names)))}
+        odd = rng.random()
+        if entry and odd < 0.15:  # a value outside the domain
+            entry[rng.choice(list(entry))] = F(1, 97)
+        elif odd < 0.25:
+            entry["undeclared"] = F(0)
+        entries.append(entry)
+    allowed = mr.AllowList(entries)
+    if rng.random() < 0.2:  # an entry given a value that only the values rule can read
+        allowed.entries.append({rng.choice(names): rng.choice([True, 0.5, "1/2"])})
+    # ``predict`` with the model's whole state as the pins, no clause and no candidate.
+    state0 = {name: 0 for name in names}
+    query = mr.RecourseQuery(scm, 1, {1: names[0]}, {}, [], plausible=allowed)
+    _, _, predict, _ = engine._ranked(query, {}, state0, [], [], lambda pins: pins)
+    for _ in range(30):
+        state = {name: rng.randrange(len(scm.domain(name))) for name in names}
+        assert predict(state)[1] == allowed(scm._values(state))
+
+
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_solvers_choose_as_with_fraction_cost_terms(seed):
