@@ -22,8 +22,8 @@ EXIT_NO_RECOMMENDATION = 2
 OUT_DIR_ENV = "MULTIAGENT_RECOURSE_OUT_DIR"
 
 # Each command imports the modules it runs, so parsing the arguments and
-# writing a synthetic log load no model code.  These names of the query path
-# are still read from this module, and are bound here on first access.
+# writing a synthetic log load no model code.  bench/child.py reads these names
+# of the query path from here; each is bound on first access.
 __getattr__ = lazy_names(
     __name__, "engine", ("SOLVER_BASELINE", "load_query", "outcome_to_dict", "solve", "solve_cfe_baseline")
 )
@@ -148,8 +148,8 @@ def _cmd_experiment(args) -> int:
         render_report,
         run_cells,
         run_experiment,
-        synthetic_cells,
     )
+    from .gamelog import synthetic_cells
 
     if args.jobs < 1:  # --jobs is accepted for old scripts and changes nothing
         raise InvalidParamsError("jobs must be at least 1")
@@ -184,7 +184,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .scm import graph_to_dot, load_scm
+    from .files import graph_to_dot, load_scm
 
     scm = load_scm(args.scm_file)
     _emit(graph_to_dot(scm.graph()), args.output)

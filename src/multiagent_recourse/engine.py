@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence, Union, get_args
 from .errors import DomainError, InvalidQueryError, ValueRangeError
 from .scm import ENDOGENOUS, Assignment, Positions, Scm, _key
 from .values import FrozenRecord, Record, as_value, checked_flag, format_value, lazy_names
-from .values import shown_value, value_to_json
+from .values import shown_repr, shown_value, value_to_json
 
 AgentId = Union[int, str]
 
@@ -381,16 +381,16 @@ def _check_query(query: RecourseQuery) -> None:
     if not query.agents:
         raise InvalidQueryError("query declares no agents")
     if query.principal not in query.agents:
-        raise InvalidQueryError(f"principal {query.principal!r} is not among the agents")
+        raise InvalidQueryError(f"principal {shown_repr(query.principal)} is not among the agents")
     for agent, variable in query.agents.items():
         if query.scm.decl(variable).kind != ENDOGENOUS:
             raise InvalidQueryError(
-                f"outcome variable {variable!r} of agent {agent!r} is not endogenous"
+                f"outcome variable {variable!r} of agent {shown_repr(agent)} is not endogenous"
             )
     for clause in query.constraints:
         if isinstance(clause, Threshold) and clause.agent not in query.agents:
             raise InvalidQueryError(
-                f"threshold clause names unknown agent {clause.agent!r}"
+                f"threshold clause names unknown agent {shown_repr(clause.agent)}"
             )
     for name in query.cost.weights or ():
         if name not in query.scm._decls:
@@ -661,9 +661,6 @@ def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
     return _first_passing(query, _rank_shifts(query))
 
 
-# The query file form and the outcome and audit JSON are in ``files``; their
-# names are still served from here.
-__getattr__ = lazy_names(__name__, "files", (
-    "SOLVER_STRUCTURAL", "SOLVER_BASELINE", "_QUERY_FIELDS", "_assignment", "_clause_from_dict",
-    "_allowlist_predicate", "query_from_dict", "load_query", "outcome_to_dict", "rows_to_json",
-))
+# Moved to ``files``; ``cli`` reads and serves these from here, where the
+# benchmark's tracer (bench/tracing.py) wraps ``load_query`` and ``outcome_to_dict``.
+__getattr__ = lazy_names(__name__, "files", ("SOLVER_BASELINE", "load_query", "outcome_to_dict"))

@@ -26,18 +26,16 @@ from .engine import (
     solve,
 )
 from .errors import InvalidParamsError, RecourseError
-# The game log lives in ``gamelog``; its names stay this module's own too, so
-# ``experiment.parse_game_log`` and the other old paths keep working.
+# The names used here, the four the benchmark's tracer (bench/tracing.py) wraps
+# here, and ``GameRecord``, which a pickle made before the move looks up here.
 from .gamelog import (  # noqa: F401
-    ALLOWED_DELTAS, BETRAY, BOTH_PLAYERS, GROUP_CONTROL, GROUP_TEST, MODE_CUSTOM, MODE_PARETO,
-    MODE_PARETO_AND_WELFARE, MODE_SINGLE_AGENT, MODE_SOCIAL_WELFARE, PAPER_MODES, PLAYER1_ONLY,
-    SILENT, _LOG_HEADER, _NO_CONTINUATION, GameRecord, _RowText, _checked_tail, _draw_games,
-    _row_text, _synthetic_draws, filter_single_round, generate_synthetic_log, parse_game_log,
-    parse_game_log_text, synthetic_cells, synthetic_log_text, write_game_log,
+    BETRAY, BOTH_PLAYERS, MODE_CUSTOM, MODE_SINGLE_AGENT, PAPER_MODES, PLAYER1_ONLY, SILENT,
+    GameRecord, _row_text, filter_single_round, generate_synthetic_log, parse_game_log,
+    write_game_log,
 )
 from .games import PayoffMatrix, builtin_matrix, pd_scm
 from .scm import Scm
-from .values import Record, checked_flag, lazy_names
+from .values import Record, checked_flag
 
 # The clauses each of the paper's recourse modes asks of an action.
 MODE_CLAUSES = dict(
@@ -269,10 +267,3 @@ def render_report(report: ExperimentReport, fmt: str = "table") -> str:
                 lines.append(f"  {mid}: {parts}")
         return "\n".join(lines) + "\n"
     raise InvalidParamsError(f"unknown report format {fmt!r}; use table, csv, or json")
-
-
-# The report's file forms are read back in ``files``; their names are still
-# served from here.
-__getattr__ = lazy_names(__name__, "files", (
-    "_counts_from_dict", "_consistent", "report_from_json", "report_from_csv",
-))

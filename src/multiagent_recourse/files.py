@@ -2,10 +2,8 @@
 
 Only the commands that read or write these (``solve`` and ``graph``) and
 library callers load this module; ``experiment`` and ``generate`` never do.
-Every name here is still served through the module it used to live in
-(``scm.scm_from_dict``, ``engine.load_query``, ``values.read_object``,
-``experiment.report_from_json`` ...), as the same object.  The query types
-are imported from ``engine`` where a query is read, so ``graph`` loads no
+Its names are imported from here or from the package.  The query types are
+imported from ``engine`` where a query is read, so ``graph`` loads no
 ``engine``.
 
 A model file is read straight into the position tuples ``Scm`` runs on.  Each
@@ -26,7 +24,6 @@ test's spy) sees every call made here.
 from __future__ import annotations
 
 import json
-import reprlib
 from fractions import Fraction
 from math import prod
 from operator import getitem, mul
@@ -36,7 +33,7 @@ from typing import TYPE_CHECKING, AbstractSet, Any, Callable, NoReturn, Sequence
 from . import scm, values
 from .errors import DomainError, ParseError
 from .scm import CausalGraph, Scm, StructuralEquation, VariableDecl, _literal_key
-from .values import bounded_literal, read_file, value_to_json
+from .values import bounded_literal, read_file, shown_repr, value_to_json
 
 if TYPE_CHECKING:
     from .engine import AgentId, AllowList, Clause, FeasibleRow, RecourseOutcome, RecourseQuery
@@ -87,7 +84,7 @@ def _place(where: str, field: str | None) -> str:
 
 
 def _reject(raw: Any, where: str, field: str | None, expected: str) -> NoReturn:
-    raise ParseError(f"{_place(where, field)} must be {expected}, got {reprlib.repr(raw)}")
+    raise ParseError(f"{_place(where, field)} must be {expected}, got {shown_repr(raw)}")
 
 
 def read_object(

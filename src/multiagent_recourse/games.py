@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import reprlib
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 from .errors import AsymmetricMatrixError, DomainError, InvalidParamsError, ParseError, UnknownMatrixError
 from .gamelog import BETRAY, SILENT
 from .scm import ENDOGENOUS, EXOGENOUS, Scm, StructuralEquation, VariableDecl
-from .values import Record, as_value, format_value, read_file
+from .values import Record, as_value, format_value, read_file, shown_repr
 
 ACTIONS = (SILENT, BETRAY)
 
@@ -41,7 +40,7 @@ class PayoffMatrix(Record):
                 p1, p2 = () if isinstance(cell, str) else cell
             except (TypeError, ValueError):  # 5, (1, 2, 3), or a string read by character
                 raise InvalidParamsError(
-                    f"matrix {id!r} cell {key} must be a pair of payoffs, got {reprlib.repr(cell)}"
+                    f"matrix {id!r} cell {key} must be a pair of payoffs, got {shown_repr(cell)}"
                 ) from None
             normalized[tuple(key)] = (as_value(p1), as_value(p2))
         if len(normalized) != len(_PAIRS):

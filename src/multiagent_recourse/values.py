@@ -8,7 +8,7 @@ Floats only appear at parse boundaries and are read by their decimal literal
 (``0.1`` means 1/10, not its binary expansion).
 
 The base classes of the package's record types live here too, and
-``lazy_names``, through which a module serves the names that moved out of it.
+``lazy_names``, through which a module serves a name still read where it was.
 The readers of JSON fields (``read_object`` and the rest) are in ``files``.
 """
 
@@ -108,7 +108,7 @@ def _convert(raw: Any) -> Fraction:
         shown = _shown(raw) if isinstance(raw, str) else raw
         raise ValueError(f"cannot interpret {shown!r} as a rational value") from exc
     raise ValueError(
-        f"cannot interpret {type(raw).__name__} value {reprlib.repr(raw)} as a rational"
+        f"cannot interpret {type(raw).__name__} value {shown_repr(raw)} as a rational"
     )
 
 
@@ -182,6 +182,16 @@ def shown_value(v: Fraction) -> str:
         return _shown(f"{_head(v.numerator)}/{_head(v.denominator)}")
 
 
+class _Repr(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        return super().repr_int(x, level) if _fits(x) else _shown(_head(x))
+
+
+# ``raw`` quoted for an error message by ``reprlib.repr``, save that an int past
+# the digit limit, which has no text, is quoted as the head of its digits.
+shown_repr = _Repr().repr
+
+
 def _head(n: int) -> str:
     """The leading digits of ``n``'s decimal text, at least 44 of them (all when
     fewer): the digits past those are divided off first, so even an ``n`` too
@@ -212,7 +222,7 @@ def checked_flag(record: Record, field: str, raw: Any, error: type[Exception]) -
     """``raw`` if it is a bool, never read by its truth value; else ``error``."""
     if type(raw) is not bool:
         owner = type(record).__name__
-        raise error(f"{owner} field {field!r} must be True or False, got {reprlib.repr(raw)}")
+        raise error(f"{owner} field {field!r} must be True or False, got {shown_repr(raw)}")
     return raw
 
 
@@ -289,9 +299,3 @@ class FrozenRecord(Record):
 
     def __reduce__(self) -> tuple:  # copy and pickle through __init__, not by assignment
         return self.__class__, self._key()
-
-
-__getattr__ = lazy_names(__name__, "files", (
-    "_json_int", "decode_json", "load_json_exact", "_place", "_reject", "read_object", "_reader",
-    "read_list", "read_str", "read_bool", "read_int", "read_value", "read_values", "read_agent",
-))

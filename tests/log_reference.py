@@ -14,7 +14,7 @@ import io
 from fractions import Fraction
 
 from multiagent_recourse import BETRAY, SILENT, DomainError, GameRecord, ParseError, as_value
-from multiagent_recourse.experiment import ALLOWED_DELTAS, GROUP_CONTROL, GROUP_TEST
+from multiagent_recourse.gamelog import ALLOWED_DELTAS, GROUP_CONTROL, GROUP_TEST
 
 _LOG_HEADER = ["game_id", "matrix_id", "group", "delta", "round", "p1_action", "p2_action"]
 

@@ -8,7 +8,7 @@ import pytest
 
 import multiagent_recourse as mr
 from conftest import pd_query
-from multiagent_recourse import engine, values
+from multiagent_recourse import engine, files, values
 
 
 class TestSolveWorkedExamples:
@@ -759,7 +759,7 @@ class TestFileForms:
             "AllowList(entries=[{'x1': Fraction(7, 4)}, {'x1': Fraction(3, 1)}, {'x1': Fraction(1, 3)}])"
         )
         assert mr.AllowList is engine.AllowList
-        read = engine._allowlist_predicate([{"x1": 3}], first.scm)
+        read = files._allowlist_predicate([{"x1": 3}], first.scm)
         assert read == mr.AllowList([{"x1": "3"}]) != mr.AllowList([{"x1": "1/3"}])
 
     def test_an_allowlist_called_on_values_keeps_its_rule(self):
@@ -877,7 +877,7 @@ class TestFileForms:
         for module in (engine, values):
             real = module.as_value
             monkeypatch.setattr(module, "as_value", lambda raw, real=real: seen.append(raw) or real(raw))
-        clause = engine._clause_from_dict({"kind": "threshold", "agent": 1, "t": "7/2"}, 0)
+        clause = files._clause_from_dict({"kind": "threshold", "agent": 1, "t": "7/2"}, 0)
         assert seen == ["7/2"]
         assert (clause.agent, clause.t, clause.strict) == (1, F(7, 2), False)
 

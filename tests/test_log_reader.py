@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 import log_reference
 import multiagent_recourse as mr
 from multiagent_recourse import gamelog
-from multiagent_recourse.experiment import ALLOWED_DELTAS
+from multiagent_recourse.gamelog import ALLOWED_DELTAS
 
 SEEDS = st.integers(min_value=0, max_value=10**9)
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 import multiagent_recourse as mr
 from multiagent_recourse import engine, files, scm as scm_module
-from multiagent_recourse.experiment import ALLOWED_DELTAS
+from multiagent_recourse.gamelog import ALLOWED_DELTAS
 import oracle
 from conftest import build_scm_from_plain, plain_clauses_to_engine
 
@@ -1093,7 +1093,7 @@ def test_int_keyed_domain_maps_look_up_as_a_fraction_map(domain, data):
     repeats = len(set(domain)) != len(domain)
     scm = None if repeats else mr.Scm((decl,), ())
     # A model file's memo, starting from the domain's own value->position map.
-    memo = None if repeats else scm_module._PositionMemo(decl)
+    memo = None if repeats else files._PositionMemo(decl)
     for value in probes:
         for raw in spellings(value):
             expected = plain_lookup(domain, raw)
@@ -1435,7 +1435,7 @@ def random_baseline_query(rng):
             {n: v for n, v in scm.evaluate({u: rng.choice(scm.domain(u)) for u in exogenous}).items() if rng.random() < 0.4}
             for _ in range(rng.randint(1, 4))
         ]
-        plausible = engine._allowlist_predicate(entries, scm)
+        plausible = files._allowlist_predicate(entries, scm)
     return mr.RecourseQuery(
         scm, principal, agents, factual, feasible, constraints, random_cost(rng, names), plausible,
         rng.random() < 0.4,

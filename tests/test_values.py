@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -155,7 +156,7 @@ def test_every_value_that_reads_is_written_back(value, text, tmp_path):
 
 def test_field_readers_look_up_as_value_at_each_call(monkeypatch):
     # A tracer that rebinds values.as_value must see the readers' calls.
-    from multiagent_recourse import values
+    from multiagent_recourse import files, values
 
     seen = []
 
@@ -164,8 +165,8 @@ def test_field_readers_look_up_as_value_at_each_call(monkeypatch):
         return F(7)
 
     monkeypatch.setattr(values, "as_value", spy)
-    assert values.read_value("1/2", "query", "t") == F(7)
-    assert values.read_values(["1", "2"], "query", "domain") == (F(7), F(7))
+    assert files.read_value("1/2", "query", "t") == F(7)
+    assert files.read_values(["1", "2"], "query", "domain") == (F(7), F(7))
     assert seen == ["1/2", "1", "2"]
 
 
@@ -265,3 +266,35 @@ def test_an_unreadable_literal_is_quoted_cut_to_40_characters(raw, shown):
         mr.as_value(raw)
     assert str(info.value).startswith(f"cannot interpret {shown} as a rational")
     assert len(str(info.value)) < 100
+
+
+def _query(pd, **fields):
+    """A two-agent query over the game model ``pd``, with ``fields`` changed."""
+    agents, factual = {1: "h1", 2: "h2"}, {"x1": 0, "x2": 1}
+    plain = dict(scm=pd, principal=1, agents=agents, factual=factual, feasible=[{"x1": 1}], constraints=[])
+    return mr.RecourseQuery(**(plain | fields))
+
+
+BIG = 10**5000  # past the digit limit: repr(BIG) raises ValueError
+QUERY_FILE = Path(__file__).parent / "data" / "solve" / "baseline.json"
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda pd: mr.query_from_dict(json.loads(QUERY_FILE.read_text()) | {"solver": BIG}), mr.ParseError),
+        (lambda pd: mr.ExperimentConfig(exclude_identity=BIG), mr.InvalidParamsError),
+        (lambda pd: mr.Threshold(1, 3, strict=BIG), mr.InvalidQueryError),
+        (lambda pd: mr.PayoffMatrix("m", dict.fromkeys([(0, 0), (0, 1), (1, 0), (1, 1)], (BIG,))),
+         mr.InvalidParamsError),
+        (lambda pd: mr.solve(_query(pd, principal=BIG)), mr.InvalidQueryError),
+        (lambda pd: mr.solve(_query(pd, agents={1: "h1", BIG: "x2"})), mr.InvalidQueryError),
+        (lambda pd: mr.solve(_query(pd, constraints=[mr.Threshold(BIG, 3)])), mr.InvalidQueryError),
+    ],
+    ids=["files-reject", "flag-config", "flag-clause", "matrix-cell", "principal", "agent", "threshold-agent"],
+)
+def test_a_rejected_int_past_the_limit_is_quoted_by_its_head(pd1, make, error):
+    with pytest.raises(error) as info:
+        make(pd1)
+    assert type(info.value) is error
+    assert "1" + "0" * 36 + "..." in str(info.value) and len(str(info.value)) < 120
