@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 error, 2 well-formed "no feasible recommendation".
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import re
 import sys
@@ -258,6 +260,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the collector paused, and give it back as found.
+
+    A command's objects live until it returns, most of them until the process
+    exits, so a collection while it runs only walks them.  ``gc.freeze`` runs
+    at exit, so that the interpreter's shutdown passes skip whatever is still
+    alive; nothing is frozen while an in-process caller runs.
+    """
+    atexit.unregister(gc.freeze)  # registered once, however often main runs
+    atexit.register(gc.freeze)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InvalidParamsError, ParseError, RecourseError
-from .values import Record, as_value, format_value, read_file
+from .values import Record, as_value, format_value, quoted, read_file
 
 BETRAY = 1
 SILENT = 0
@@ -304,7 +304,7 @@ def _synthetic_draws(
                 a < b  # the comparison that sorted() makes
             except TypeError:
                 raise InvalidParamsError(
-                    f"matrix_mix ids {a!r} and {b!r} cannot be sorted together"
+                    f"matrix_mix ids {quoted(a)} and {quoted(b)} cannot be sorted together"
                 ) from None
         raise
     proportions = []
@@ -312,7 +312,7 @@ def _synthetic_draws(
         try:
             proportions.append((mid, as_value(p)))
         except ValueError as exc:
-            raise InvalidParamsError(f"matrix_mix entry {mid!r}: {exc}") from None
+            raise InvalidParamsError(f"matrix_mix entry {quoted(mid)}: {exc}") from None
     if any(p < 0 for _, p in proportions):
         raise InvalidParamsError("matrix proportions must be nonnegative")
     if sum(p for _, p in proportions) != 1:

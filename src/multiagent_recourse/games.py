@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import AsymmetricMatrixError, DomainError, InvalidParamsError, ParseError, UnknownMatrixError
 from .gamelog import BETRAY, SILENT
 from .scm import ENDOGENOUS, EXOGENOUS, Scm, StructuralEquation, VariableDecl
-from .values import Record, as_value, format_value, read_file, shown_repr
+from .values import Record, as_value, format_value, quoted, read_file, shown_repr
 
 ACTIONS = (SILENT, BETRAY)
 
@@ -35,16 +35,18 @@ class PayoffMatrix(Record):
         for key, cell in entries.items():
             # A pair of the ints 0 and 1, as they are: no float, bool or longer tuple.
             if key not in _PAIRS or type(key[0]) is not int or type(key[1]) is not int:
-                raise DomainError(f"matrix {id!r} has an action outside {{0, 1}}: {key}")
+                raise DomainError(
+                    f"matrix {quoted(id)} has an action outside {{0, 1}}: {quoted(key, str)}"
+                )
             try:
                 p1, p2 = () if isinstance(cell, str) else cell
             except (TypeError, ValueError):  # 5, (1, 2, 3), or a string read by character
                 raise InvalidParamsError(
-                    f"matrix {id!r} cell {key} must be a pair of payoffs, got {shown_repr(cell)}"
+                    f"matrix {quoted(id)} cell {key} must be a pair of payoffs, got {shown_repr(cell)}"
                 ) from None
             normalized[tuple(key)] = (as_value(p1), as_value(p2))
         if len(normalized) != len(_PAIRS):
-            raise InvalidParamsError(f"matrix {id!r} must define all four action pairs")
+            raise InvalidParamsError(f"matrix {quoted(id)} must define all four action pairs")
         self.entries = normalized
 
     def payoffs(self, a1: int, a2: int) -> Cell:
@@ -86,7 +88,7 @@ def builtin_matrix(matrix_id: str) -> PayoffMatrix:
         cells = _BUILTIN[matrix_id]
     except KeyError:
         raise UnknownMatrixError(
-            f"unknown payoff matrix {matrix_id!r}; builtins are "
+            f"unknown payoff matrix {quoted(matrix_id)}; builtins are "
             + ", ".join(BUILTIN_MATRIX_IDS)
         ) from None
     return PayoffMatrix(matrix_id, {k: (as_value(a), as_value(b)) for k, (a, b) in cells.items()})
@@ -127,7 +129,7 @@ def is_pd_ordered(matrix: PayoffMatrix) -> bool:
     """True iff temptation > reward > punishment > sucker for the row player."""
     if not matrix.is_symmetric():
         raise AsymmetricMatrixError(
-            f"matrix {matrix.id!r} is asymmetric; the ordering check assumes symmetry"
+            f"matrix {quoted(matrix.id)} is asymmetric; the ordering check assumes symmetry"
         )
     temptation = matrix.entries[(BETRAY, SILENT)][0]
     reward = matrix.entries[(SILENT, SILENT)][0]

@@ -192,6 +192,15 @@ class _Repr(reprlib.Repr):
 shown_repr = _Repr().repr
 
 
+def quoted(raw: Any, form: Callable[[Any], str] = repr) -> str:
+    """``form(raw)`` (``repr`` or ``str``) for an error message, or ``shown_repr(raw)``
+    where ``form`` refuses, as it does for an int past the digit limit."""
+    try:
+        return form(raw)
+    except ValueError:
+        return shown_repr(raw)
+
+
 def _head(n: int) -> str:
     """The leading digits of ``n``'s decimal text, at least 44 of them (all when
     fewer): the digits past those are divided off first, so even an ``n`` too

@@ -34,8 +34,18 @@ SMALL_MODEL = {
 }
 
 
-# Query files with the exact stdout (and stderr, if any) the CLI gives for them.
+# Query files with the exact stdout (and stderr, if any) the CLI gives for them,
+# and the exit code it gives.
 GOLDEN = Path(__file__).parent / "data" / "solve"
+GOLDEN_CODES = {
+    "structural": 0,
+    "baseline": 0,
+    "weighted_fractional": 0,
+    "scm_file": 0,
+    "no_recommendation": 2,
+    "non_invertible": 1,
+    "malformed_clause": 1,
+}
 
 
 def small_model_with(path, value):
@@ -305,18 +315,7 @@ class TestSolve:
         assert captured.err.startswith("error: ") and "out of range" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize(
-        "name, exit_code",
-        [
-            ("structural", 0),
-            ("baseline", 0),
-            ("weighted_fractional", 0),
-            ("scm_file", 0),
-            ("no_recommendation", 2),
-            ("non_invertible", 1),
-            ("malformed_clause", 1),
-        ],
-    )
+    @pytest.mark.parametrize("name, exit_code", list(GOLDEN_CODES.items()))
     def test_golden_output(self, capsysbinary, name, exit_code):
         code = main(["solve", str(GOLDEN / f"{name}.json")])
         captured = capsysbinary.readouterr()
@@ -747,9 +746,39 @@ NOTE_DIGESTS = {
     600: "d866d8cf3d6651ecbd0aebe12866e68eceb7cfd62e87fb6dd34c30e2601ca0f0",
     0: "1b85b52c06b8b014b1ad2c427e2f4a32909ed6508a2289cffcc4f629345ee955",  # and the warning
 }
+# SHA-256 of the generated log (`--seed 401`) for the benchmark's two argument
+# sets, as the row-by-row writer wrote it: sharing row tails must not change a
+# byte.  The third, written from GameRecords, has six-digit game ids and a
+# matrix id the CSV writer quotes.
+GENERATE_DIGESTS = {
+    "log_ingest": (["n=30000", "silent=9000", "--matrix", "table1=1/4,table2=1/4,table3=1/2"],
+                   "7e5a7c0b66c1205ac825bf38b0e45bce0827894629981f5d79670c20fc854ecc"),
+    "paper": (["n=3294", "silent=434", "--matrix", "table2"],
+              "9c72b4b445c9a4868dae74c614ee9a353a071985ea86220a821985252730457e"),
+    "six-digit-ids-quoted-matrix": (["n=100001", "silent=13000", "--matrix", 'say "t"=1/3,table2=2/3'],
+                                    "15b8c2247f899db51c3cd9a008414cfe01c8e079e5e3509c522649ec7837c358"),
+}
 MINE = mr.PayoffMatrix(
     "mine", {(1, 1): ("2", "2"), (1, 0): ("9/2", "1/4"), (0, 1): ("1/4", "9/2"), (0, 0): ("3", "3")}
 )
+
+
+NO_GAMES_ARGS = ["--synthetic", "n=0", "silent=0", "--matrix", "table2", "--format", "csv"]
+
+
+def paper_args(mode, fmt, principal):
+    """The `experiment` arguments of a PAPER_DIGESTS key."""
+    return ["--synthetic", "n=3294", "silent=434", "--matrix", "table2", "--seed", "401",
+            "--mode", mode, "--format", fmt, "--principal", principal]
+
+
+def mix_args(mode, principal, directory):
+    """The `experiment` arguments of a MIX_DIGESTS key, with MINE written into ``directory``."""
+    path = directory / "mine.csv"
+    path.write_text(mr.matrix_to_csv(MINE))
+    return ["--synthetic", "n=600", "silent=200", "--matrix", "mine=1/4,table1=1/4,table3=1/2",
+            "--matrix-file", f"mine={path}", "--include-identity", "--seed", "401",
+            "--mode", mode, "--principal", principal]
 
 
 class TestExperimentGolden:
@@ -760,24 +789,15 @@ class TestExperimentGolden:
 
     @pytest.mark.parametrize("key", list(PAPER_DIGESTS), ids="-".join)
     def test_paper(self, capsysbinary, key):
-        mode, fmt, principal = key
-        argv = ["--synthetic", "n=3294", "silent=434", "--matrix", "table2", "--seed", "401",
-                "--mode", mode, "--format", fmt, "--principal", principal]
-        assert self.digests(capsysbinary, argv) == (PAPER_DIGESTS[key], NOTE_DIGESTS[3294])
+        assert self.digests(capsysbinary, paper_args(*key)) == (PAPER_DIGESTS[key], NOTE_DIGESTS[3294])
 
     @pytest.mark.parametrize("key", list(MIX_DIGESTS), ids="-".join)
     def test_mix_with_a_custom_matrix(self, tmp_path, capsysbinary, key):
-        mode, principal = key
-        path = tmp_path / "mine.csv"
-        path.write_text(mr.matrix_to_csv(MINE))
-        argv = ["--synthetic", "n=600", "silent=200", "--matrix", "mine=1/4,table1=1/4,table3=1/2",
-                "--matrix-file", f"mine={path}", "--include-identity", "--seed", "401",
-                "--mode", mode, "--principal", principal]
+        argv = mix_args(*key, tmp_path)
         assert self.digests(capsysbinary, argv) == (MIX_DIGESTS[key], NOTE_DIGESTS[600])
 
     def test_no_games(self, capsysbinary):
-        argv = ["--synthetic", "n=0", "silent=0", "--matrix", "table2", "--format", "csv"]
-        assert self.digests(capsysbinary, argv) == (EMPTY_DIGEST, NOTE_DIGESTS[0])
+        assert self.digests(capsysbinary, NO_GAMES_ARGS) == (EMPTY_DIGEST, NOTE_DIGESTS[0])
 
 
 class TestGenerateAndGraph:
@@ -797,22 +817,7 @@ class TestGenerateAndGraph:
         records = mr.parse_game_log(out)
         assert len(records) == 9
 
-    # SHA-256 of the generated log for the benchmark's two argument sets, as
-    # the row-by-row writer wrote it: sharing row tails must not change a byte.
-    # The third, written from GameRecords, has six-digit game ids and a
-    # matrix id the CSV writer quotes.
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            (["n=30000", "silent=9000", "--matrix", "table1=1/4,table2=1/4,table3=1/2"],
-             "7e5a7c0b66c1205ac825bf38b0e45bce0827894629981f5d79670c20fc854ecc"),
-            (["n=3294", "silent=434", "--matrix", "table2"],
-             "9c72b4b445c9a4868dae74c614ee9a353a071985ea86220a821985252730457e"),
-            (["n=100001", "silent=13000", "--matrix", 'say "t"=1/3,table2=2/3'],
-             "15b8c2247f899db51c3cd9a008414cfe01c8e079e5e3509c522649ec7837c358"),
-        ],
-        ids=["log_ingest", "paper", "six-digit-ids-quoted-matrix"],
-    )
+    @pytest.mark.parametrize("args, digest", list(GENERATE_DIGESTS.values()), ids=list(GENERATE_DIGESTS))
     def test_generate_golden_digest(self, tmp_path, args, digest):
         out = tmp_path / "log.csv"
         assert main(["generate", "--synthetic", *args, "--seed", "401", "-o", str(out)]) == 0

@@ -56,6 +56,31 @@ class TestBuiltins:
             mr.PayoffMatrix("m", entries)
         assert str(caught.value) == f"matrix 'm' cell (0, 1) must be a pair of payoffs, got {shown}"
 
+    @pytest.mark.parametrize(
+        "matrix_id", ["m", "it's", 7, ("a", 1), None, 10**4299],
+        ids=["text", "quote", "int", "tuple", "none", "4300-digit-int"],
+    )
+    def test_a_matrix_id_is_quoted_by_its_repr(self, matrix_id):
+        # Only an id that repr refuses is quoted another way (tests/test_values.py).
+        cells = {(0, 0): (1, 1), (0, 1): (1, 2), (1, 0): (1, 1), (1, 1): (1, 1)}
+        shown = repr(matrix_id)
+        cases = [
+            (lambda: mr.PayoffMatrix(matrix_id, {(2, 0): (1, 1)}),
+             f"matrix {shown} has an action outside {{0, 1}}: (2, 0)"),
+            (lambda: mr.PayoffMatrix(matrix_id, {(0, 0): 5}),
+             f"matrix {shown} cell (0, 0) must be a pair of payoffs, got 5"),
+            (lambda: mr.PayoffMatrix(matrix_id, {(0, 0): (1, 1)}),
+             f"matrix {shown} must define all four action pairs"),
+            (lambda: mr.builtin_matrix(matrix_id),
+             f"unknown payoff matrix {shown}; builtins are table1, table2, table3"),
+            (lambda: mr.is_pd_ordered(mr.PayoffMatrix(matrix_id, cells)),
+             f"matrix {shown} is asymmetric; the ordering check assumes symmetry"),
+        ]
+        for make, message in cases:
+            with pytest.raises(mr.RecourseError) as caught:
+                make()
+            assert str(caught.value) == message
+
     def test_a_bad_key_is_refused_before_its_cell(self):
         with pytest.raises(mr.DomainError):
             mr.PayoffMatrix("m", {(2, 0): 5})

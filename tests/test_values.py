@@ -276,6 +276,7 @@ def _query(pd, **fields):
 
 
 BIG = 10**5000  # past the digit limit: repr(BIG) raises ValueError
+ASYMMETRIC = {(0, 0): (1, 1), (0, 1): (1, 2), (1, 0): (1, 1), (1, 1): (1, 1)}
 QUERY_FILE = Path(__file__).parent / "data" / "solve" / "baseline.json"
 
 
@@ -290,8 +291,19 @@ QUERY_FILE = Path(__file__).parent / "data" / "solve" / "baseline.json"
         (lambda pd: mr.solve(_query(pd, principal=BIG)), mr.InvalidQueryError),
         (lambda pd: mr.solve(_query(pd, agents={1: "h1", BIG: "x2"})), mr.InvalidQueryError),
         (lambda pd: mr.solve(_query(pd, constraints=[mr.Threshold(BIG, 3)])), mr.InvalidQueryError),
+        (lambda pd: mr.PayoffMatrix("m", {(BIG, 0): (1, 1)}), mr.DomainError),
+        (lambda pd: mr.PayoffMatrix("m", {BIG: (1, 1)}), mr.DomainError),
+        (lambda pd: mr.PayoffMatrix(BIG, {(2, 0): (1, 1)}), mr.DomainError),
+        (lambda pd: mr.PayoffMatrix(BIG, {(0, 0): 5}), mr.InvalidParamsError),
+        (lambda pd: mr.PayoffMatrix(BIG, {(0, 0): (1, 1)}), mr.InvalidParamsError),
+        (lambda pd: mr.builtin_matrix(BIG), mr.UnknownMatrixError),
+        (lambda pd: mr.is_pd_ordered(mr.PayoffMatrix(BIG, ASYMMETRIC)), mr.AsymmetricMatrixError),
+        (lambda pd: mr.synthetic_log_text(9, 1, {BIG: "x"}, 0), mr.InvalidParamsError),
+        (lambda pd: mr.synthetic_log_text(9, 1, {BIG: 1, "table1": 0}, 0), mr.InvalidParamsError),
     ],
-    ids=["files-reject", "flag-config", "flag-clause", "matrix-cell", "principal", "agent", "threshold-agent"],
+    ids=["files-reject", "flag-config", "flag-clause", "matrix-cell", "principal", "agent", "threshold-agent",
+         "matrix-key-action", "matrix-key", "matrix-id-key", "matrix-id-cell", "matrix-id-incomplete",
+         "builtin-id", "asymmetric-id", "mix-entry", "mix-sort"],
 )
 def test_a_rejected_int_past_the_limit_is_quoted_by_its_head(pd1, make, error):
     with pytest.raises(error) as info:
