@@ -1,10 +1,10 @@
 """The game log: its records, its CSV file form and the synthetic draws.
 
 A log is a list of two-player game records, one row per round in CSV.  This
-module reads, writes, filters and draws logs, and names the experiment's
-modes and principal policies, without the model code: the command line
-parses its arguments and writes a synthetic log with this module alone.  The
-experiment harness (``experiment``) folds what it gives.
+module reads every log in one fold, writes, filters and draws logs, and names
+the experiment's modes and principal policies, without the model code: the
+command line parses its arguments and writes a synthetic log with this
+module alone.  The experiment harness (``experiment``) folds what it gives.
 """
 
 from __future__ import annotations
@@ -17,11 +17,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, permutations
 from math import ceil
+from operator import length_hint
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError, InvalidParamsError, ParseError, RecourseError
-from .values import Record, as_value, format_value, quoted, read_file
+from .errors import DomainError, InvalidParamsError, ParseError, ValueRangeError
+from .values import (
+    MAX_LITERAL_DIGITS, Record, as_value, format_value, quoted, read_file, shown_repr,
+)
 
 BETRAY = 1
 SILENT = 0
@@ -54,6 +57,10 @@ class GameRecord(Record):
         self, game_id: str, matrix_id: str, group: str, delta: Fraction | None,
         rounds: list[tuple[int, int]],
     ) -> None:
+        if delta is not None and not isinstance(delta, Fraction):
+            raise InvalidParamsError(
+                f"GameRecord field 'delta' must be None or a Fraction, got {shown_repr(delta)}"
+            )
         self.game_id = game_id
         self.matrix_id = matrix_id
         self.group = group
@@ -94,13 +101,15 @@ def parse_game_log_text(text: str) -> list[GameRecord]:
     game whose rounds arrive out of order, or start past round 1, is sorted
     and checked for gaps after the last row, in first-seen game order.
 
-    A text with no quote, CR or NUL is first read line by line
-    (``_plain_records``); a text that path declines, every bad log included,
-    is read by ``csv.reader``, which reports its errors.
+    A text whose lines ``csv.reader`` would split at their commas alone
+    (``_plain_lines``) is split at "\n" and each line at its first comma, any
+    other by ``csv.reader``; one fold (``_fold``) checks the rows of both.
     """
-    records = _plain_records(text)
-    if records is not None:
-        return records
+    lines = _plain_lines(text)
+    if lines is not None:
+        rows = iter(lines)
+        next(rows)  # the header
+        return _fold(rows, lambda: len(lines) - length_hint(rows))
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -108,102 +117,98 @@ def parse_game_log_text(text: str) -> list[GameRecord]:
             raise ParseError("log is empty; expected a header line")
         if header != _LOG_HEADER:
             raise ParseError(f"log header must be '{_LOG_HEADER_LINE}'")
-        records: list[GameRecord] = []
-        # Game id -> [head, rounds, round -> actions once its rounds come out of order].
-        games: dict[str, list] = {}
-        tails: dict[tuple[str, ...], tuple] = {}  # row tail -> (head, round, actions)
-        heads: dict[tuple, tuple] = {}
-        disordered = False
-        for row in reader:
-            try:
-                game_id, matrix_id, group, delta_text, round_text, p1_text, p2_text = row
-            except ValueError:
-                if not row:
-                    continue
-                raise ParseError(
-                    f"line {reader.line_num}: expected {len(_LOG_HEADER)} fields, got {len(row)}"
-                ) from None
-            if not game_id:
-                raise ParseError(f"line {reader.line_num}: empty game_id")
-            tail = (matrix_id, group, delta_text, round_text, p1_text, p2_text)
-            checked = tails.get(tail)
-            if checked is None:
-                checked = tails[tail] = _checked_tail(tail, reader.line_num, heads)
-            head, round_no, actions = checked
-            game = games.get(game_id)
-            if game is None:
-                record = GameRecord(game_id, *head, [])
-                records.append(record)
-                game = games[game_id] = [head, record.rounds, None]
-            game_head, rounds, by_round = game
-            if game_head is not head:
-                raise ParseError(
-                    f"line {reader.line_num}: game {game_id!r} changes matrix, group, or delta"
-                )
-            if by_round is None:
-                if round_no == len(rounds) + 1:
-                    rounds.append(actions)
-                    continue
-                by_round = game[2] = dict(enumerate(rounds, 1))
-                disordered = True
-            if round_no in by_round:
-                raise ParseError(
-                    f"line {reader.line_num}: duplicate round {round_no} in game {game_id!r}"
-                )
-            by_round[round_no] = actions
+        return _fold(map(_CsvRow, reader), lambda: reader.line_num)
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from exc
-    if disordered:
-        for game_id, (_, rounds, by_round) in games.items():
-            if by_round is not None:
-                numbers = sorted(by_round)
-                if numbers != list(range(1, len(numbers) + 1)):
-                    raise ParseError(f"game {game_id!r} has non-contiguous round numbers")
-                rounds[:] = [by_round[n] for n in numbers]
-    return records
 
 
-def _plain_records(text: str) -> list[GameRecord] | None:
-    """The records of ``text`` as ``parse_game_log_text`` reads them, from
-    lines split at "\n" and fields at ",", or None for a text this cannot
-    vouch for: one that holds a quote, CR or NUL, or has a line the CSV loop
-    would refuse, skip as blank or sort (a round not one past the game's
-    last), or a field it might find over its size limit."""
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of ``text``, header first, if ``csv.reader`` would split each
+    at its commas alone: the text holds no quote, CR or NUL, its first line is
+    the header, and no line is longer than ``csv.field_size_limit()``.  Else None."""
     if '"' in text or "\r" in text or "\0" in text:
         return None
+    limit, start = csv.field_size_limit(), 0
+    while len(text) - start > limit:  # a line end within the next limit + 1 characters
+        start = text.rfind("\n", start, start + limit + 1) + 1
+        if not start:
+            return None
     lines = text.split("\n")
     if lines[0] != _LOG_HEADER_LINE:
         return None
     if not lines[-1]:
         del lines[-1]  # the text after the last line end
-    limit = csv.field_size_limit()
+    return lines
+
+
+class _CsvRow(list):
+    """A row of ``csv.reader`` that splits as a plain log line does: into its
+    game id and the tuple of its other fields, or into its fields."""
+
+    __slots__ = ()
+
+    def partition(self, sep: str) -> tuple:
+        return (self[0] if self else ""), sep, tuple(self[1:])
+
+    def split(self, sep: str) -> list[str]:
+        return self
+
+
+def _fold(rows: Iterator, lineno: Callable[[], int]) -> list[GameRecord]:
+    """The records of a log's rows after its header, each a plain line or a
+    ``_CsvRow``, split at its first comma into game id and tail.  ``lineno()``,
+    the line of the row last taken, is asked for a new tail or an error only:
+    a row of a known tail and game costs one split and two lookups."""
     records: list[GameRecord] = []
-    games: dict[str, tuple] = {}  # game id -> (head, rounds)
-    tails: dict[str, tuple] = {}  # row text after the game id -> (head, round, actions)
+    # Game id -> (head, rounds) while its rounds come in order from round 1;
+    # then (None, rounds), and (head, round -> actions) in ``late``.
+    games: dict[str, tuple] = {}
+    late: dict[str, tuple] = {}
+    tails: dict = {}  # row tail -> (head, round, actions)
     heads: dict[tuple, tuple] = {}
-    for line in lines[1:]:
-        game_id, _, tail = line.partition(",")
+    for row in rows:
+        game_id, _, tail = row.partition(",")
         checked = tails.get(tail)
         if checked is None:
-            fields = tail.split(",")
-            if len(fields) != len(_LOG_HEADER) - 1 or len(tail) > limit:
-                return None
-            try:
-                checked = tails[tail] = _checked_tail(fields, 0, heads)
-            except RecourseError:
-                return None
+            fields = row.split(",")
+            if len(fields) != len(_LOG_HEADER):
+                if not row:
+                    continue  # a blank line
+                raise ParseError(
+                    f"line {lineno()}: expected {len(_LOG_HEADER)} fields, got {len(fields)}"
+                )
+            if not game_id:
+                raise ParseError(f"line {lineno()}: empty game_id")
+            checked = tails[tail] = _checked_tail(fields[1:], lineno(), heads)
         head, round_no, actions = checked
         game = games.get(game_id)
         if game is None:
-            if round_no != 1 or not game_id or len(game_id) > limit:
-                return None
-            record = GameRecord(game_id, *head, [actions])
+            if not game_id:
+                raise ParseError(f"line {lineno()}: empty game_id")
+            record = GameRecord(game_id, *head, [actions] if round_no == 1 else [])
             records.append(record)
-            games[game_id] = head, record.rounds
-        elif game[0] is head and round_no == len(game[1]) + 1:
+            game = games[game_id] = head, record.rounds
+            if round_no == 1:
+                continue
+        if game[0] is head and round_no == len(game[1]) + 1:
             game[1].append(actions)
-        else:
-            return None
+            continue
+        if game[0] is not None:  # its rounds came in order until this row
+            late[game_id] = game[0], dict(enumerate(game[1], 1))
+            games[game_id] = None, game[1]
+        game_head, by_round = late[game_id]
+        if game_head is not head:
+            raise ParseError(f"line {lineno()}: game {game_id!r} changes matrix, group, or delta")
+        if round_no in by_round:
+            raise ParseError(f"line {lineno()}: duplicate round {round_no} in game {game_id!r}")
+        by_round[round_no] = actions
+    if late:  # sorted here, in first-seen game order
+        for game_id, (head, rounds) in games.items():
+            if head is None:
+                by_round = late[game_id][1]  # distinct and >= 1, so gapless iff max == count
+                if max(by_round) != len(by_round):
+                    raise ParseError(f"game {game_id!r} has non-contiguous round numbers")
+                rounds[:] = [by_round[n] for n in range(1, len(by_round) + 1)]
     return records
 
 
@@ -266,9 +271,25 @@ def write_game_log(records: Iterable[GameRecord]) -> str:
     for record in records:
         delta_text = "" if record.delta is None else format_value(record.delta)
         head = [record.game_id, record.matrix_id, record.group, delta_text]
-        for round_no, (p1, p2) in enumerate(record.rounds, start=1):
-            lines.append(_row_text([*head, round_no, p1, p2]))
+        try:
+            for round_no, (p1, p2) in enumerate(record.rounds, start=1):
+                lines.append(_row_text([*head, round_no, p1, p2]))
+        except ValueError:
+            _refuse_long_int("game id", record.game_id)
+            _refuse_long_int("matrix id", record.matrix_id)
+            raise
     return "".join(lines)
+
+
+def _refuse_long_int(name: str, value: object) -> None:
+    """Raise ValueRangeError if ``value`` is an int past the digit limit, which
+    the CSV writer cannot turn into text."""
+    try:
+        str(value)
+    except ValueError:
+        raise ValueRangeError(
+            f"{name} {shown_repr(value)} has more than {MAX_LITERAL_DIGITS} digits"
+        ) from None
 
 
 def filter_single_round(games: Sequence[GameRecord]) -> list[GameRecord]:
@@ -387,7 +408,11 @@ def synthetic_log_text(
         if tail is None:
             matrix_id, p1, p2 = cell
             # Text after an alphanumeric id, which the CSV writer leaves as it is.
-            tail = tails[cell] = _row_text(["g", matrix_id, GROUP_TEST, delta_text, 1, p1, p2])[1:]
+            try:
+                tail = tails[cell] = _row_text(["g", matrix_id, GROUP_TEST, delta_text, 1, p1, p2])[1:]
+            except ValueError:
+                _refuse_long_int("matrix id", matrix_id)
+                raise
         lines.append("g%05d" % i + tail)
     return "".join(lines)
 

@@ -9,10 +9,11 @@ same bad tail on two lines, or a good tail read once and then met again in a
 game that breaks later.  The reader must give equal records, or the same
 error type and message.
 
-A second generator writes plain logs, which the reader's line path
-(``gamelog._plain_records``) reads unless a break or an over-limit line
-sends them to ``csv.reader``: "\n" line ends only, and ids with no comma,
-quote, CR, LF or NUL, so that no field is quoted.
+A second generator writes plain logs: "\n" line ends only, and ids with no
+comma, quote, CR, LF or NUL, so that no field is quoted.  The reader splits
+such a log at its line ends and commas itself (``gamelog._plain_lines``)
+unless a line is over the CSV reader's limit, and its one fold then meets
+each break there: some logs put hundreds of good rows before the breaks.
 
 The tier-1 run draws a few hundred cases of each; to draw more:
 
@@ -49,10 +50,11 @@ BAD_ROUNDS = ["x", "0", "-1", "1.5", "", " ", "1e3", "٣x"]
 ACTION_TEXTS = ["0", "1", " 1 ", "01", "+0", "2", "-1", "x", "", "1.0", "True"]
 
 
-def good_rows(rng: random.Random) -> list[list[str]]:
-    """A log's rows with every check passing, in game order, interleaved or shuffled."""
+def good_rows(rng: random.Random, n_games: int | None = None) -> list[list[str]]:
+    """A log's rows with every check passing, in game order, interleaved or
+    shuffled: ``n_games`` games, or 0 to 6."""
     games = []
-    for i in range(rng.randint(0, 6)):
+    for i in range(rng.randint(0, 6) if n_games is None else n_games):
         group = rng.choice(["test", "control"])
         delta = rng.choice(list(DELTA_SPELLINGS)) if group == "test" else None
         # Few matrices and actions, so that rows of different games share tails.
@@ -200,13 +202,15 @@ def fuzz(n: int, case=check) -> None:
 
 
 def plain_log(seed: int) -> str:
-    """A log of ``good_rows`` broken by ``break_rows``, with no character
-    that a CSV writer quotes in its ids, written with "\n" line ends and
-    sometimes a blank line, a missing last line end, or a field near the CSV
-    reader's limit."""
+    """A log of ``good_rows`` broken by ``break_rows``, sometimes after
+    hundreds of good rows, with no character that a CSV writer quotes in its
+    ids, written with "\n" line ends and sometimes a blank line, a missing
+    last line end, or a field near the CSV reader's limit."""
     rng = random.Random(seed)
     rows = good_rows(rng)
     break_rows(rng, rows)
+    if rng.random() < 0.3:  # good games first, whose ids start with "p" as no other does
+        rows[:0] = [[f"p{row[0]}", *row[1:]] for row in good_rows(rng, rng.randint(60, 150))]
     for row in rows:
         row[:2] = [re.sub('[,"\r\n\0]', "_", field) for field in row[:2]]
     limit = csv.field_size_limit()
@@ -276,7 +280,8 @@ def test_the_breaks_reach_every_check():
 
 def test_the_plain_breaks_reach_every_check():
     """Plain logs raise each error a log without quotes, CR or NUL can, and
-    are read whole by the line path and, declined by it, by ``csv.reader``."""
+    are read whole from their own lines and, with a line over the CSV
+    reader's limit, by ``csv.reader``; some break after hundreds of rows."""
     seen = set()
     for seed in range(600):
         text = plain_log(seed)
@@ -284,10 +289,12 @@ def test_the_plain_breaks_reach_every_check():
         assert read(mr.parse_game_log_text, text) == outcome
         if isinstance(outcome, list):
             seen.add("records" if outcome else "no records")
-            seen.add("csv path" if gamelog._plain_records(text) is None else "line path")
+            seen.add("csv path" if gamelog._plain_lines(text) is None else "line path")
         else:
             seen.update(phrase for phrase in ERRORS if phrase in outcome[1])
-    assert seen == {"records", "no records", "line path", "csv path", *ERRORS}
+            if int(re.match(r"line (\d+):|", outcome[1]).group(1) or 0) > 200:
+                seen.add("late break")
+    assert seen == {"records", "no records", "line path", "csv path", "late break", *ERRORS}
 
 
 def mixed_log(seed: int) -> str:
@@ -306,16 +313,48 @@ def mixed_log(seed: int) -> str:
     return mr.write_game_log(records)
 
 
-def test_plain_logs_take_the_line_path(monkeypatch):
-    texts = [mr.synthetic_log_text(300, 40, {"table1": "1/3", "table2": "2/3"}, 7), mixed_log(7)]
-    expected = [log_reference.parse_game_log_text(text) for text in texts]
-    assert all(expected)
-
+def refuse_csv_reader(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("csv.reader called")
 
     monkeypatch.setattr(gamelog.csv, "reader", refuse)
+
+
+def test_plain_logs_take_the_line_path(monkeypatch):
+    texts = [
+        mr.synthetic_log_text(300, 40, {"table1": "1/3", "table2": "2/3"}, 7), mixed_log(7),
+        HEADER_LINE + "g1,table1,control,,2,0,1\ng1,table1,control,,1,1,1\n",  # rounds out of order
+    ]
+    expected = [log_reference.parse_game_log_text(text) for text in texts]
+    assert all(expected)
+    refuse_csv_reader(monkeypatch)
     assert [mr.parse_game_log_text(text) for text in texts] == expected
+
+
+# Rows that break a plain log, each put after the 500th line of a good one.
+PLAIN_BREAKS = {
+    "bad group": "z1,table1,Test,0,1,0,1",
+    "bad delta": "z1,table1,test,0.3,1,0,1",
+    "bad round": "z1,table1,test,0,x,0,1",
+    "bad action": "z1,table1,test,0,1,0,2",
+    "wrong length": "z1,table1,test,0,1,0",
+    "empty id": ",table1,test,0,1,0,1",
+    "changed head": "z1,table1,test,0,1,0,1\nz1,table2,test,0,2,0,1",
+    "duplicate round": "z1,table1,control,,1,0,1\nz1,table1,control,,1,1,1",
+    "gap": "z1,table1,control,,1,0,1\nz1,table1,control,,3,1,1",
+    "blank line": "",
+    "out-of-order game": "z1,table1,control,,2,0,1\nz1,table1,control,,1,1,1",
+}
+
+
+@pytest.mark.parametrize("rows", PLAIN_BREAKS.values(), ids=PLAIN_BREAKS)
+def test_a_broken_plain_log_is_read_without_csv_reader(monkeypatch, rows):
+    lines = mixed_log(7).split("\n")
+    text = "\n".join([*lines[:500], rows, *lines[500:]])
+    expected = read(log_reference.parse_game_log_text, text)
+    refuse_csv_reader(monkeypatch)
+    assert read(mr.parse_game_log_text, text) == expected
+    assert isinstance(expected, list) or re.match("line 50[12]: |game 'z1' has non-contiguous", expected[1])
 
 
 @pytest.mark.parametrize("text", [
@@ -323,8 +362,7 @@ def test_plain_logs_take_the_line_path(monkeypatch):
     (HEADER_LINE + "g1,table1,test,1/2,1,0,1\ng1,table1,test,1/2,2,1,1\n").replace("\n", "\r\n"),
     HEADER_LINE + "g\r1,table1,test,0,1,0,1\n",
     HEADER_LINE + "g\0,table1,test,0,1,0,1\n",
-    HEADER_LINE + "g1,table1,control,,2,0,1\ng1,table1,control,,1,1,1\n",
-], ids=["quoted id", "CRLF", "CR in an id", "NUL", "rounds out of order"])
+], ids=["quoted id", "CRLF", "CR in an id", "NUL"])
 def test_other_logs_are_read_by_csv_reader(monkeypatch, text):
     expected = read(log_reference.parse_game_log_text, text)
     calls = []
@@ -337,3 +375,25 @@ def test_other_logs_are_read_by_csv_reader(monkeypatch, text):
     monkeypatch.setattr(gamelog.csv, "reader", reader)
     assert read(mr.parse_game_log_text, text) == expected
     assert len(calls) == 1
+
+
+def test_a_plain_text_is_split_here_when_its_lines_fit_the_field_limit():
+    """``_plain_lines`` declines a text with no quote, CR or NUL exactly when
+    one of its lines is longer than the CSV reader's field limit: lines at
+    the limit and one past it, first, last and without a last line end."""
+    seen = set()
+    old_limit = csv.field_size_limit()
+    try:
+        for seed in range(300):
+            rng = random.Random(seed)
+            limit = len(HEADER_LINE) + rng.randint(0, 30)
+            csv.field_size_limit(limit)
+            lengths = [rng.choice([rng.randint(0, limit), limit, limit + 1 if rng.random() < 0.3 else limit])
+                       for _ in range(rng.randint(0, 8))]
+            text = HEADER_LINE + "\n".join("x" * n for n in lengths) + rng.choice(["", "\n"])
+            fits = max(map(len, text.split("\n"))) <= limit
+            assert (gamelog._plain_lines(text) is not None) == fits
+            seen.add(fits)
+    finally:
+        csv.field_size_limit(old_limit)
+    assert seen == {True, False}

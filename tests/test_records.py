@@ -362,6 +362,15 @@ def test_constructors_check_their_arguments():
         mr.GameRecord("g1", "table1", "test", F(0), [], extra=1)
 
 
+@pytest.mark.parametrize("delta, shown", [("1/2", "'1/2'"), (0, "0"), (0.5, "0.5"), (False, "False")])
+def test_game_record_refuses_a_delta_that_is_not_a_fraction(delta, shown):
+    with pytest.raises(mr.InvalidParamsError) as info:
+        mr.GameRecord("g", "table1", "test", delta, [(0, 1)])
+    assert str(info.value) == f"GameRecord field 'delta' must be None or a Fraction, got {shown}"
+    assert mr.GameRecord("g", "table1", "control", None, []).delta is None
+    assert mr.GameRecord("g", "table1", "test", F(1, 2), []).delta == F(1, 2)
+
+
 def test_equation_read_from_a_file_equals_the_same_equation_built_in_code():
     read = mr.scm_from_dict(mr.scm_to_dict(SCM)).equations[0]
     assert read._table is None  # read as positions; the table is built when asked for

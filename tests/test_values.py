@@ -300,10 +300,16 @@ QUERY_FILE = Path(__file__).parent / "data" / "solve" / "baseline.json"
         (lambda pd: mr.is_pd_ordered(mr.PayoffMatrix(BIG, ASYMMETRIC)), mr.AsymmetricMatrixError),
         (lambda pd: mr.synthetic_log_text(9, 1, {BIG: "x"}, 0), mr.InvalidParamsError),
         (lambda pd: mr.synthetic_log_text(9, 1, {BIG: 1, "table1": 0}, 0), mr.InvalidParamsError),
+        (lambda pd: mr.synthetic_log_text(9, 1, {BIG: 1}, 0), mr.ValueRangeError),
+        (lambda pd: mr.write_game_log(mr.generate_synthetic_log(9, 1, {BIG: 1}, 0)), mr.ValueRangeError),
+        (lambda pd: mr.write_game_log([mr.GameRecord(BIG, "table1", "control", None, [(0, 1)])]),
+         mr.ValueRangeError),
+        (lambda pd: mr.GameRecord("g", "table1", "test", BIG, [(0, 1)]), mr.InvalidParamsError),
     ],
     ids=["files-reject", "flag-config", "flag-clause", "matrix-cell", "principal", "agent", "threshold-agent",
          "matrix-key-action", "matrix-key", "matrix-id-key", "matrix-id-cell", "matrix-id-incomplete",
-         "builtin-id", "asymmetric-id", "mix-entry", "mix-sort"],
+         "builtin-id", "asymmetric-id", "mix-entry", "mix-sort", "mix-id-written", "log-matrix-id",
+         "log-game-id", "record-delta"],
 )
 def test_a_rejected_int_past_the_limit_is_quoted_by_its_head(pd1, make, error):
     with pytest.raises(error) as info:
