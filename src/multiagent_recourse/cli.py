@@ -83,6 +83,8 @@ def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:
 def _parse_matrix_mix(spec: str) -> dict:
     # "table2" or "table2=1/2,table3=1/2"
     if "=" not in spec:
+        if not spec:
+            raise InvalidParamsError("bad --matrix entry ''")
         return {spec: 1}
     mix = {}
     for part in spec.split(","):

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, AbstractSet, Any, Callable, NoReturn, Sequence
 from . import scm, values
 from .errors import DomainError, ParseError
 from .scm import CausalGraph, Scm, StructuralEquation, VariableDecl, _literal_key
-from .values import bounded_literal, read_file, shown_repr, value_to_json
+from .values import bom_note, bounded_literal, read_file, shown_repr, value_to_json
 
 if TYPE_CHECKING:
     from .engine import AgentId, AllowList, Clause, FeasibleRow, RecourseOutcome, RecourseQuery
@@ -623,6 +623,7 @@ def report_from_csv(text: str) -> ExperimentReport:
         if next(reader, None) != ["scope"] + _COUNT_FIELDS:
             raise ParseError(
                 f"report CSV must start with the header 'scope,{','.join(_COUNT_FIELDS)}'"
+                + bom_note(text)
             )
         scopes: dict[str, OutcomeCounts] = {}
         for row in reader:

@@ -5,6 +5,10 @@ module reads every log in one fold, writes, filters and draws logs, and names
 the experiment's modes and principal policies, without the model code: the
 command line parses its arguments and writes a synthetic log with this
 module alone.  The experiment harness (``experiment``) folds what it gives.
+
+A synthetic log is drawn once, as one int cell code per game (its matrix and
+its two actions), and its records, its text and its cell counts are each
+built from those codes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, permutations
+from itertools import accumulate, chain, permutations
 from math import ceil
 from operator import length_hint
 from pathlib import Path
@@ -23,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InvalidParamsError, ParseError, ValueRangeError
 from .values import (
-    MAX_LITERAL_DIGITS, Record, as_value, format_value, quoted, read_file, shown_repr,
+    MAX_LITERAL_DIGITS, Record, as_value, bom_note, format_value, quoted, read_file, shown_repr,
 )
 
 BETRAY = 1
@@ -116,7 +120,7 @@ def parse_game_log_text(text: str) -> list[GameRecord]:
         if header is None:
             raise ParseError("log is empty; expected a header line")
         if header != _LOG_HEADER:
-            raise ParseError(f"log header must be '{_LOG_HEADER_LINE}'")
+            raise ParseError(f"log header must be '{_LOG_HEADER_LINE}'{bom_note(text)}")
         return _fold(map(_CsvRow, reader), lambda: reader.line_num)
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from exc
@@ -308,9 +312,10 @@ def _synthetic_draws(
     n_principal_silent: int,
     matrix_mix: Mapping[str, Fraction | int | float | str],
     seed: int,
-) -> Iterator[tuple[str, int, int]]:
-    """Check a synthetic log's arguments, then draw its games lazily: one
-    (matrix id, p1 action, p2 action) per game, in game order."""
+) -> tuple[list, list[int]]:
+    """Check a synthetic log's arguments, then draw its games: the mix's
+    matrix ids in sorted order, and each game's cell code, in game order.
+    A game's code is ``4 * matrix index + 2 * p1 action + p2 action``."""
     if n_total < 0:
         raise InvalidParamsError("n_total must be nonnegative")
     if not 0 <= n_principal_silent <= n_total:
@@ -340,7 +345,7 @@ def _synthetic_draws(
         raise InvalidParamsError("matrix proportions must sum to 1")
 
     try:
-        p1_actions = [BETRAY] * n_total
+        p1_codes = [2 * BETRAY] * n_total
     except (OverflowError, MemoryError):  # refused before any memory is taken
         raise InvalidParamsError("n_total is too large to draw in memory") from None
     # A roll of random() is k / 2**53 for an integer k, so it lies below the
@@ -350,23 +355,32 @@ def _synthetic_draws(
     bounds = [ceil(c * 2**53) / 2**53 for c in accumulate(p for _, p in proportions)]
     rng = random.Random(seed)
     for i in rng.sample(range(n_total), n_principal_silent):
-        p1_actions[i] = SILENT
-    return _draw_games(p1_actions, [mid for mid, _ in proportions], bounds, rng)
-
-
-def _draw_games(
-    p1_actions: list[int], ids: list[str], bounds: list[float], rng: random.Random
-) -> Iterator[tuple[str, int, int]]:
-    """Each game rolls its matrix, the first whose bound lies above the roll,
-    then draws p2 as ``rng.randrange(2)`` does: two bits, again while they
-    read 2 or more."""
+        p1_codes[i] = 2 * SILENT
+    # Each game rolls its matrix, the first whose bound lies above the roll,
+    # then draws p2 as ``rng.randrange(2)`` does: two bits, again while they
+    # read 2 or more.
     roll, bits = rng.random, rng.getrandbits
-    for p1 in p1_actions:
-        matrix_id = ids[bisect_right(bounds, roll())]
+    codes: list[int] = []
+    append = codes.append
+    for code in p1_codes:
+        code += 4 * bisect_right(bounds, roll())
         p2 = bits(2)
         while p2 > 1:
             p2 = bits(2)
-        yield matrix_id, p1, p2
+        append(code + p2)
+    return [mid for mid, _ in proportions], codes
+
+
+# The (p1, p2) action pair of each value of a cell code's two low bits.
+_CODE_ACTIONS = [(p1, p2) for p1 in (SILENT, BETRAY) for p2 in (SILENT, BETRAY)]
+# The two digits that end the id of each game in a block of a hundred.
+_ID_ENDS = ["%02d" % end for end in range(100)]
+
+
+def _game_ids(n_total: int) -> list[str]:
+    """``"g%05d" % i`` for each i below ``n_total``, rounded up to a whole
+    hundred: game 100 h + e is ``"g%03d" % h`` followed by ``"%02d" % e``."""
+    return [head + end for head in map("g%03d".__mod__, range(-(-n_total // 100))) for end in _ID_ENDS]
 
 
 def generate_synthetic_log(
@@ -379,13 +393,12 @@ def generate_synthetic_log(
 
     Exactly n_principal_silent games have player 1 silent; player 2's actions
     and the matrix assignment are drawn from the seeded generator, matrices in
-    proportion to matrix_mix.
+    proportion to matrix_mix.  Each game's record is built from its cell code.
     """
+    ids, codes = _synthetic_draws(n_total, n_principal_silent, matrix_mix, seed)
     return [
-        GameRecord("g%05d" % i, matrix_id, GROUP_TEST, _NO_CONTINUATION, [(p1, p2)])
-        for i, (matrix_id, p1, p2) in enumerate(
-            _synthetic_draws(n_total, n_principal_silent, matrix_mix, seed)
-        )
+        GameRecord(game_id, ids[code >> 2], GROUP_TEST, _NO_CONTINUATION, [_CODE_ACTIONS[code & 3]])
+        for game_id, code in zip(_game_ids(n_total), codes)
     ]
 
 
@@ -396,25 +409,22 @@ def synthetic_log_text(
     seed: int,
 ) -> str:
     """``write_game_log(generate_synthetic_log(...))`` of the same arguments,
-    byte for byte, written from the draws without building the records."""
-    draws = _synthetic_draws(n_total, n_principal_silent, matrix_mix, seed)
+    byte for byte, written from the cell codes without building the records:
+    each distinct cell's row tail is written once, in first-drawn order, and
+    each line is a game id and its cell's tail."""
+    ids, codes = _synthetic_draws(n_total, n_principal_silent, matrix_mix, seed)
     delta_text = format_value(_NO_CONTINUATION)
-    lines = [_row_text(_LOG_HEADER)]
-    # (matrix id, p1, p2) -> ",...\n".  Ids are distinct keys of the mix,
-    # so no two equal ids of other types can share a tail.
-    tails: dict[tuple, str] = {}
-    for i, cell in enumerate(draws):
-        tail = tails.get(cell)
-        if tail is None:
-            matrix_id, p1, p2 = cell
-            # Text after an alphanumeric id, which the CSV writer leaves as it is.
-            try:
-                tail = tails[cell] = _row_text(["g", matrix_id, GROUP_TEST, delta_text, 1, p1, p2])[1:]
-            except ValueError:
-                _refuse_long_int("matrix id", matrix_id)
-                raise
-        lines.append("g%05d" % i + tail)
-    return "".join(lines)
+    tails = [""] * (4 * len(ids))
+    for code in dict.fromkeys(codes):
+        matrix_id = ids[code >> 2]
+        # Text after an alphanumeric id, which the CSV writer leaves as it is.
+        try:
+            tails[code] = _row_text(["g", matrix_id, GROUP_TEST, delta_text, 1, *_CODE_ACTIONS[code & 3]])[1:]
+        except ValueError:
+            _refuse_long_int("matrix id", matrix_id)
+            raise
+    rows = zip(_game_ids(n_total), map(tails.__getitem__, codes))
+    return _row_text(_LOG_HEADER) + "".join(chain.from_iterable(rows))
 
 
 def synthetic_cells(
@@ -424,11 +434,12 @@ def synthetic_cells(
     seed: int,
 ) -> list[tuple[GameRecord, int]]:
     """The cells of ``generate_synthetic_log(...)`` of the same arguments,
-    counted from the draws without building a record per game: each cell's
-    first game, as built there, with the cell's game count, in first-seen
-    order.  Arguments are checked and refused as there."""
-    draws = list(_synthetic_draws(n_total, n_principal_silent, matrix_mix, seed))
-    return [  # cell: (matrix id, p1 action, p2 action)
-        (GameRecord("g%05d" % draws.index(cell), cell[0], GROUP_TEST, _NO_CONTINUATION, [cell[1:]]), n)
-        for cell, n in Counter(draws).items()
+    counted from the cell codes without building a record per game: each
+    cell's first game, as built there, with the cell's game count, in
+    first-drawn order.  Arguments are checked and refused as there."""
+    ids, codes = _synthetic_draws(n_total, n_principal_silent, matrix_mix, seed)
+    return [
+        (GameRecord("g%05d" % codes.index(code), ids[code >> 2], GROUP_TEST, _NO_CONTINUATION,
+                    [_CODE_ACTIONS[code & 3]]), n)
+        for code, n in Counter(codes).items()
     ]

@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import AsymmetricMatrixError, DomainError, InvalidParamsError, ParseError, UnknownMatrixError
 from .gamelog import BETRAY, SILENT
 from .scm import ENDOGENOUS, EXOGENOUS, Scm, StructuralEquation, VariableDecl
-from .values import Record, as_value, format_value, quoted, read_file, shown_repr
+from .values import Record, as_value, bom_note, format_value, quoted, read_file, shown_repr
 
 ACTIONS = (SILENT, BETRAY)
 
@@ -146,15 +146,14 @@ _MATRIX_HEADER = ["row_action", "col_action", "p1", "p2"]
 def load_matrix_csv(path: str | Path, matrix_id: str = "custom") -> PayoffMatrix:
     """Read a matrix from CSV with header row_action,col_action,p1,p2."""
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_file(path, "matrix", newline=""), newline=""))
+    text = read_file(path, "matrix", newline="")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows or rows[0][1] != _MATRIX_HEADER:
-        raise ParseError(
-            f"{path}: first line must be '{','.join(_MATRIX_HEADER)}'"
-        )
+        raise ParseError(f"{path}: first line must be '{','.join(_MATRIX_HEADER)}'{bom_note(text)}")
     entries: dict[tuple[int, int], Cell] = {}
     for lineno, row in rows[1:]:
         if len(row) != 4:

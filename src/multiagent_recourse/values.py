@@ -227,6 +227,12 @@ def read_file(path: Path, noun: str, newline: str | None = None) -> str:
         raise ParseError(f"cannot read {noun} file {path}: {exc}") from exc
 
 
+def bom_note(text: str) -> str:
+    """What to add to a header error on ``text``: a note when the text starts
+    with a UTF-8 byte-order mark, which no editor shows, else nothing."""
+    return " (the text starts with a UTF-8 byte-order mark)" if text.startswith("\ufeff") else ""
+
+
 def checked_flag(record: Record, field: str, raw: Any, error: type[Exception]) -> bool:
     """``raw`` if it is a bool, never read by its truth value; else ``error``."""
     if type(raw) is not bool:

@@ -535,6 +535,7 @@ class TestExperiment:
             (["--synthetic", "n=five", "silent=2"], "--synthetic n must be an integer"),
             (["--synthetic", "n=5", "silent=2", "--matrix", "table2=1/2,table3"], "bad --matrix entry 'table3'"),
             (["--synthetic", "n=5", "silent=2", "--matrix", "table2=1/2,=1/2"], "bad --matrix entry '=1/2'"),
+            (["--synthetic", "n=5", "silent=2", "--matrix", ""], "bad --matrix entry ''"),
             (
                 ["--synthetic", "n=5", "silent=2", "--matrix", "table2=half,table3=1/2"],
                 "bad proportion in --matrix entry 'table2=half'",
@@ -542,7 +543,7 @@ class TestExperiment:
             *BAD_DRAW_ARGS,
         ],
         ids=["synthetic-key", "synthetic-no-value", "synthetic-not-integer", "matrix-no-proportion",
-             "matrix-no-name", "matrix-proportion", *BAD_DRAW_IDS],
+             "matrix-no-name", "matrix-empty", "matrix-proportion", *BAD_DRAW_IDS],
     )
     def test_bad_parameter_exit_1(self, capsys, command, args, message):
         assert main([command, *args]) == 1
@@ -567,7 +568,7 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: --synthetic {key} must be an integer\n")
 
-    # An empty mix cannot be spelled here: --matrix "" names the matrix "".
+    # An empty mix cannot be spelled here: --matrix "" is refused as an entry with no name.
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -577,11 +578,12 @@ class TestExperiment:
             (["n=5", "silent=x"], "--synthetic silent must be an integer"),
             (["n=5", "silent=2", "--matrix", "table2=1/2,table2=1/2"], "--matrix gives 'table2' more than once"),
             (["n=5", "silent=2", "--matrix", "table2=1/2,=1/2"], "bad --matrix entry '=1/2'"),
+            (["n=5", "silent=2", "--matrix", ""], "bad --matrix entry ''"),
             (["n=5", "silent=2", "--matrix", "table2=half,table3=1/2"], "bad proportion in --matrix entry 'table2=half'"),
             *((args[1:], message) for args, message in BAD_DRAW_ARGS),
         ],
         ids=["synthetic-key", "synthetic-repeated", "synthetic-missing", "synthetic-not-integer",
-             "matrix-repeated", "matrix-no-name", "matrix-proportion", *BAD_DRAW_IDS],
+             "matrix-repeated", "matrix-no-name", "matrix-empty", "matrix-proportion", *BAD_DRAW_IDS],
     )
     def test_generate_refusal_writes_no_file(self, tmp_path, capsys, args, message):
         out = tmp_path / "log.csv"

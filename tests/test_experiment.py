@@ -677,3 +677,30 @@ class TestRendering:
         report = self.sample_report()
         for fmt in ("table", "csv", "json"):
             assert mr.render_report(report, fmt) == mr.render_report(report, fmt)
+
+
+# A CSV header that starts with U+FEFF looks right in an editor, so its error says so.
+BOM_NOTE = " (the text starts with a UTF-8 byte-order mark)"
+
+
+@pytest.mark.parametrize(
+    "good, read, message",
+    [
+        (SAMPLE_LOG, mr.parse_game_log,
+         "log header must be 'game_id,matrix_id,group,delta,round,p1_action,p2_action'"),
+        (mr.matrix_to_csv(mr.builtin_matrix("table1")), mr.load_matrix_csv,
+         "{path}: first line must be 'row_action,col_action,p1,p2'"),
+        (report_csv(), lambda path: mr.report_from_csv(path.read_text(encoding="utf-8")),
+         f"report CSV must start with the header 'scope,{','.join(experiment._COUNT_FIELDS)}'"),
+    ],
+    ids=["log", "matrix", "report"],
+)
+def test_a_header_error_names_a_leading_byte_order_mark(tmp_path, good, read, message):
+    path = tmp_path / "in.csv"
+    path.write_text(good, encoding="utf-8")
+    read(path)
+    for text, note in (("\ufeff" + good, BOM_NOTE), (good[1:], ""), ("\ufeff", BOM_NOTE)):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(mr.ParseError) as info:
+            read(path)
+        assert str(info.value) == message.format(path=path) + note

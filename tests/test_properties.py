@@ -13,6 +13,7 @@ import json
 import random
 import tempfile
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate, product
 from math import ceil, lcm
@@ -24,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multiagent_recourse as mr
-from multiagent_recourse import engine, files, scm as scm_module
+from multiagent_recourse import engine, files, gamelog, scm as scm_module
 from multiagent_recourse.gamelog import ALLOWED_DELTAS
 import oracle
 from conftest import build_scm_from_plain, plain_clauses_to_engine
@@ -883,9 +884,8 @@ def generate_log_game_by_game(n_total, n_principal_silent, matrix_mix, seed):
     return records
 
 
-@settings(max_examples=100, deadline=None)
-@given(SEEDS)
-def test_synthetic_log_draws_as_game_by_game(seed):
+def check_draws(seed):
+    """``generate_synthetic_log`` gives the records the reference draws."""
     rng = random.Random(seed)
     n_total = rng.choice([rng.randint(0, 300), rng.randint(0, 3000)])
     n_silent = rng.choice([0, n_total, rng.randint(0, n_total)])
@@ -899,6 +899,12 @@ def test_synthetic_log_draws_as_game_by_game(seed):
     assert mr.generate_synthetic_log(n_total, n_silent, mix, seed) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_synthetic_log_draws_as_game_by_game(seed):
+    check_draws(seed)
+
+
 # Ids of one mix must sort together: strings the CSV writer quotes or not
 # (a quote, a comma, a line break, a space, non-ASCII, nothing), or ids of
 # another type, which the log writer sends through the CSV writer whole.
@@ -910,19 +916,84 @@ GENERATED_MATRIX_IDS = [
 ]
 
 
-@settings(max_examples=150, deadline=None)
-@given(SEEDS)
-def test_synthetic_log_text_equals_the_written_records(seed):
+def synthetic_args(seed):
+    """A synthetic log's arguments over some ids of one group above.  A third
+    of the game counts lie within 2 of a whole hundred, where the game ids
+    start a new block."""
     rng = random.Random(seed)
-    n_total = rng.choice([0, rng.randint(0, 300)])
+    n_total = rng.choice([0, rng.randint(0, 300), max(0, 100 * rng.randint(0, 3) + rng.randint(-2, 2))])
     n_silent = rng.randint(0, n_total)
     ids = rng.choice(GENERATED_MATRIX_IDS)
     ids = rng.sample(ids, rng.randint(1, len(ids)))
     weights = [rng.randint(0, 3) for _ in ids]
     weights[0] += sum(weights) == 0
     mix = {mid: rng.choice([F(w, sum(weights)), str(F(w, sum(weights)))]) for mid, w in zip(ids, weights)}
-    expected = mr.write_game_log(generate_log_game_by_game(n_total, n_silent, mix, seed))
-    assert mr.synthetic_log_text(n_total, n_silent, mix, seed) == expected
+    return n_total, n_silent, mix, seed
+
+
+def check_log_text(seed):
+    """``synthetic_log_text`` writes the bytes of the reference's records."""
+    args = synthetic_args(seed)
+    assert mr.synthetic_log_text(*args) == mr.write_game_log(generate_log_game_by_game(*args))
+
+
+def check_cells(seed):
+    """``synthetic_cells`` gives each cell of the reference's records, in
+    first-drawn order: its first game and its game count."""
+    args = synthetic_args(seed)
+    firsts, counts = {}, Counter()
+    for game in generate_log_game_by_game(*args):
+        cell = (game.matrix_id, *game.rounds[0])
+        firsts.setdefault(cell, game)
+        counts[cell] += 1
+    assert mr.synthetic_cells(*args) == [(first, counts[cell]) for cell, first in firsts.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_synthetic_log_text_equals_the_written_records(seed):
+    check_log_text(seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_synthetic_cells_count_the_drawn_records(seed):
+    check_cells(seed)
+
+
+def fuzz(n):
+    """``n`` more cases of each synthetic-log property above, drawn by Hypothesis."""
+    for check in (check_draws, check_log_text, check_cells):
+        settings(max_examples=n, deadline=None, database=None)(given(SEEDS)(check))()
+
+
+@pytest.mark.parametrize("n_total", [0, 1, 99, 100, 101, 99_999, 100_000, 100_001, 250_001])
+def test_block_built_game_ids_are_the_numbered_ids(n_total):
+    ids = gamelog._game_ids(n_total)
+    assert ids[:n_total] == ["g%05d" % i for i in range(n_total)]
+    assert len(ids) - n_total in range(100)
+
+
+BIG = 10**5000  # past the digit limit: str(BIG) raises ValueError
+
+
+def test_the_over_long_id_drawn_first_is_refused():
+    mix, firsts = {BIG: F(1, 2), 2 * BIG: F(1, 2)}, set()
+    for seed in range(6):
+        first = generate_log_game_by_game(20, 5, mix, seed)[0].matrix_id
+        firsts.add(first)
+        message = f"matrix id {'1' if first == BIG else '2'}{'0' * 36}... has more than 4300 digits"
+        for write in (mr.synthetic_log_text, lambda *args: mr.write_game_log(mr.generate_synthetic_log(*args))):
+            with pytest.raises(mr.ValueRangeError) as info:
+                write(20, 5, mix, seed)
+            assert str(info.value) == message
+    assert firsts == {BIG, 2 * BIG}  # each id is drawn first in some log
+
+
+def test_an_over_long_id_of_weight_zero_is_never_refused():
+    args = (300, 40, {1: F(1, 3), BIG: 0, 3: F(2, 3)}, 7)
+    assert mr.synthetic_log_text(*args) == mr.write_game_log(generate_log_game_by_game(*args))
+    assert {game.matrix_id for game, _ in mr.synthetic_cells(*args)} == {1, 3}
 
 
 # ------------------------------------ every log and report that reads is written back
