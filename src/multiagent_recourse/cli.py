@@ -58,6 +58,18 @@ def _emit(text: str, output: str | None) -> None:
         raise OutputError(f"cannot write output file {path}: {reason}") from exc
 
 
+def _integer(text: str) -> int:
+    """An integer argument, written as ``-?[0-9]+``; anything else, or more
+    digits than int() reads, is a ValueError.  int() alone would also read
+    "_", padding and the digits of other scripts."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
+_integer.__name__ = "int"  # as argparse names the type: "invalid int value: ..."
+
+
 def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:
     params = {}
     for token in tokens:
@@ -69,11 +81,8 @@ def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:
         if key in params:
             raise InvalidParamsError(f"--synthetic gives {key} more than once")
         try:
-            # int() alone would also read "_", padding and the digits of other scripts.
-            if not re.fullmatch("-?[0-9]+", value):
-                raise ValueError(value)
-            params[key] = int(value)
-        except ValueError:  # or more digits than int() reads
+            params[key] = _integer(value)
+        except ValueError:
             raise InvalidParamsError(f"--synthetic {key} must be an integer") from None
     if set(params) != {"n", "silent"}:
         raise InvalidParamsError("--synthetic needs both n=<total> and silent=<count>")
@@ -228,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=PATH",
         help="register a custom matrix CSV under NAME (repeatable)",
     )
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=_integer, default=0)
     p_exp.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p_exp.add_argument("--jobs", type=int, default=1, help="at least 1; does not change the work done")
+    p_exp.add_argument("--jobs", type=_integer, default=1, help="at least 1; does not change the work done")
     p_exp.add_argument("--principal", choices=["p1", "both"], default="p1")
     p_exp.add_argument(
         "--include-identity",
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="n=<total> silent=<count>",
     )
     p_gen.add_argument("--matrix", default="table1", help="matrix id or id=proportion list")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_integer, default=0)
     p_gen.add_argument("-o", "--output", help="write the log here instead of stdout")
     p_gen.set_defaults(func=_cmd_generate)
 

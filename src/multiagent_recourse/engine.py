@@ -14,8 +14,8 @@ weights' numerators and denominators, with no ``Fraction`` arithmetic.
 The reported cost is the ranking's own value, made exact.
 Values are mapped to positions through maps keyed by ``int`` for integral
 values (``scm._key``), and each literal of a query file is read once
-(``files``); a structural query file's actions are read straight to
-positions, which ranking takes while the query's actions are as read.
+(``files``); every query's actions, from a file or built in code, are mapped
+to positions the same way (``Scm._positions``).
 Candidates are then predicted
 in rank order, each as a pin overlay on the model's compiled index tables (no
 mutilated model is built), and the first whose clauses all hold is returned;
@@ -258,13 +258,10 @@ class RecourseQuery(Record):
     ``constraints`` defaults to a new empty list and ``cost`` to ``CostModel()``.
     """
 
-    # _loaded: for a query file's structural query, its model, its actions as
-    # read and their positions (``files``); else None.
-    _fields = (
+    __slots__ = _fields = (
         "scm", "principal", "agents", "factual", "feasible",
         "constraints", "cost", "plausible", "exclude_identity",
     )
-    __slots__ = (*_fields, "_loaded")
 
     def __init__(
         self, scm: Scm, principal: AgentId, agents: dict[AgentId, str],
@@ -280,7 +277,6 @@ class RecourseQuery(Record):
             CostModel() if cost is None else cost,
             plausible, checked_flag(self, "exclude_identity", exclude_identity, InvalidQueryError),
         )
-        self._loaded = None
 
 
 class AgentDelta(FrozenRecord):
@@ -523,13 +519,8 @@ def _rank(query: RecourseQuery) -> tuple:
     state.  A candidate is predicted as a pin overlay on the whole model."""
     _check_query(query)
     scm = query.scm
-    loaded = query._loaded
-    if loaded is not None and loaded[0] is scm and query.feasible == loaded[1]:
-        # The actions as a query file gave them, already in the domains.
-        candidates = list(zip(query.feasible, loaded[2]))
-    else:
-        # Mapping each action to positions checks it against the domains.
-        candidates = [(action, scm._positions(action)) for action in query.feasible]
+    # Mapping each action to positions checks it against the domains.
+    candidates = [(action, scm._positions(action)) for action in query.feasible]
     factual = scm.abduct(query.factual)
     world = scm._positions(factual)
     for clause in query.constraints:

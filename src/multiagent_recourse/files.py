@@ -338,12 +338,17 @@ def load_scm(path: str | Path) -> Scm:
 
 
 def graph_to_dot(graph: CausalGraph) -> str:
-    """Deterministic DOT text: nodes and edges sorted lexicographically."""
+    """Deterministic DOT text: nodes and edges sorted lexicographically.  Each
+    name is a quoted ID, with its backslashes and double quotes escaped."""
+
+    def quoted(name: str) -> str:
+        return '"' + str(name).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph causal_model {"]
     for node in sorted(graph.nodes):
-        lines.append(f'    "{node}";')
+        lines.append(f"    {quoted(node)};")
     for frm, to in sorted(graph.edges):
-        lines.append(f'    "{frm}" -> "{to}";')
+        lines.append(f"    {quoted(frm)} -> {quoted(to)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -431,44 +436,6 @@ def _allowlist_predicate(entries: list, model: Scm) -> AllowList:
     return AllowList._exact(normalized)
 
 
-# The types of action literals read straight to positions.  A float is read by
-# its decimal literal, which a memo hit on its binary value would not do.
-_ACTION_LITERAL_TYPES = frozenset({int, str, Fraction})
-
-
-def _action_positions(raw: list, model: Scm) -> tuple[list, list] | None:
-    """The actions of a structural query, each as values taken from the
-    domains and as positions, every literal looked up through one
-    ``_PositionMemo`` per variable.
-
-    None if an action is not an object, names a variable ``model`` does not
-    declare, or holds a literal that is not a number (a bool is not one) in
-    its variable's domain.  ``_assignment`` then reads the list, for its
-    ParseErrors, and ``_rank`` maps it, for its DomainErrors.  (A model's
-    domains repeat no value, which a memo needs.)
-    """
-    memos: dict[str, _PositionMemo] = {}
-    actions, pins = [], []
-    try:
-        for item in raw:
-            if type(item) is not dict:
-                return None
-            action, positions = {}, {}
-            for name, literal in item.items():
-                if type(literal) not in _ACTION_LITERAL_TYPES:
-                    return None
-                memo = memos.get(name)
-                if memo is None:
-                    memo = memos[name] = _PositionMemo(model._decls[name])
-                position = positions[name] = memo[literal]
-                action[name] = memo.domain[position]
-            actions.append(action)
-            pins.append(positions)
-    except (KeyError, ValueError):
-        return None
-    return actions, pins
-
-
 def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuery, str]:
     """Build a query from its JSON form; returns (query, solver mode)."""
     from .engine import COST_COMPOSITE, CostModel, RecourseQuery
@@ -511,19 +478,13 @@ def query_from_dict(data: Any, base_dir: str | Path = ".") -> tuple[RecourseQuer
     principal = read_agent(data["principal"], "query", "principal")
     factual = _assignment(data["factual"], "query", "factual")
     raw = read_list(data["feasible"], "query", "feasible")
-    # A structural query's actions are read straight to positions, which
-    # ``_rank`` takes while the query's actions still equal a copy of them.
-    loaded = _action_positions(raw, model) if solver == SOLVER_STRUCTURAL else None
-    if loaded is None:
-        feasible = [_assignment(action, f"feasible[{j}]") for j, action in enumerate(raw)]
-    else:
-        feasible = [dict(action) for action in loaded[0]]
+    # Read as values; the solver checks each action against the model.
+    feasible = [_assignment(action, f"feasible[{j}]") for j, action in enumerate(raw)]
     exclude_identity = read_bool(data.get("exclude_identity", False), "query", "exclude_identity")
     # Every value is read exactly once here, so the query takes them as they are.
     query = RecourseQuery._exact(
         model, principal, agents, factual, feasible, constraints, cost, plausible, exclude_identity
     )
-    query._loaded = None if loaded is None else (model, *loaded)
     return query, solver
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import multiagent_recourse as mr
 from multiagent_recourse.cli import main
+from multiagent_recourse.gamelog import synthetic_log_text
 
 QUERY_CASE1 = {
     "scm_file": "model.json",
@@ -568,6 +569,32 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: --synthetic {key} must be an integer\n")
 
+    @pytest.mark.parametrize(
+        "command, flag", [("experiment", "--seed"), ("generate", "--seed"), ("experiment", "--jobs")]
+    )
+    @pytest.mark.parametrize(
+        "value",
+        ["1_0", "١٠", "１０", " 10", "10\n", "+10", "1e1", "abc", "9" * 4301],
+        ids=["underscore", "arabic-indic", "fullwidth", "space", "newline", "plus", "exponent",
+             "letters", "over-the-digit-limit"],
+    )
+    def test_seed_and_jobs_are_ascii_integers(self, capsys, command, flag, value):
+        # The rule of --synthetic's counts; int() alone would read the first six as 10.
+        assert main([command, "--synthetic", "n=3", "silent=1", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("seed", ["-1", "0", "401"])
+    def test_seed_reads_as_the_int_it_writes(self, capsys, seed):
+        assert main(["generate", "--synthetic", "n=30", "silent=4", "--seed", seed]) == 0
+        assert capsys.readouterr().out == synthetic_log_text(30, 4, {"table1": 1}, int(seed))
+        args = ["--synthetic", "n=30", "silent=4", "--seed", seed, "--format", "json"]
+        assert main(["experiment", *args, "--jobs", "2"]) == 0
+        with_jobs = capsys.readouterr()
+        assert main(["experiment", *args]) == 0
+        assert capsys.readouterr() == with_jobs
+
     # An empty mix cannot be spelled here: --matrix "" is refused as an entry with no name.
     @pytest.mark.parametrize(
         "args, message",
@@ -1033,6 +1060,7 @@ BROKEN_MODELS = {
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 from multiagent_recourse.cli import main
+from multiagent_recourse.gamelog import synthetic_log_text
 
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()

@@ -805,6 +805,18 @@ class TestFileForms:
 
         assert outcome(loaded) == outcome(built)
 
+    def test_a_bool_put_in_a_query_is_refused_as_in_one_built_in_code(self):
+        # Equal actions that hold True for 1: a query file's actions are
+        # checked as any other query's, so the bool is not taken for 1.
+        loaded, _ = mr.query_from_dict(self.query_data())
+        built = mr.RecourseQuery(loaded.scm, loaded.principal, loaded.agents, loaded.factual, [])
+        for query in (loaded, built):
+            query.feasible = [{"x1": True}, {}]
+            assert query.feasible == [{"x1": F(1)}, {}]
+            with pytest.raises(ValueError) as info:
+                mr.solve(query)
+            assert str(info.value) == "cannot interpret bool value True as a rational"
+
     def test_unknown_field(self):
         data = self.query_data()
         data["bogus"] = True

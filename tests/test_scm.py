@@ -462,6 +462,22 @@ class TestGraph:
             "}\n"
         )
 
+    def test_dot_escapes_quotes_and_backslashes_in_names(self):
+        scm = mr.Scm(
+            (
+                mr.VariableDecl('u"1', mr.EXOGENOUS, (0, 1)),
+                mr.VariableDecl("a\\", mr.ENDOGENOUS, (0, 1)),
+            ),
+            (mr.StructuralEquation("a\\", ('u"1',), {(F(0),): F(0), (F(1),): F(1)}),),
+        )
+        assert mr.graph_to_dot(scm.graph()) == (
+            "digraph causal_model {\n"
+            '    "a\\\\";\n'
+            '    "u\\"1";\n'
+            '    "u\\"1" -> "a\\\\";\n'
+            "}\n"
+        )
+
 
 class TestFiles:
     def test_round_trip(self, pd1):
