@@ -31,8 +31,9 @@ _NAMES = {
         "AgentDelta", "AgentId", "AllowList", "Clause", "CostModel", "FeasibleRow",
         "OutcomeFlags", "Pareto", "Plausible", "PrincipalImprovement", "RecourseOutcome",
         "RecourseQuery", "SocialWelfare", "Threshold", "classify", "clause_label",
-        "enumerate_feasible", "solve", "solve_cfe_baseline",
+        "enumerate_feasible", "solve",
     ),
+    "baseline": ("solve_cfe_baseline",),
     "files": (
         "graph_to_dot", "load_query", "load_scm", "outcome_to_dict", "query_from_dict",
         "report_from_csv", "report_from_json", "rows_to_json", "scm_from_dict", "scm_to_dict",
@@ -44,9 +45,9 @@ _NAMES = {
     "gamelog": (
         "BETRAY", "BOTH_PLAYERS", "MODE_CUSTOM", "MODE_PARETO", "MODE_PARETO_AND_WELFARE",
         "MODE_SINGLE_AGENT", "MODE_SOCIAL_WELFARE", "PLAYER1_ONLY", "SILENT", "GameRecord",
-        "filter_single_round", "generate_synthetic_log", "parse_game_log",
-        "parse_game_log_text", "synthetic_cells", "synthetic_log_text", "write_game_log",
+        "filter_single_round", "generate_synthetic_log", "synthetic_cells",
     ),
+    "logfile": ("parse_game_log", "parse_game_log_text", "synthetic_log_text", "write_game_log"),
     "experiment": (
         "ExperimentConfig", "ExperimentReport", "OutcomeCounts", "render_report", "run_cells",
         "run_experiment",

@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .errors import InvalidParamsError, OutputError, RecourseError
-from .gamelog import BOTH_PLAYERS, MODE_SINGLE_AGENT, PAPER_MODES, PLAYER1_ONLY, synthetic_log_text
-from .values import as_value, lazy_names
+from .gamelog import BOTH_PLAYERS, MODE_SINGLE_AGENT, PAPER_MODES, PLAYER1_ONLY
+from .values import _shown, as_value, lazy_names
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -24,10 +24,11 @@ EXIT_NO_RECOMMENDATION = 2
 OUT_DIR_ENV = "MULTIAGENT_RECOURSE_OUT_DIR"
 
 # Each command imports the modules it runs, so parsing the arguments and
-# writing a synthetic log load no model code.  bench/child.py reads these names
-# of the query path from here; each is bound on first access.
+# writing a synthetic log load no model code, and only the commands that read
+# or write a log file load its CSV form.  bench/child.py reads these names of
+# the query path from here; each is bound on first access.
 __getattr__ = lazy_names(
-    __name__, "engine", ("SOLVER_BASELINE", "load_query", "outcome_to_dict", "solve", "solve_cfe_baseline")
+    __name__, {"engine": ("SOLVER_BASELINE", "load_query", "outcome_to_dict", "solve", "solve_cfe_baseline")}
 )
 
 
@@ -59,12 +60,18 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _integer(text: str) -> int:
-    """An integer argument, written as ``-?[0-9]+``; anything else, or more
-    digits than int() reads, is a ValueError.  int() alone would also read
-    "_", padding and the digits of other scripts."""
+    """An integer argument, written as ``-?[0-9]+``; anything else is a
+    ValueError.  int() alone would also read "_", padding and the digits of
+    other scripts.  More digits than int() reads is an ArgumentTypeError that
+    quotes only their head, as the library quotes an over-long literal."""
     if not re.fullmatch("-?[0-9]+", text):
         raise ValueError(text)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{_shown(text)!r} has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 _integer.__name__ = "int"  # as argparse names the type: "invalid int value: ..."
@@ -82,7 +89,7 @@ def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:
             raise InvalidParamsError(f"--synthetic gives {key} more than once")
         try:
             params[key] = _integer(value)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise InvalidParamsError(f"--synthetic {key} must be an integer") from None
     if set(params) != {"n", "silent"}:
         raise InvalidParamsError("--synthetic needs both n=<total> and silent=<count>")
@@ -136,11 +143,12 @@ def _load_matrix_files(pairs: list[str]) -> dict:
 def _cmd_solve(args) -> int:
     import json
 
-    # Read through ``engine``, where a tracer wraps them.
-    from .engine import SOLVER_BASELINE, load_query, outcome_to_dict, solve, solve_cfe_baseline
+    # Read through ``engine``, where a tracer wraps them; the additive
+    # baseline's module loads only for a query that names it.
+    from . import engine
 
-    query, solver = load_query(args.query_file)
-    outcome = solve_cfe_baseline(query) if solver == SOLVER_BASELINE else solve(query)
+    query, solver = engine.load_query(args.query_file)
+    outcome = engine.solve_cfe_baseline(query) if solver == engine.SOLVER_BASELINE else engine.solve(query)
     if outcome is None:
         payload = {
             "found": False,
@@ -149,24 +157,20 @@ def _cmd_solve(args) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return EXIT_NO_RECOMMENDATION
-    _emit(json.dumps(outcome_to_dict(outcome), indent=2) + "\n", args.output)
+    _emit(json.dumps(engine.outcome_to_dict(outcome), indent=2) + "\n", args.output)
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
-    from .experiment import (
-        ExperimentConfig,
-        filter_single_round,
-        parse_game_log,
-        render_report,
-        run_cells,
-        run_experiment,
-    )
+    from .experiment import ExperimentConfig, render_report, run_cells, run_experiment
     from .gamelog import synthetic_cells
 
     if args.jobs < 1:  # --jobs is accepted for old scripts and changes nothing
         raise InvalidParamsError("jobs must be at least 1")
     if args.log:
+        # Read through ``experiment``, where a tracer wraps them.
+        from .experiment import filter_single_round, parse_game_log
+
         games = parse_game_log(args.log)
         source = filter_single_round(games)
         fold, total, kept = run_experiment, len(games), len(source)
@@ -192,6 +196,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .logfile import synthetic_log_text
+
     _emit(synthetic_log_text(*_synthetic_args(args)), args.output)
     return EXIT_OK
 

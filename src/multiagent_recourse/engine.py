@@ -1,12 +1,12 @@
 """Recourse solvers: exact enumeration over a finite action set.
 
 Two solvers share the query type, the ranking and the loop that picks an
-action; they differ only in how a candidate is predicted.  ``solve`` returns
-the cheapest candidate action whose counterfactual state satisfies every
-constraint clause plus the plausibility predicate.  The factual world is
-abducted once per query and mapped once to positions in the variables'
-domains.  An action's cost depends
-only on the action and the factual state, so every candidate is ranked before
+action, all three defined here; they differ only in how a candidate is
+predicted.  ``solve`` returns the cheapest candidate action whose
+counterfactual state satisfies every constraint clause plus the plausibility
+predicate.  The factual world is abducted once per query and mapped once to
+positions in the variables' domains.  An action's cost depends only on the
+action and the factual state, so every candidate is ranked before
 any is predicted, on integer keys: the count, and the weighted change as a
 numerator over the query's common denominator, built from each variable's
 domain on its integer scale (``VariableDecl._integer_scale``) and the
@@ -24,9 +24,10 @@ arithmetic either: the clauses compare the agents' outcomes as ints on one
 scale, and an allow-list (``AllowList``) is checked on the state's positions.
 ``enumerate_feasible`` shares the
 ranking and predicts every candidate for its audit table.
-``solve_cfe_baseline`` is the deliberately naive additive variant: it shifts
-the named features in place, re-predicts only the agents' outcome models from
-their compiled tables, and never touches the causal structure.
+``solve_cfe_baseline``, the deliberately naive additive variant, is in
+``baseline`` (served from here on first access): it shifts the named features
+in place, re-predicts only the agents' outcome models from their compiled
+tables, and never touches the causal structure.
 
 Ties between equal-cost actions break lexicographically over (sorted
 intervened variable names, then value positions in each variable's declared
@@ -40,7 +41,7 @@ from math import lcm
 from typing import Any, Callable, Iterator, Mapping, Sequence, Union, get_args
 
 from .errors import DomainError, InvalidQueryError, ValueRangeError
-from .scm import ENDOGENOUS, Assignment, Positions, Scm, _key
+from .scm import ENDOGENOUS, Assignment, Positions, Scm
 from .values import FrozenRecord, Record, as_value, checked_flag, format_value, lazy_names
 from .values import shown_repr, shown_value, value_to_json
 
@@ -533,65 +534,6 @@ def _rank(query: RecourseQuery) -> tuple:
     )
 
 
-def _rank_shifts(query: RecourseQuery) -> tuple:
-    """``_rank`` for ``solve_cfe_baseline``; every shift is checked, in
-    feasible order, before any candidate is predicted."""
-    _check_query(query)
-    scm = query.scm
-    outcome_vars = set(query.agents.values())
-    endogenous = scm.endogenous_names
-    factual = scm.evaluate({name: v for name, v in query.factual.items() if name not in endogenous})
-    for name, value in query.factual.items():
-        if factual[name] != value:
-            raise InvalidQueryError(
-                f"factual value of {name!r} disagrees with the outcome models"
-            )
-
-    thresholds: list[Threshold] = []
-    for clause in query.constraints:
-        if isinstance(clause, Threshold):
-            if clause.agent != query.principal:
-                raise InvalidQueryError(
-                    "the additive baseline only supports thresholds on the principal"
-                )
-            thresholds.append(clause)
-        elif not isinstance(clause, Plausible):
-            raise InvalidQueryError(
-                f"the additive baseline does not support the {clause_label(clause)} clause"
-            )
-    if not thresholds:
-        thresholds = [Threshold(query.principal, factual[query.agents[query.principal]], strict=True)]
-
-    candidates = []
-    for delta in query.feasible:
-        # Look every name up first: an unknown one is a DomainError, even unshifted.
-        for name in delta:
-            scm.decl(name)
-        shift = {name: value for name, value in delta.items() if value != 0}
-        if outcome_vars & set(shift):
-            raise InvalidQueryError("baseline shifts cannot target an agent's outcome variable")
-        if query.exclude_identity and not shift:
-            continue
-        pins: Positions = {}
-        for name, amount in shift.items():
-            position = scm.decl(name)._index.get(_key(factual[name] + amount))
-            if position is None:
-                raise DomainError(
-                    f"shifting {name!r} by {shown_value(amount)} leaves its domain"
-                )
-            pins[name] = position
-        candidates.append((shift, pins))
-
-    world = scm._positions(factual)
-
-    def evaluate(pins: Positions) -> Positions:
-        # Parents that are themselves outcomes read their factual values (no propagation).
-        shifted = {**world, **pins}
-        return {**shifted, **{var: scm._output(var, shifted) for var in outcome_vars}}
-
-    return _ranked(query, factual, world, candidates, thresholds, evaluate)
-
-
 def _first_passing(query: RecourseQuery, ranked: tuple) -> RecourseOutcome | None:
     """The outcome of the first candidate, in rank order, whose clauses all
     hold, or None if none does; none ranked after it is predicted."""
@@ -638,20 +580,9 @@ def solve(query: RecourseQuery) -> RecourseOutcome | None:
     return _first_passing(query, _rank(query))
 
 
-def solve_cfe_baseline(query: RecourseQuery) -> RecourseOutcome | None:
-    """Additive-shift solver with no causal propagation.
-
-    Feasible entries are shift vectors.  The factual feature vector is
-    completed from the exogenous assignment, each shift is added in place, and
-    only the agents' outcome models are re-predicted from the shifted vector;
-    every other variable keeps its factual value.  Only threshold constraints
-    on the principal are supported; when none is given the principal must
-    strictly improve on its factual prediction.  Candidates are ranked and
-    picked as in ``solve``.
-    """
-    return _first_passing(query, _rank_shifts(query))
-
-
-# Moved to ``files``; ``cli`` reads and serves these from here, where the
-# benchmark's tracer (bench/tracing.py) wraps ``load_query`` and ``outcome_to_dict``.
-__getattr__ = lazy_names(__name__, "files", ("SOLVER_BASELINE", "load_query", "outcome_to_dict"))
+# Moved to ``files`` and ``baseline``; ``cli`` reads and serves these from here,
+# where the benchmark's tracer (bench/tracing.py) wraps all but ``SOLVER_BASELINE``.
+__getattr__ = lazy_names(__name__, {
+    "files": ("SOLVER_BASELINE", "load_query", "outcome_to_dict"),
+    "baseline": ("solve_cfe_baseline",),
+})

@@ -26,16 +26,19 @@ from .engine import (
     solve,
 )
 from .errors import InvalidParamsError, RecourseError
-# The names used here, the four the benchmark's tracer (bench/tracing.py) wraps
+# The names used here, two that the benchmark's tracer (bench/tracing.py) wraps
 # here, and ``GameRecord``, which a pickle made before the move looks up here.
 from .gamelog import (  # noqa: F401
     BETRAY, BOTH_PLAYERS, MODE_CUSTOM, MODE_SINGLE_AGENT, PAPER_MODES, PLAYER1_ONLY, SILENT,
-    GameRecord, _row_text, filter_single_round, generate_synthetic_log, parse_game_log,
-    write_game_log,
+    GameRecord, filter_single_round, generate_synthetic_log,
 )
 from .games import PayoffMatrix, builtin_matrix, pd_scm
 from .scm import Scm
-from .values import Record, checked_flag
+from .values import Record, checked_flag, lazy_names
+
+# The other two the tracer wraps here, served from the log's file form on
+# first access, so that a synthetic log's experiment does not load it.
+__getattr__ = lazy_names(__name__, {"logfile": ("parse_game_log", "write_game_log")})
 
 # The clauses each of the paper's recourse modes asks of an action.
 MODE_CLAUSES = dict(
@@ -244,6 +247,8 @@ def render_report(report: ExperimentReport, fmt: str = "table") -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
+        from .logfile import _row_text
+
         scopes = [("overall", report.overall), *sorted(report.per_matrix.items())]
         rows = [["scope", *_COUNT_FIELDS]]
         rows += [[scope, *(getattr(counts, n) for n in _COUNT_FIELDS)] for scope, counts in scopes]

@@ -7,8 +7,6 @@ four-row CSV.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -145,6 +143,9 @@ _MATRIX_HEADER = ["row_action", "col_action", "p1", "p2"]
 
 def load_matrix_csv(path: str | Path, matrix_id: str = "custom") -> PayoffMatrix:
     """Read a matrix from CSV with header row_action,col_action,p1,p2."""
+    import csv
+    import io
+
     path = Path(path)
     text = read_file(path, "matrix", newline="")
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -170,6 +171,9 @@ def load_matrix_csv(path: str | Path, matrix_id: str = "custom") -> PayoffMatrix
 
 
 def matrix_to_csv(matrix: PayoffMatrix) -> str:
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_MATRIX_HEADER)

@@ -521,4 +521,4 @@ def _row_text(row: tuple[Fraction, ...]) -> str:
 
 # Moved to ``files``, which reads each model through this binding: the one the
 # benchmark's tracer (bench/tracing.py) wraps.
-__getattr__ = lazy_names(__name__, "files", ("scm_from_dict",))
+__getattr__ = lazy_names(__name__, {"files": ("scm_from_dict",)})

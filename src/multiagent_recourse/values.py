@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, NoReturn
+from typing import Any, Callable, Iterable, Mapping, NoReturn
 
 from .errors import ParseError, ValueRangeError
 
@@ -241,14 +241,16 @@ def checked_flag(record: Record, field: str, raw: Any, error: type[Exception]) -
     return raw
 
 
-def lazy_names(module: str, home: str, names: Iterable[str]) -> Callable[[str], Any]:
-    """A module ``__getattr__`` (PEP 562) that serves ``names`` from the sibling
-    module ``home``, imported on first access, and binds each into ``module``
-    so that a later read is a plain attribute read."""
-    served = frozenset(names)
+def lazy_names(module: str, homes: Mapping[str, Iterable[str]]) -> Callable[[str], Any]:
+    """A module ``__getattr__`` (PEP 562) that serves each name listed in
+    ``homes`` from the sibling module it is listed under, imported on first
+    access, and binds it into ``module`` so that a later read is a plain
+    attribute read.  Any other name costs one lookup before its AttributeError."""
+    served = {name: home for home, names in homes.items() for name in names}
 
     def __getattr__(name: str) -> Any:
-        if name not in served:
+        home = served.get(name)
+        if home is None:
             raise AttributeError(f"module {module!r} has no attribute {name!r}")
         value = getattr(importlib.import_module(f"{__package__}.{home}"), name)
         setattr(sys.modules[module], name, value)

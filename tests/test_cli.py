@@ -12,7 +12,7 @@ import pytest
 
 import multiagent_recourse as mr
 from multiagent_recourse.cli import main
-from multiagent_recourse.gamelog import synthetic_log_text
+from multiagent_recourse.logfile import synthetic_log_text
 
 QUERY_CASE1 = {
     "scm_file": "model.json",
@@ -557,10 +557,10 @@ class TestExperiment:
         "n, silent",
         [
             ("1_0", "3"), ("10", "\u0663"), ("\uff11\uff10", "3"), (" 10", "3"), ("10\n", "3"),
-            ("+10", "3"), ("--1", "3"), ("", "3"), ("-", "3"), ("1e1", "3"),
+            ("+10", "3"), ("--1", "3"), ("", "3"), ("-", "3"), ("1e1", "3"), ("9" * 4301, "3"),
         ],
         ids=["underscore", "arabic-indic", "fullwidth", "space", "newline", "plus", "double-minus",
-             "empty", "minus-only", "exponent"],
+             "empty", "minus-only", "exponent", "over-the-digit-limit"],
     )
     def test_synthetic_counts_are_ascii_integers(self, capsys, command, n, silent):
         # int() alone would read the first six as n=10 or silent=3.
@@ -583,6 +583,11 @@ class TestExperiment:
         assert main([command, "--synthetic", "n=3", "silent=1", flag, value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        if len(value) > 4300:  # more digits than int() reads: quoted by their head, in one short line
+            error = captured.err.splitlines()[-1]
+            assert error.endswith(f"error: argument {flag}: '{value[:37]}...' has more than 4300 digits")
+            assert len(error.encode()) < 400
+            return
         assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
 
     @pytest.mark.parametrize("seed", ["-1", "0", "401"])
@@ -1060,7 +1065,7 @@ BROKEN_MODELS = {
 _RUN_COMMANDS = """
 import contextlib, io, json, sys
 from multiagent_recourse.cli import main
-from multiagent_recourse.gamelog import synthetic_log_text
+from multiagent_recourse.logfile import synthetic_log_text
 
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()

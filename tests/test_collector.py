@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import multiagent_recourse as mr
-from multiagent_recourse import cli, engine, experiment, files, gamelog
+from multiagent_recourse import cli, engine, experiment, files, logfile
 from test_cli import (
     EMPTY_DIGEST,
     GENERATE_DIGESTS,
@@ -111,12 +111,12 @@ def test_what_is_alive_at_exit_is_frozen_once(tmp_path):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: gamelog.parse_game_log_text(gamelog.synthetic_log_text(300, 40, {"table1": 1}, 7)),
+        lambda: logfile.parse_game_log_text(logfile.synthetic_log_text(300, 40, {"table1": 1}, 7)),
         lambda: experiment.run_experiment(
-            gamelog.parse_game_log_text(gamelog.synthetic_log_text(300, 40, {"table1": 1}, 7)),
+            logfile.parse_game_log_text(logfile.synthetic_log_text(300, 40, {"table1": 1}, 7)),
             mr.ExperimentConfig(),
         ),
-        lambda: gamelog.synthetic_log_text(300, 40, {"table1": 1}, 7),
+        lambda: logfile.synthetic_log_text(300, 40, {"table1": 1}, 7),
         lambda: engine.solve(files.load_query(GOLDEN / "structural.json")[0]),
     ],
     ids=["parse_game_log_text", "run_experiment", "synthetic_log_text", "load_query-solve"],

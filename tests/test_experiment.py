@@ -8,7 +8,7 @@ import pytest
 
 import multiagent_recourse as mr
 from multiagent_recourse import experiment
-from multiagent_recourse.gamelog import parse_game_log_text
+from multiagent_recourse.logfile import parse_game_log_text
 
 
 def one_round_game(game_id, p1, p2, matrix_id="table2"):

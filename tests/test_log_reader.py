@@ -11,7 +11,7 @@ error type and message.
 
 A second generator writes plain logs: "\n" line ends only, and ids with no
 comma, quote, CR, LF or NUL, so that no field is quoted.  The reader splits
-such a log at its line ends and commas itself (``gamelog._plain_lines``)
+such a log at its line ends and commas itself (``logfile._plain_lines``)
 unless a line is over the CSV reader's limit, and its one fold then meets
 each break there: some logs put hundreds of good rows before the breaks.
 
@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 import log_reference
 import multiagent_recourse as mr
-from multiagent_recourse import gamelog
+from multiagent_recourse import logfile
 from multiagent_recourse.gamelog import ALLOWED_DELTAS
 
 SEEDS = st.integers(min_value=0, max_value=10**9)
@@ -289,7 +289,7 @@ def test_the_plain_breaks_reach_every_check():
         assert read(mr.parse_game_log_text, text) == outcome
         if isinstance(outcome, list):
             seen.add("records" if outcome else "no records")
-            seen.add("csv path" if gamelog._plain_lines(text) is None else "line path")
+            seen.add("csv path" if logfile._plain_lines(text) is None else "line path")
         else:
             seen.update(phrase for phrase in ERRORS if phrase in outcome[1])
             if int(re.match(r"line (\d+):|", outcome[1]).group(1) or 0) > 200:
@@ -317,7 +317,7 @@ def refuse_csv_reader(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("csv.reader called")
 
-    monkeypatch.setattr(gamelog.csv, "reader", refuse)
+    monkeypatch.setattr(logfile.csv, "reader", refuse)
 
 
 def test_plain_logs_take_the_line_path(monkeypatch):
@@ -372,7 +372,7 @@ def test_other_logs_are_read_by_csv_reader(monkeypatch, text):
         return csv_reader(*args)
 
     csv_reader = csv.reader
-    monkeypatch.setattr(gamelog.csv, "reader", reader)
+    monkeypatch.setattr(logfile.csv, "reader", reader)
     assert read(mr.parse_game_log_text, text) == expected
     assert len(calls) == 1
 
@@ -392,7 +392,7 @@ def test_a_plain_text_is_split_here_when_its_lines_fit_the_field_limit():
                        for _ in range(rng.randint(0, 8))]
             text = HEADER_LINE + "\n".join("x" * n for n in lengths) + rng.choice(["", "\n"])
             fits = max(map(len, text.split("\n"))) <= limit
-            assert (gamelog._plain_lines(text) is not None) == fits
+            assert (logfile._plain_lines(text) is not None) == fits
             seen.add(fits)
     finally:
         csv.field_size_limit(old_limit)

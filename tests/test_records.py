@@ -35,9 +35,9 @@ LOADED_SCRIPT = """
 import contextlib, io, sys
 
 def loaded():
-    # The package's submodules, then "json" if the standard json module is loaded.
+    # The package's submodules, then "json" and "csv", each if that standard module is loaded.
     names = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("multiagent_recourse."))
-    return names + ["json"] * ("json" in sys.modules)
+    return names + [name for name in ("json", "csv") if name in sys.modules]
 
 def run(*args):
     import multiagent_recourse.cli as cli
@@ -83,24 +83,25 @@ def loaded_after(tmp_path, *steps):
 
 
 def test_generate_loads_no_model_code(tmp_path):
-    # Each command imports the modules it runs: argument parsing and
-    # ``generate`` need only the game log, ``experiment`` no file forms,
-    # ``solve`` and ``graph`` no game code, and ``graph`` no query code.
-    # ``json`` loads only where JSON is read or written.
-    steps = loaded_after(
-        tmp_path, "package", "log name", "cli", "help", "generate", "experiment table", "experiment json"
-    )
-    log_only = ["errors", "gamelog", "values"]
+    # Each command imports the modules it runs: argument parsing needs only
+    # the game log's names, ``generate`` its file form too, ``experiment`` no
+    # file forms, ``solve`` and ``graph`` no game code, ``graph`` no query
+    # code, and a structural ``solve`` no baseline.  ``json`` and ``csv`` load
+    # only where JSON or CSV is read or written.
+    steps = loaded_after(tmp_path, "package", "log name", "generate")
+    log_file = ["errors", "gamelog", "logfile", "values", "csv"]
     assert steps["package"] == []
-    assert steps["log name"] == log_only
-    assert steps["cli"] == steps["help"] == steps["generate"] == ["cli", *log_only]
+    assert steps["log name"] == log_file
+    assert steps["generate"] == ["cli", *log_file]
+    steps = loaded_after(tmp_path, "cli", "help", "experiment table", "experiment json")
+    assert steps["cli"] == steps["help"] == ["cli", "errors", "gamelog", "values"]
     model_code = ["cli", "engine", "errors", "experiment", "gamelog", "games", "scm", "values"]
     assert steps["experiment table"] == model_code
     assert steps["experiment json"] == [*model_code, "json"]
     solve, graph = (set(loaded_after(tmp_path, command)[command]) for command in ("solve", "graph"))
     assert {"engine", "files", "scm", "json"} <= solve
     assert {"files", "scm", "json"} <= graph
-    assert not {"games", "experiment"} & (solve | graph)
+    assert not {"games", "experiment", "logfile", "baseline", "csv"} & (solve | graph)
     assert "engine" not in graph
 
 
