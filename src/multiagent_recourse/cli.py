@@ -5,13 +5,13 @@ Exit codes: 0 success, 1 error, 2 well-formed "no feasible recommendation".
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import InvalidParamsError, OutputError, RecourseError
 from .gamelog import BOTH_PLAYERS, MODE_SINGLE_AGENT, PAPER_MODES, PLAYER1_ONLY
@@ -32,17 +32,9 @@ __getattr__ = lazy_names(
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    # Usage problems are ordinary errors (exit 1); exit 2 is reserved for
-    # "no feasible recommendation".
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     path = Path(output)
     out_dir = os.environ.get(OUT_DIR_ENV)
@@ -53,10 +45,38 @@ def _emit(text: str, output: str | None) -> None:
         # (a lone surrogate, as from an undecodable argument) leaves no file.
         data = text.encode("utf-8")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        file = path.open("wb")
     except (OSError, UnicodeEncodeError) as exc:  # OSError: such as a directory
-        reason = getattr(exc, "strerror", None) or exc
-        raise OutputError(f"cannot write output file {path}: {reason}") from exc
+        raise _unwritable(path, exc) from exc
+    try:
+        with file:
+            file.write(data)
+    except OSError as exc:  # such as a full disk or a file size limit
+        try:
+            if path.is_file():  # what was written of it; a device such as /dev/null stays
+                path.unlink()
+        except OSError:
+            pass  # the write's own error is the one to report
+        raise _unwritable(path, exc) from exc
+
+
+def _unwritable(path: Path, exc: Exception) -> OutputError:
+    reason = getattr(exc, "strerror", None) or exc
+    return OutputError(f"cannot write output file {path}: {reason}")
+
+
+def _write_stdout(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What the buffer still holds goes to the null device at exit, so the
+        # interpreter's own flush finds nothing to report (the recipe of the
+        # signal module's documentation for a broken pipe).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise OutputError(f"cannot write standard output: {exc.strerror or exc}") from exc
 
 
 def _integer(text: str) -> int:
@@ -69,12 +89,20 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise _argument_type_error()(
             f"{_shown(text)!r} has more than {sys.get_int_max_str_digits()} digits"
         ) from None
 
 
 _integer.__name__ = "int"  # as argparse names the type: "invalid int value: ..."
+
+
+def _argument_type_error() -> type:
+    # argparse is loaded only once a value is refused: an ``except`` clause
+    # evaluates its types only when an exception reaches it.
+    import argparse
+
+    return argparse.ArgumentTypeError
 
 
 def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:
@@ -89,7 +117,7 @@ def _parse_synthetic(tokens: list[str]) -> tuple[int, int]:
             raise InvalidParamsError(f"--synthetic gives {key} more than once")
         try:
             params[key] = _integer(value)
-        except (ValueError, argparse.ArgumentTypeError):
+        except (ValueError, _argument_type_error()):
             raise InvalidParamsError(f"--synthetic {key} must be an integer") from None
     if set(params) != {"n", "silent"}:
         raise InvalidParamsError("--synthetic needs both n=<total> and silent=<count>")
@@ -210,70 +238,187 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **keywords) -> tuple:
+    return flags, keywords
+
+
+# The commands, each with its help line, its arguments in order as
+# add_argument's flags and keywords, and the destinations of its required
+# group of exclusive options.  ``build_parser`` gives them to argparse, and
+# ``_plain_args`` reads a plain command line from them; ``_cmd_<command>``
+# runs each.
+COMMANDS = {
+    "solve": (
+        "solve a recourse query file",
+        [
+            _arg("query_file", help="JSON query file"),
+            _arg("-o", "--output", help="write the outcome JSON here instead of stdout"),
+        ],
+        (),
+    ),
+    "experiment": (
+        "run a recourse mode over a game log",
+        [
+            _arg("--log", help="game log CSV file"),
+            _arg(
+                "--synthetic",
+                nargs="+",
+                metavar="KEY=VALUE",
+                help="generate a log in memory: n=<total> silent=<count>",
+            ),
+            _arg("--mode", choices=list(PAPER_MODES), default=MODE_SINGLE_AGENT),
+            _arg("--matrix", default="table1", help="matrix id or id=proportion list"),
+            _arg(
+                "--matrix-file",
+                action="append",
+                metavar="NAME=PATH",
+                help="register a custom matrix CSV under NAME (repeatable)",
+            ),
+            _arg("--seed", type=_integer, default=0),
+            _arg("--format", choices=["table", "csv", "json"], default="table"),
+            _arg("--jobs", type=_integer, default=1, help="at least 1; does not change the work done"),
+            _arg("--principal", choices=["p1", "both"], default="p1"),
+            _arg(
+                "--include-identity",
+                action="store_true",
+                help="let do-nothing actions count as recommendations",
+            ),
+            _arg("-o", "--output", help="write the report here instead of stdout"),
+        ],
+        ("log", "synthetic"),
+    ),
+    "generate": (
+        "write a synthetic game log CSV",
+        [
+            _arg(
+                "--synthetic",
+                nargs="+",
+                metavar="KEY=VALUE",
+                required=True,
+                help="n=<total> silent=<count>",
+            ),
+            _arg("--matrix", default="table1", help="matrix id or id=proportion list"),
+            _arg("--seed", type=_integer, default=0),
+            _arg("-o", "--output", help="write the log here instead of stdout"),
+        ],
+        (),
+    ),
+    "graph": (
+        "export a model's causal graph as DOT",
+        [
+            _arg("scm_file", help="JSON model file"),
+            _arg("-o", "--output", help="write the DOT text here instead of stdout"),
+        ],
+        (),
+    ),
+}
+
+
+def _dest(flags: tuple) -> str:
+    # The attribute argparse gives an argument: a positional's name, or an
+    # option's long flag (each option's last) with its dashes made underscores.
+    return flags[-1].lstrip("-").replace("-", "_")
+
+
+def _runner(command: str):
+    # Looked up when the arguments are read, so that a replaced function runs.
+    return globals()[f"_cmd_{command}"]
+
+
+def build_parser():
+    """argparse's parser of ``COMMANDS``: it prints the help and the usage
+    errors, and reads every command line that ``_plain_args`` leaves."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # Usage problems are ordinary errors (exit 1); exit 2 is reserved for
+        # "no feasible recommendation".
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="multiagent-recourse",
         description="Multi-agent algorithmic recourse over finite structural causal models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve a recourse query file")
-    p_solve.add_argument("query_file", help="JSON query file")
-    p_solve.add_argument("-o", "--output", help="write the outcome JSON here instead of stdout")
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_exp = sub.add_parser("experiment", help="run a recourse mode over a game log")
-    source = p_exp.add_mutually_exclusive_group(required=True)
-    source.add_argument("--log", help="game log CSV file")
-    source.add_argument(
-        "--synthetic",
-        nargs="+",
-        metavar="KEY=VALUE",
-        help="generate a log in memory: n=<total> silent=<count>",
-    )
-    p_exp.add_argument(
-        "--mode",
-        choices=list(PAPER_MODES),
-        default=MODE_SINGLE_AGENT,
-    )
-    p_exp.add_argument("--matrix", default="table1", help="matrix id or id=proportion list")
-    p_exp.add_argument(
-        "--matrix-file",
-        action="append",
-        metavar="NAME=PATH",
-        help="register a custom matrix CSV under NAME (repeatable)",
-    )
-    p_exp.add_argument("--seed", type=_integer, default=0)
-    p_exp.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p_exp.add_argument("--jobs", type=_integer, default=1, help="at least 1; does not change the work done")
-    p_exp.add_argument("--principal", choices=["p1", "both"], default="p1")
-    p_exp.add_argument(
-        "--include-identity",
-        action="store_true",
-        help="let do-nothing actions count as recommendations",
-    )
-    p_exp.add_argument("-o", "--output", help="write the report here instead of stdout")
-    p_exp.set_defaults(func=_cmd_experiment)
-
-    p_gen = sub.add_parser("generate", help="write a synthetic game log CSV")
-    p_gen.add_argument(
-        "--synthetic",
-        nargs="+",
-        metavar="KEY=VALUE",
-        required=True,
-        help="n=<total> silent=<count>",
-    )
-    p_gen.add_argument("--matrix", default="table1", help="matrix id or id=proportion list")
-    p_gen.add_argument("--seed", type=_integer, default=0)
-    p_gen.add_argument("-o", "--output", help="write the log here instead of stdout")
-    p_gen.set_defaults(func=_cmd_generate)
-
-    p_graph = sub.add_parser("graph", help="export a model's causal graph as DOT")
-    p_graph.add_argument("scm_file", help="JSON model file")
-    p_graph.add_argument("-o", "--output", help="write the DOT text here instead of stdout")
-    p_graph.set_defaults(func=_cmd_graph)
-
+    for command, (help_line, arguments, exclusive) in COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_line)
+        group = p_command.add_mutually_exclusive_group(required=True) if exclusive else None
+        for flags, keywords in arguments:
+            (group if _dest(flags) in exclusive else p_command).add_argument(*flags, **keywords)
+        p_command.set_defaults(func=_runner(command))
     return parser
+
+
+def _plain_args(argv: list[str]) -> dict | None:
+    """``vars()`` of the namespace argparse gives ``argv`` when the command
+    line is plain, read from ``COMMANDS`` without argparse; else None.
+
+    Plain is: a command, then its options, each spelled in full and, but for
+    a switch, followed by a value that does not start with "-" (with
+    ``nargs="+"``, every token up to the next one that does), and the
+    command's positional, if it has one; each value of its option's type and
+    among its choices, each required option given, and exactly one of the
+    exclusive group.  Anything else (help, an abbreviation, ``--opt=value``,
+    ``--``, a negative number, any usage error) is None, left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = argv[0]
+    _, arguments, exclusive = COMMANDS[command]
+    values = {"command": command, "func": _runner(command)}
+    options, names = {}, []
+    for flags, keywords in arguments:
+        dest = _dest(flags)
+        values[dest] = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        if flags[0].startswith("-"):
+            options.update(dict.fromkeys(flags, (dest, keywords)))
+        else:
+            names.append(dest)
+    given, positionals = set(), []
+    at = 1
+    while at < len(argv):
+        token = argv[at]
+        at += 1
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, keywords = options[token]
+        given.add(dest)
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        end = at
+        while end < len(argv) and not argv[end].startswith("-"):
+            end += 1
+        if end == at:
+            return None
+        if keywords.get("nargs") != "+":
+            end = at + 1
+        read, at = argv[at:end], end
+        if "type" in keywords:
+            try:
+                read = [keywords["type"](value) for value in read]
+            except (TypeError, ValueError, _argument_type_error()):  # what argparse reports
+                return None
+        if "choices" in keywords and not all(value in keywords["choices"] for value in read):
+            return None
+        if keywords.get("nargs") == "+":
+            values[dest] = read
+        elif keywords.get("action") == "append":
+            values[dest] = [*(values[dest] or ()), *read]
+        else:
+            values[dest] = read[0]
+    required = {_dest(flags) for flags, keywords in arguments if keywords.get("required")}
+    if len(positionals) != len(names) or not required <= given:
+        return None
+    if exclusive and len(given.intersection(exclusive)) != 1:
+        return None
+    values.update(zip(names, positionals))
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -296,11 +441,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    plain = _plain_args(argv)
+    if plain is not None:
+        args = SimpleNamespace(**plain)
+    else:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except RecourseError as exc:

@@ -1011,6 +1011,57 @@ class TestGenerateAndGraph:
         assert "Traceback" not in err
 
 
+class TestFailedWrites:
+    """A write that fails part way, in a child process of its own."""
+
+    def run(self, argv, cwd, environ=None, **kwargs):
+        env = dict(environ or os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(mr.__file__).parents[1]), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "multiagent_recourse.cli", *argv], cwd=cwd, env=env, **kwargs)
+
+    def test_a_file_cut_at_the_size_limit_is_removed(self, tmp_path):
+        import resource
+
+        def limit():
+            # The child's own limit; Python ignores SIGXFSZ, so its write fails with EFBIG.
+            resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192))
+
+        argv = ["generate", "--synthetic", "n=30000", "silent=9000", "--matrix", "table2", "-o", "big.csv"]
+        done = self.run(argv, tmp_path, preexec_fn=limit, capture_output=True)
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr == b"error: cannot write output file big.csv: File too large\n"
+        assert list(tmp_path.iterdir()) == []
+        done = self.run(argv[:-2], tmp_path, capture_output=True)
+        assert done.returncode == 0 and len(done.stdout) > 8192  # the limit is what cut it
+
+    def test_the_null_device_takes_the_output(self, tmp_path):
+        done = self.run(["generate", "--synthetic", "n=300", "silent=9", "-o", os.devnull], tmp_path,
+                        capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert Path(os.devnull).is_char_device()
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", str(GOLDEN / "structural.json")],
+            ["experiment", "--synthetic", "n=40", "silent=9", "--matrix", "table2"],
+            ["generate", "--synthetic", "n=40", "silent=9"],
+        ],
+        ids=["solve", "experiment", "generate"],
+    )
+    def test_a_full_standard_output_is_one_error_line(self, tmp_path, argv, unbuffered):
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            done = self.run(argv, tmp_path, env, stdout=full, stderr=subprocess.PIPE)
+        lines = [line for line in done.stderr.decode().splitlines() if not line.startswith("note: ")]
+        assert done.returncode == 1
+        assert lines == ["error: cannot write standard output: No space left on device"]
+
+
 class TestUsage:
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["experiment", "--bogus"]) == 1

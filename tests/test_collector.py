@@ -159,8 +159,8 @@ for log in ("small", "mixed"):
 
 def test_a_paused_run_leaves_no_more_garbage_for_more_games(tmp_path):
     # The games are freed by their counts, not by the collector: a command's
-    # cyclic garbage (the argument parser's, the imports') does not grow with
-    # its input, so pausing the collector costs no memory per game.
+    # cyclic garbage (its imports') does not grow with its input, so pausing
+    # the collector costs no memory per game.
     small, mixed = fresh(tmp_path, GARBAGE_SCRIPT).splitlines()
     assert small == mixed
     assert small.startswith("0 ")

@@ -35,9 +35,9 @@ LOADED_SCRIPT = """
 import contextlib, io, sys
 
 def loaded():
-    # The package's submodules, then "json" and "csv", each if that standard module is loaded.
+    # The package's submodules, then "json", "csv" and "argparse", each if that standard module is loaded.
     names = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("multiagent_recourse."))
-    return names + [name for name in ("json", "csv") if name in sys.modules]
+    return names + [name for name in ("json", "csv", "argparse") if name in sys.modules]
 
 def run(*args):
     import multiagent_recourse.cli as cli
@@ -87,21 +87,25 @@ def test_generate_loads_no_model_code(tmp_path):
     # the game log's names, ``generate`` its file form too, ``experiment`` no
     # file forms, ``solve`` and ``graph`` no game code, ``graph`` no query
     # code, and a structural ``solve`` no baseline.  ``json`` and ``csv`` load
-    # only where JSON or CSV is read or written.
+    # only where JSON or CSV is read or written, and ``argparse`` only for
+    # help and usage errors: every command here reads its plain arguments
+    # without it.
     steps = loaded_after(tmp_path, "package", "log name", "generate")
     log_file = ["errors", "gamelog", "logfile", "values", "csv"]
     assert steps["package"] == []
     assert steps["log name"] == log_file
     assert steps["generate"] == ["cli", *log_file]
-    steps = loaded_after(tmp_path, "cli", "help", "experiment table", "experiment json")
-    assert steps["cli"] == steps["help"] == ["cli", "errors", "gamelog", "values"]
+    steps = loaded_after(tmp_path, "cli", "help")
+    assert steps["cli"] == ["cli", "errors", "gamelog", "values"]
+    assert steps["help"] == [*steps["cli"], "argparse"]
+    steps = loaded_after(tmp_path, "experiment table", "experiment json")
     model_code = ["cli", "engine", "errors", "experiment", "gamelog", "games", "scm", "values"]
     assert steps["experiment table"] == model_code
     assert steps["experiment json"] == [*model_code, "json"]
     solve, graph = (set(loaded_after(tmp_path, command)[command]) for command in ("solve", "graph"))
     assert {"engine", "files", "scm", "json"} <= solve
     assert {"files", "scm", "json"} <= graph
-    assert not {"games", "experiment", "logfile", "baseline", "csv"} & (solve | graph)
+    assert not {"games", "experiment", "logfile", "baseline", "csv", "argparse"} & (solve | graph)
     assert "engine" not in graph
 
 
